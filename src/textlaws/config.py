@@ -40,17 +40,15 @@ Schema::
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS
 from .errors import ResourceFormatError, TextlawsError
 from .fitting.models import MODELS
-from .tokenizer import (
-    DEFAULT_INTRA_CHARS,
-    DEFAULT_TERMINATORS,
-    TokenizerConfig,
-)
+from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
+from .tokenizer import TokenizerConfig
 
 STAGES = ("profile", "lengths", "ranks", "fits")
 
@@ -86,8 +84,8 @@ class RunConfig:
     top_k: int = 20
     min_support: int = 5
     models: tuple[str, ...] = DEFAULT_FIT_MODELS
-    zipf_breakpoints: tuple[tuple[int, int | None], ...] | None = None
-    coverage_breakpoints: tuple[tuple[int, int | None], ...] | None = None
+    zipf_breakpoints: tuple[tuple[int, int | None], ...] = DEFAULT_ZIPF_BREAKPOINTS
+    coverage_breakpoints: tuple[tuple[int, int | None], ...] = DEFAULT_COVERAGE_BREAKPOINTS
     inits: dict[str, dict[str, float]] = field(default_factory=dict)
     stages: tuple[str, ...] = STAGES
 
@@ -104,18 +102,23 @@ class RunConfig:
         return cfg
 
 
-def _line_of(path: Path, key: str) -> int:
-    """Best-effort line number of a config key, for diagnostics."""
-    try:
-        for no, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-            if line.split("=")[0].strip() == key:
-                return no
-    except OSError:
-        pass
-    return 0
+def _key_lines(text: str) -> dict[tuple[str, str], int]:
+    """Line number of each ``key = value`` or ``key: value`` entry, by section."""
+    lines: dict[tuple[str, str], int] = {}
+    section = None
+    # configparser splits lines on "\n" only, so count lines the same way
+    for no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        header = re.match(r"\[(.+)\]", stripped)
+        if header:
+            section = header.group(1)
+        elif stripped and stripped[0] not in "#;":
+            key = re.split("[=:]", stripped, maxsplit=1)[0].strip()
+            lines.setdefault((section, key), no)
+    return lines
 
 
-def _parse_breakpoints(raw: str, path: Path, key: str):
+def _parse_breakpoints(raw: str, err, key: str):
     intervals = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -123,11 +126,11 @@ def _parse_breakpoints(raw: str, path: Path, key: str):
             continue
         lo_hi = chunk.split(":")
         if len(lo_hi) != 2:
-            raise ResourceFormatError(path, _line_of(path, key), f"bad interval {chunk!r}")
+            raise err("fits", key, f"bad interval {chunk!r}")
         try:
             lo = int(lo_hi[0])
         except ValueError:
-            raise ResourceFormatError(path, _line_of(path, key), f"bad rank {lo_hi[0]!r}") from None
+            raise err("fits", key, f"bad rank {lo_hi[0]!r}") from None
         hi_raw = lo_hi[1].strip().lower()
         if hi_raw in ("end", "v", "*"):
             hi = None
@@ -135,21 +138,21 @@ def _parse_breakpoints(raw: str, path: Path, key: str):
             try:
                 hi = int(hi_raw)
             except ValueError:
-                raise ResourceFormatError(path, _line_of(path, key), f"bad rank {lo_hi[1]!r}") from None
+                raise err("fits", key, f"bad rank {lo_hi[1]!r}") from None
         intervals.append((lo, hi))
     if not intervals:
-        raise ResourceFormatError(path, _line_of(path, key), "empty breakpoint list")
+        raise err("fits", key, "empty breakpoint list")
     return tuple(intervals)
 
 
-def _parse_inits(parser, section, path: Path) -> dict[str, dict[str, float]]:
+def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
     inits = {}
     for key in parser.options(section):
         if not key.startswith("init_"):
             continue
         model_id = key[len("init_"):]
         if model_id not in MODELS:
-            raise ResourceFormatError(path, _line_of(path, key), f"unknown model {model_id!r}")
+            raise err(section, key, f"unknown model {model_id!r}")
         values = {}
         for assign in parser.get(section, key).split(","):
             assign = assign.strip()
@@ -159,32 +162,28 @@ def _parse_inits(parser, section, path: Path) -> dict[str, dict[str, float]]:
             try:
                 values[name.strip()] = float(raw)
             except ValueError:
-                raise ResourceFormatError(
-                    path, _line_of(path, key), f"bad init value {assign!r}"
-                ) from None
+                raise err(section, key, f"bad init value {assign!r}") from None
         inits[model_id] = values
     return inits
 
 
-def _choice(parser, section, key, default, allowed, path):
+def _choice(parser, section, key, default, allowed, err):
     value = parser.get(section, key, fallback=default).strip()
     if value not in allowed:
-        raise ResourceFormatError(
-            path, _line_of(path, key), f"{key} must be one of {sorted(allowed)}, got {value!r}"
-        )
+        raise err(section, key, f"{key} must be one of {sorted(allowed)}, got {value!r}")
     return value
 
 
-def _intval(parser, section, key, default, path, minimum=1):
+def _intval(parser, section, key, default, err, minimum=1):
     raw = parser.get(section, key, fallback=None)
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        raise ResourceFormatError(path, _line_of(path, key), f"{key} must be an integer") from None
+        raise err(section, key, f"{key} must be an integer") from None
     if value < minimum:
-        raise ResourceFormatError(path, _line_of(path, key), f"{key} must be >= {minimum}")
+        raise err(section, key, f"{key} must be >= {minimum}")
     return value
 
 
@@ -193,16 +192,21 @@ def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise MissingTextError(f"config file not found: {path}")
+    text = path.read_text(encoding="utf-8")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(text, source=str(path))
     except configparser.ParsingError as exc:
         line_no = exc.errors[0][0] if exc.errors else 0
         raise ResourceFormatError(path, line_no, "cannot parse config") from exc
     except configparser.MissingSectionHeaderError as exc:
         raise ResourceFormatError(path, exc.lineno, "missing section header") from exc
+
+    key_lines = _key_lines(text)
+
+    def err(section, key, message):
+        return ResourceFormatError(path, key_lines.get((section, key), 0), message)
 
     base = path.parent
 
@@ -233,36 +237,25 @@ def load_run_config(path: str | Path) -> RunConfig:
             tok_kwargs["abbreviations"] = frozenset(
                 a.strip().casefold() for a in raw.split(",") if a.strip()
             )
-    tokenizer = TokenizerConfig(
-        intra_token_chars=tok_kwargs.get("intra_token_chars", DEFAULT_INTRA_CHARS),
-        sentence_terminators=tok_kwargs.get("sentence_terminators", DEFAULT_TERMINATORS),
-        case_folding=tok_kwargs.get("case_folding", True),
-        abbreviations=tok_kwargs.get("abbreviations", frozenset()),
-    )
+    tokenizer = TokenizerConfig(**tok_kwargs)
 
     vowels = DEFAULT_UK_VOWELS
     if parser.has_option("analysis", "vowels"):
         vowels = frozenset(parser.get("analysis", "vowels").strip())
 
-    models = DEFAULT_FIT_MODELS
-    zipf_bp = coverage_bp = None
-    inits = {}
+    fits = {}
     if parser.has_section("fits"):
         raw = parser.get("fits", "models", fallback=None)
         if raw is not None:
-            models = tuple(m.strip() for m in raw.split(",") if m.strip())
-            for m in models:
+            fits["models"] = tuple(m.strip() for m in raw.split(",") if m.strip())
+            for m in fits["models"]:
                 if m not in MODELS:
-                    raise ResourceFormatError(
-                        path, _line_of(path, "models"), f"unknown model {m!r}"
-                    )
-        raw = parser.get("fits", "zipf_breakpoints", fallback=None)
-        if raw is not None:
-            zipf_bp = _parse_breakpoints(raw, path, "zipf_breakpoints")
-        raw = parser.get("fits", "coverage_breakpoints", fallback=None)
-        if raw is not None:
-            coverage_bp = _parse_breakpoints(raw, path, "coverage_breakpoints")
-        inits = _parse_inits(parser, "fits", path)
+                    raise err("fits", "models", f"unknown model {m!r}")
+        for key in ("zipf_breakpoints", "coverage_breakpoints"):
+            raw = parser.get("fits", key, fallback=None)
+            if raw is not None:
+                fits[key] = _parse_breakpoints(raw, err, key)
+        fits["inits"] = _parse_inits(parser, "fits", err)
 
     return RunConfig(
         text_path=text_path,
@@ -273,17 +266,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         g2p_rules_path=respath("paths", "g2p_rules"),
         tokenizer=tokenizer,
         vowels=vowels,
-        threshold=_intval(parser, "analysis", "threshold", 10, path),
-        basis=_choice(parser, "analysis", "basis", "types", {"types", "tokens"}, path),
-        rank_basis=_choice(parser, "analysis", "rank_basis", "lemmas", {"lemmas", "forms"}, path),
-        count_basis=_choice(parser, "analysis", "count_basis", "lemmas", {"lemmas", "forms"}, path),
+        threshold=_intval(parser, "analysis", "threshold", 10, err),
+        basis=_choice(parser, "analysis", "basis", "types", {"types", "tokens"}, err),
+        rank_basis=_choice(parser, "analysis", "rank_basis", "lemmas", {"lemmas", "forms"}, err),
+        count_basis=_choice(parser, "analysis", "count_basis", "lemmas", {"lemmas", "forms"}, err),
         word_length_basis=_choice(
-            parser, "analysis", "word_length_basis", "tokens", {"tokens", "types"}, path
+            parser, "analysis", "word_length_basis", "tokens", {"tokens", "types"}, err
         ),
-        top_k=_intval(parser, "analysis", "top_k", 20, path),
-        min_support=_intval(parser, "analysis", "min_support", 5, path, minimum=0),
-        models=models,
-        zipf_breakpoints=zipf_bp,
-        coverage_breakpoints=coverage_bp,
-        inits=inits,
+        top_k=_intval(parser, "analysis", "top_k", 20, err),
+        min_support=_intval(parser, "analysis", "min_support", 5, err, minimum=0),
+        **fits,
     )

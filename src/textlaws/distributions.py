@@ -11,12 +11,12 @@ phoneme per letter.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ResourceFormatError, RuleGapError, ValidationError
-from .lexicon import FormLexicon, LemmaLexicon
+from .lexicon import FormLexicon, LemmaLexicon, data_lines
 
 DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
 
@@ -43,6 +43,11 @@ class G2PRules:
 
     rules: tuple[tuple[str, int], ...]
     default_delta: int | None = 1
+    # rules longest grapheme first; the stable sort keeps listed order on ties
+    by_length: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_length", tuple(sorted(self.rules, key=lambda r: -len(r[0]))))
 
 
 DEFAULT_G2P_RESOURCE = "uk_g2p.tsv"
@@ -50,13 +55,12 @@ DEFAULT_G2P_RESOURCE = "uk_g2p.tsv"
 
 def count_phonemes(form: str, rules: G2PRules) -> int:
     """Apply rewrite rules longest-match-first, consuming each letter once."""
-    by_length = sorted(rules.rules, key=lambda r: -len(r[0]))
     total = 0
     i = 0
     n = len(form)
     folded = form.casefold()
     while i < n:
-        for grapheme, delta in by_length:
+        for grapheme, delta in rules.by_length:
             if folded.startswith(grapheme, i):
                 total += delta
                 i += len(grapheme)
@@ -74,22 +78,18 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
 def read_g2p_rules(path: str | Path, default_delta: int | None = 1) -> G2PRules:
     """Read rewrite rules from a TSV file of ``grapheme<TAB>delta`` lines."""
     rules = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ResourceFormatError(path, line_no, "expected grapheme<TAB>delta")
-            grapheme = fields[0]
-            try:
-                delta = int(fields[1])
-            except ValueError:
-                raise ResourceFormatError(path, line_no, f"bad delta {fields[1]!r}") from None
-            if not grapheme or delta < 0:
-                raise ResourceFormatError(path, line_no, "empty grapheme or negative delta")
-            rules.append((grapheme.casefold(), delta))
+    for line_no, line in data_lines(Path(path)):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ResourceFormatError(path, line_no, "expected grapheme<TAB>delta")
+        grapheme = fields[0]
+        try:
+            delta = int(fields[1])
+        except ValueError:
+            raise ResourceFormatError(path, line_no, f"bad delta {fields[1]!r}") from None
+        if not grapheme or delta < 0:
+            raise ResourceFormatError(path, line_no, "empty grapheme or negative delta")
+        rules.append((grapheme.casefold(), delta))
     return G2PRules(tuple(rules), default_delta)
 
 

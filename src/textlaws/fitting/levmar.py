@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from .models import Model, get_model
+from .models import Model, _as_param_array, get_model
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,7 @@ def lm_fit(
     if log_space and np.any(y <= 0):
         raise ValidationError("log-space fitting requires positive ordinates")
 
-    if init is None:
-        p = model.default_init(x, y)
-    elif isinstance(init, dict):
-        missing = [name for name in model.param_names if name not in init]
-        if missing:
-            raise ValidationError(f"{model.id}: init missing parameters {missing}")
-        p = np.array([float(init[name]) for name in model.param_names])
-    else:
-        p = np.asarray(init, dtype=float)
-        if p.shape != (model.n_params,):
-            raise ValidationError(f"{model.id}: init must supply {model.n_params} values")
+    p = model.default_init(x, y) if init is None else _as_param_array(model, init)
     if not model.params_in_domain(p, x):
         raise DomainError(f"{model.id}: initial parameters outside the model domain")
 

@@ -62,14 +62,14 @@ def shifted_menzerath_norm(d: float, rate: float) -> float:
 
 def _eval_phoneme_gamma(p, x):
     b, alpha = p
-    a = 2.0 * alpha ** ((b + 1.0) / 2.0) / gamma_fn((b + 1.0) / 2.0)
+    a = phoneme_gamma_norm(b, alpha)
     with np.errstate(all="ignore"):
         return a * np.power(x, b) * np.exp(-alpha * x * x)
 
 
 def _eval_shifted_menzerath(p, x):
     d, rate = p
-    bnorm = rate ** (d + 1.0) / gamma_fn(d + 1.0)
+    bnorm = shifted_menzerath_norm(d, rate)
     t = x + 1.0
     with np.errstate(all="ignore"):
         return bnorm * np.power(t, d) * np.exp(-rate * t)
@@ -219,12 +219,12 @@ def get_model(model_id: str) -> Model:
 
 def normalization_constant(model_id: str, params) -> float:
     """Derived density constant for the two normalized models."""
-    p = _as_param_array(get_model(model_id), params)
-    if model_id == PHONEME_GAMMA:
-        return phoneme_gamma_norm(p[0], p[1])
-    if model_id == SHIFTED_MENZERATH:
-        return shifted_menzerath_norm(p[0], p[1])
-    raise ValidationError(f"model {model_id!r} has no derived normalization constant")
+    model = get_model(model_id)
+    p = _as_param_array(model, params)
+    if model.derived is None:
+        raise ValidationError(f"model {model_id!r} has no derived normalization constant")
+    (value,) = model.derived(p).values()
+    return value
 
 
 def _as_param_array(model: Model, params) -> np.ndarray:

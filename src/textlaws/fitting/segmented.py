@@ -56,9 +56,23 @@ def ols_line(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     return slope, intercept, r_squared
 
 
-def _select(points, lo, hi, last):
-    top = last if hi is None else hi
-    return [(r, v) for r, v in points if lo < r <= top], top
+def _interval_lines(points, breakpoints, transform):
+    """OLS line of ``transform(v)`` on ln r inside each rank interval.
+
+    Yields ``(lo, top, slope, intercept, r_squared, n_points)``, where ``top``
+    is the resolved upper bound.
+    """
+    last = points[-1][0] if points else 0
+    for lo, hi in breakpoints:
+        top = last if hi is None else hi
+        inside = [(r, v) for r, v in points if lo < r <= top]
+        if len(inside) < 3:
+            raise ValidationError(
+                f"rank interval ({lo}, {top}] holds {len(inside)} points; need >= 3"
+            )
+        log_r = [math.log(r) for r, _ in inside]
+        slope, intercept, r2 = ols_line(log_r, [transform(v) for _, v in inside])
+        yield lo, top, slope, intercept, r2, len(inside)
 
 
 def segmented_loglog_fit(
@@ -67,21 +81,10 @@ def segmented_loglog_fit(
 ) -> list[PowerLawSegment]:
     """Power-law exponent per rank domain from log-log linear regression."""
     pairs = [(rank, count) for rank, _, count in rf.rows]
-    last = pairs[-1][0] if pairs else 0
-    segments = []
-    for lo, hi in breakpoints:
-        inside, top = _select(pairs, lo, hi, last)
-        if len(inside) < 3:
-            raise ValidationError(
-                f"rank interval ({lo}, {top}] holds {len(inside)} points; need >= 3"
-            )
-        log_r = [math.log(r) for r, _ in inside]
-        log_f = [math.log(f) for _, f in inside]
-        slope, intercept, r2 = ols_line(log_r, log_f)
-        segments.append(
-            PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, len(inside))
-        )
-    return segments
+    return [
+        PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, n)
+        for lo, top, slope, intercept, r2, n in _interval_lines(pairs, breakpoints, math.log)
+    ]
 
 
 def fit_coverage(
@@ -89,16 +92,7 @@ def fit_coverage(
     breakpoints=DEFAULT_COVERAGE_BREAKPOINTS,
 ) -> list[CoverageSegment]:
     """Logarithmic growth slope of text coverage per rank domain."""
-    last = curve.points[-1][0] if curve.points else 0
-    segments = []
-    for lo, hi in breakpoints:
-        inside, top = _select(curve.points, lo, hi, last)
-        if len(inside) < 3:
-            raise ValidationError(
-                f"rank interval ({lo}, {top}] holds {len(inside)} points; need >= 3"
-            )
-        log_r = [math.log(r) for r, _ in inside]
-        t = [v for _, v in inside]
-        slope, intercept, r2 = ols_line(log_r, t)
-        segments.append(CoverageSegment(lo, top, slope, intercept, r2, len(inside)))
-    return segments
+    return [
+        CoverageSegment(*line)
+        for line in _interval_lines(curve.points, breakpoints, lambda v: v)
+    ]

@@ -181,7 +181,8 @@ def pattern_count(lex: FormLexicon, pattern: str, where: str = "suffix") -> tupl
 # starting with '#' are skipped.
 # ---------------------------------------------------------------------------
 
-def _data_lines(path: Path):
+def data_lines(path: Path):
+    """Yield ``(line number, line)`` for each data line of a TSV resource."""
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -193,7 +194,7 @@ def _data_lines(path: Path):
 def read_merge_rules(path: str | Path) -> list[MergeRule]:
     """Read merge rules: one rule per line, ``canonical<TAB>var1,var2,...``."""
     rules = []
-    for line_no, line in _data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path)):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ResourceFormatError(path, line_no, "expected canonical<TAB>variants")
@@ -213,7 +214,7 @@ def read_lemma_map(path: str | Path) -> LemmaMap:
     absolute counts (they are normalized when the split is applied).
     """
     per_form: dict[str, list[tuple[str, float]]] = {}
-    for line_no, line in _data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path)):
         fields = line.split("\t")
         if len(fields) not in (2, 3):
             raise ResourceFormatError(path, line_no, "expected form<TAB>lemma[<TAB>share]")
@@ -245,7 +246,7 @@ def read_lemma_map(path: str | Path) -> LemmaMap:
 def read_overrides(path: str | Path) -> list[tuple[str, str, int]]:
     """Read homonym overrides: ``form<TAB>lemma<TAB>count``."""
     overrides = []
-    for line_no, line in _data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path)):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ResourceFormatError(path, line_no, "expected form<TAB>lemma<TAB>count")

@@ -17,10 +17,6 @@ from . import distributions as dist
 from .config import RunConfig, MissingTextError
 from .errors import ResourceFormatError, TextlawsError
 from .fitting import fit_coverage, lm_fit, model_eval, segmented_loglog_fit
-from .fitting.segmented import (
-    DEFAULT_COVERAGE_BREAKPOINTS,
-    DEFAULT_ZIPF_BREAKPOINTS,
-)
 from .indices import corpus_profile
 from .lexicon import (
     apply_merge_rules,
@@ -186,9 +182,7 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
     for model_id in cfg.models:
         try:
             if model_id == "ZipfPower":
-                segments = segmented_loglog_fit(
-                    rf, cfg.zipf_breakpoints or DEFAULT_ZIPF_BREAKPOINTS
-                )
+                segments = segmented_loglog_fit(rf, cfg.zipf_breakpoints)
                 report[model_id] = {
                     "segments": [
                         {"lo": s.lo, "hi": s.hi, "z": s.z, "A": s.amplitude,
@@ -197,9 +191,7 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
                     ]
                 }
             elif model_id == "LogCoverage":
-                segments = fit_coverage(
-                    curve, cfg.coverage_breakpoints or DEFAULT_COVERAGE_BREAKPOINTS
-                )
+                segments = fit_coverage(curve, cfg.coverage_breakpoints)
                 report[model_id] = {
                     "segments": [
                         {"lo": s.lo, "hi": s.hi, "k": s.k, "T0": s.t0,

@@ -31,22 +31,21 @@ def emit_plot_data(series, path: str | Path, header: str | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _scalar_str(value) -> str:
+def _scalar_str(value, float_format) -> str:
+    """One TSV cell; ``float_format`` renders floats (``repr`` keeps every digit)."""
     if value is None:
         return "NA"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
-        return repr(value)
+        return float_format(value)
     return str(value)
 
 
 def write_profile(profile: CorpusProfile, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     record = profile.to_dict()
-    tsv = "".join(f"{key}\t{_scalar_str(value)}\n" for key, value in record.items())
+    tsv = "".join(f"{key}\t{_scalar_str(value, repr)}\n" for key, value in record.items())
     (out_dir / "profile.tsv").write_text(tsv, encoding="utf-8")
     (out_dir / "profile.json").write_text(
         json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
@@ -59,19 +58,10 @@ def write_topk(rows, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fit_value_str(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
 def write_fits(report: dict[str, dict], out_dir: str | Path) -> None:
     """Write fits.tsv (model / segment / key / value) and nested fits.json."""
     out_dir = Path(out_dir)
+    fmt = "{:.10g}".format
     lines = ["model\tsegment\tkey\tvalue"]
     for model_id, entry in report.items():
         if "segments" in entry:
@@ -80,16 +70,16 @@ def write_fits(report: dict[str, dict], out_dir: str | Path) -> None:
                 for key, value in seg.items():
                     if key in ("lo", "hi"):
                         continue
-                    lines.append(f"{model_id}\t{tag}\t{key}\t{_fit_value_str(value)}")
+                    lines.append(f"{model_id}\t{tag}\t{key}\t{_scalar_str(value, fmt)}")
         elif "error" in entry:
             lines.append(f"{model_id}\t\terror\t{entry['error']}")
         else:
             for group in ("params", "stderr", "derived"):
                 for name, value in entry.get(group, {}).items():
                     prefix = "param" if group == "params" else group
-                    lines.append(f"{model_id}\t\t{prefix}.{name}\t{_fit_value_str(value)}")
+                    lines.append(f"{model_id}\t\t{prefix}.{name}\t{_scalar_str(value, fmt)}")
             for key in ("sse", "iterations", "converged", "final_lambda"):
-                lines.append(f"{model_id}\t\t{key}\t{_fit_value_str(entry[key])}")
+                lines.append(f"{model_id}\t\t{key}\t{_scalar_str(entry[key], fmt)}")
     (out_dir / "fits.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "fits.json").write_text(
         json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"

@@ -16,10 +16,11 @@ from enum import Enum
 
 from .errors import ValidationError
 
-DEFAULT_LETTER_CLASSES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo"})
 DEFAULT_INTRA_CHARS = frozenset("-'’ʼ§" + "0123456789")
 DEFAULT_TERMINATORS = frozenset(".!?…")
 
+# General categories of word characters: letters (L*) and decimal digits.
+_WORD_CATEGORIES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nd"})
 # Characters that join two word characters (never lead or trail a token).
 _JOINER_CHARS = frozenset("-‐‑'’ʼ`")
 # Closing quotes tolerated between a terminator and the sentence break.
@@ -39,7 +40,6 @@ class ScriptClass(Enum):
 class TokenizerConfig:
     """Character-class configuration for tokenize/split_sentences."""
 
-    letter_classes: frozenset[str] = DEFAULT_LETTER_CLASSES
     intra_token_chars: frozenset[str] = DEFAULT_INTRA_CHARS
     case_folding: bool = True
     sentence_terminators: frozenset[str] = DEFAULT_TERMINATORS
@@ -67,9 +67,8 @@ class SentenceSpan:
     end_token: int  # exclusive
 
 
-def _is_word_char(ch: str, cfg: TokenizerConfig) -> bool:
-    cat = unicodedata.category(ch)
-    return cat in cfg.letter_classes or cat == "Nd"
+def _is_word_char(ch: str) -> bool:
+    return unicodedata.category(ch) in _WORD_CATEGORIES
 
 
 def classify_script(surface: str) -> ScriptClass:
@@ -110,14 +109,14 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
     joiners = cfg.intra_token_chars & _JOINER_CHARS
     extras = {
         ch for ch in cfg.intra_token_chars
-        if ch not in joiners and not _is_word_char(ch, cfg)
+        if ch not in joiners and not _is_word_char(ch)
     }
     tokens: list[Token] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        leads = _is_word_char(ch, cfg) or (
-            ch in extras and i + 1 < n and _is_word_char(text[i + 1], cfg)
+        leads = _is_word_char(ch) or (
+            ch in extras and i + 1 < n and _is_word_char(text[i + 1])
         )
         if not leads:
             i += 1
@@ -126,13 +125,13 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
         i += 1
         while i < n:
             c = text[i]
-            if _is_word_char(c, cfg):
+            if _is_word_char(c):
                 i += 1
-            elif c in joiners and i + 1 < n and _is_word_char(text[i + 1], cfg):
+            elif c in joiners and i + 1 < n and _is_word_char(text[i + 1]):
                 i += 1
             elif c in extras and (
-                _is_word_char(text[i - 1], cfg)
-                or (i + 1 < n and _is_word_char(text[i + 1], cfg))
+                _is_word_char(text[i - 1])
+                or (i + 1 < n and _is_word_char(text[i + 1]))
             ):
                 i += 1
             else:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from textlaws import ValidationError
+from textlaws import ResourceFormatError, ValidationError
 from textlaws.cli import main
 from textlaws.config import load_run_config
 from textlaws.reports import emit_plot_data
@@ -65,6 +65,19 @@ class TestConfig:
         with pytest.raises(Exception) as err:
             load_run_config(bad)
         assert "Nope" in str(err.value)
+
+    @pytest.mark.parametrize("body, line_no", [
+        pytest.param("[analysis]\ntop_k: zero\n", 4, id="colon-delimiter"),
+        pytest.param(
+            "[tokenizer]\nthreshold = 3\n[analysis]\nthreshold = -1\n", 6, id="same-key-other-section"
+        ),
+    ])
+    def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
+        bad = tmp_path / "run.ini"
+        bad.write_text("[paths]\ntext = x.txt\n" + body, encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            load_run_config(bad)
+        assert str(err.value).startswith(f"{bad}:{line_no}: ")
 
 
 class TestPipeline:
@@ -129,6 +142,21 @@ class TestPipeline:
         assert main(["--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "fits.json").read_text())
         assert list(report) == ["ZipfMandelbrot"]
+
+    def test_partial_init_reports_missing_parameters(self, fixtures_dir, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[paths]\n"
+            f"text = {fixtures_dir / 'corpus.txt'}\n"
+            "[fits]\n"
+            "models = ZipfMandelbrot\n"
+            "init_ZipfMandelbrot = A=1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "fits.json").read_text())
+        assert report == {"ZipfMandelbrot": {"error": "ZipfMandelbrot: missing parameters ['b', 'C']"}}
 
     def test_missing_text_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -77,9 +77,14 @@ class TestPhonemes:
         with pytest.raises(RuleGapError, match="'б'"):
             count_phonemes("аб", rules)
 
-    def test_rules_file_reader(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("# digraphs\nдж\t1\nь\t0\n", id="lf"),
+        pytest.param("# digraphs\r\nдж\t1\r\nь\t0\r\n", id="crlf"),
+        pytest.param("\nдж\t1\n  \t\n   # indented\nь\t0\n", id="blank-and-indented-comment"),
+    ])
+    def test_rules_file_reader(self, tmp_path, text):
         path = tmp_path / "g2p.tsv"
-        path.write_text("# digraphs\nдж\t1\nь\t0\n", encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         rules = read_g2p_rules(path)
         assert rules.rules == (("дж", 1), ("ь", 0))
 

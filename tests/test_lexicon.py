@@ -214,9 +214,14 @@ class TestResourceFiles:
             read_lemma_map(path)
         assert err.value.line_no == 1
 
-    def test_overrides_reader(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("# comment\nяк\tяк_спол\t17\n", id="lf"),
+        pytest.param("# comment\r\nяк\tяк_спол\t17\r\n", id="crlf"),
+        pytest.param("\n \n\t# indented\nяк\tяк_спол\t17\n\n", id="blank-and-indented-comment"),
+    ])
+    def test_overrides_reader(self, tmp_path, text):
         path = tmp_path / "overrides.tsv"
-        path.write_text("# comment\nяк\tяк_спол\t17\n", encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         assert read_overrides(path) == [("як", "як_спол", 17)]
 
     def test_overrides_bad_count(self, tmp_path):
