@@ -235,7 +235,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = parser.get("tokenizer", "abbreviations", fallback=None)
         if raw is not None:
             tok_kwargs["abbreviations"] = frozenset(
-                a.strip().casefold() for a in raw.split(",") if a.strip()
+                a.strip() for a in raw.split(",") if a.strip()
             )
     tokenizer = TokenizerConfig(**tok_kwargs)
 

@@ -7,7 +7,9 @@ recomputes them over word-forms for sensitivity studies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .distributions import count_letters
 from .errors import ValidationError
@@ -73,7 +75,9 @@ def corpus_profile(
     f = len(forms.entries)
 
     if word_length_basis == "tokens":
-        mean_word_len = sum(count_letters(t.surface) for t in tokens) / len(tokens)
+        surfaces = Counter(map(attrgetter("surface"), tokens))
+        letters = sum(count_letters(s) * c for s, c in surfaces.items())
+        mean_word_len = letters / len(tokens)
     else:
         mean_word_len = sum(count_letters(form) for form in forms.entries) / f
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ResourceFormatError, ValidationError
@@ -52,7 +53,7 @@ class LemmaLexicon:
 
 def build_form_spectrum(tokens: list[Token]) -> FormLexicon:
     """Count tokens by folded form."""
-    counts = Counter(t.folded for t in tokens)
+    counts = Counter(map(attrgetter("folded"), tokens))
     return FormLexicon(dict(counts), len(tokens))
 
 

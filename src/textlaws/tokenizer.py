@@ -9,18 +9,19 @@ offset recovers its surface exactly.
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 
 from .errors import ValidationError
 
 DEFAULT_INTRA_CHARS = frozenset("-'’ʼ§" + "0123456789")
 DEFAULT_TERMINATORS = frozenset(".!?…")
 
-# General categories of word characters: letters (L*) and decimal digits.
-_WORD_CATEGORIES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nd"})
 # Characters that join two word characters (never lead or trail a token).
 _JOINER_CHARS = frozenset("-‐‑'’ʼ`")
 # Closing quotes tolerated between a terminator and the sentence break.
@@ -38,7 +39,11 @@ class ScriptClass(Enum):
 
 @dataclass(frozen=True)
 class TokenizerConfig:
-    """Character-class configuration for tokenize/split_sentences."""
+    """Character-class configuration for tokenize/split_sentences.
+
+    Abbreviations are stored casefolded and match the token before a
+    period case-insensitively, whether or not ``case_folding`` is on.
+    """
 
     intra_token_chars: frozenset[str] = DEFAULT_INTRA_CHARS
     case_folding: bool = True
@@ -48,12 +53,15 @@ class TokenizerConfig:
     def __post_init__(self):
         if any(ch.isspace() for ch in self.intra_token_chars):
             raise ValidationError("intra_token_chars must not contain whitespace")
+        object.__setattr__(
+            self, "abbreviations", frozenset(a.casefold() for a in self.abbreviations)
+        )
 
 
 DEFAULT_CONFIG = TokenizerConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     folded: str
@@ -61,14 +69,15 @@ class Token:
     script: ScriptClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceSpan:
     start_token: int
     end_token: int  # exclusive
 
 
 def _is_word_char(ch: str) -> bool:
-    return unicodedata.category(ch) in _WORD_CATEGORIES
+    # letters (general category L*) and decimal digits (Nd)
+    return ch.isalpha() or ch.isdecimal()
 
 
 def classify_script(surface: str) -> ScriptClass:
@@ -97,48 +106,102 @@ def classify_script(surface: str) -> ScriptClass:
     return ScriptClass.LATIN
 
 
-def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
-    """Split text into word tokens.
+def _char_class(chars) -> str:
+    return "".join(re.escape(ch) for ch in sorted(chars))
 
-    The text is NFC-normalized first.  A joiner (hyphen, apostrophe) stays
-    inside a token only when flanked by letters/digits on both sides; other
-    permitted marks (section sign) need a letter/digit neighbour on one side
-    and may lead a token.  Runs without any letter or digit yield no token.
+
+@lru_cache(maxsize=64)
+def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
+    """The token pattern and the sentence-boundary pattern of ``cfg``.
+
+    Token: ``[^\\W_]`` is a word character, a joiner counts only before a
+    word character, an extra (another intra-token mark such as the section
+    sign) only with a word character on one side, and a token starts at a
+    word character or at an extra just before one.  ``[^\\W_]`` also admits
+    numerals outside Nd (``²``, ``Ⅻ``, ``½``); ``_run_tokens`` splits runs
+    that hold one.
+
+    Boundary: a terminator, then closing quotes, then end of text or
+    whitespace; group 1 is the character after the whitespace and opening
+    marks ('' at end of text, None when no whitespace follows the closers).
     """
-    text = unicodedata.normalize("NFC", text)
     joiners = cfg.intra_token_chars & _JOINER_CHARS
     extras = {
         ch for ch in cfg.intra_token_chars
         if ch not in joiners and not _is_word_char(ch)
     }
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        leads = _is_word_char(ch) or (
-            ch in extras and i + 1 < n and _is_word_char(text[i + 1])
+    word = f"[^\\W_{_char_class(extras)}]"
+    lead = word
+    steps = [f"{word}+"]
+    if joiners:
+        steps.append(f"[{_char_class(joiners)}](?={word})")
+    if extras:
+        extra = f"[{_char_class(extras)}]"
+        lead = f"(?:{word}|{extra}(?={word}))"
+        steps += [f"(?<={word}){extra}", f"{extra}(?={word})"]
+    token = re.compile(f"{lead}(?:{'|'.join(steps)})*")
+
+    if cfg.sentence_terminators:
+        boundary = re.compile(
+            f"[{_char_class(cfg.sentence_terminators)}]"
+            f"(?=[{_char_class(_CLOSERS)}]*(?:\\Z|\\s[\\s{_char_class(_OPENERS)}]*(.?)))",
+            re.DOTALL,
         )
-        if not leads:
-            i += 1
-            continue
-        start = i
-        i += 1
-        while i < n:
-            c = text[i]
-            if _is_word_char(c):
-                i += 1
-            elif c in joiners and i + 1 < n and _is_word_char(text[i + 1]):
-                i += 1
-            elif c in extras and (
-                _is_word_char(text[i - 1])
-                or (i + 1 < n and _is_word_char(text[i + 1]))
-            ):
-                i += 1
-            else:
-                break
-        surface = text[start:i]
-        folded = surface.casefold() if cfg.case_folding else surface
-        tokens.append(Token(surface, folded, start, classify_script(surface)))
+    else:
+        boundary = re.compile("(?!)")
+    return token, boundary
+
+
+def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str, ScriptClass]:
+    folded = surface.casefold() if cfg.case_folding else surface
+    # equal strings share one object across every token of the form
+    return surface, surface if folded == surface else folded, classify_script(surface)
+
+
+def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
+    """``(offset in run, surface, folded, script)`` of each token in one match.
+
+    A numeral outside Nd that is not an intra-token char is no word
+    character, so it is blanked and the run matched again.  The characters
+    just outside a run are not word characters either, so the run can be
+    matched on its own.
+    """
+    if not run.isalpha() and not all(
+        _is_word_char(c) or c in cfg.intra_token_chars for c in run
+    ):
+        blanked = "".join(
+            c if _is_word_char(c) or c in cfg.intra_token_chars else " " for c in run
+        )
+        return tuple(
+            (m.start(), *_token_fields(m[0], cfg)) for m in token.finditer(blanked)
+        )
+    return ((0, *_token_fields(run, cfg)),)
+
+
+def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
+    """Split text into word tokens.
+
+    The text is NFC-normalized first.  Word characters are letters (L*)
+    and decimal digits (Nd); other numerals such as ``²``, ``Ⅻ`` or ``½``
+    separate tokens like punctuation, so ``tokenize("x² Ⅻ ½")`` gives only
+    ``x``.  A joiner (hyphen, apostrophe) stays inside a token only when
+    flanked by letters/digits on both sides; other permitted marks (section
+    sign) need a letter/digit neighbour on one side and may lead a token.
+    Runs without any letter or digit yield no token.
+    """
+    text = unicodedata.normalize("NFC", text)
+    token = _patterns(cfg)[0]
+    runs: dict[str, tuple] = {}
+    tokens: list[Token] = []
+    append = tokens.append
+    for match in token.finditer(text):
+        run = match[0]
+        parts = runs.get(run)
+        if parts is None:
+            parts = runs[run] = _run_tokens(run, token, cfg)
+        start = match.start()
+        for offset, surface, folded, script in parts:
+            append(Token(surface, folded, start + offset, script))
     return tokens
 
 
@@ -146,38 +209,30 @@ def _is_upper(ch: str) -> bool:
     return unicodedata.category(ch) in ("Lu", "Lt")
 
 
-def _boundary_positions(text: str, tokens: list[Token], cfg: TokenizerConfig) -> list[int]:
+def _boundary_positions(
+    text: str, tokens: list[Token], offsets: list[int], cfg: TokenizerConfig
+) -> list[int]:
     """Text positions right after which a sentence ends.
 
     A terminator ends a sentence when, after optional closing quotes, it is
     followed by whitespace and an uppercase letter (opening quotes or a
-    dash may precede the capital), or by end of text.  A period directly
-    after a listed abbreviation never splits.
+    dash may precede the capital), or by end of text.  A period after a
+    listed abbreviation never splits; the abbreviation is the last token
+    that ends at or before the period, compared casefolded.
     """
     positions = []
-    tok_idx = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch not in cfg.sentence_terminators:
+    for match in _patterns(cfg)[1].finditer(text):
+        follower = match[1]
+        if follower and not _is_upper(follower):
             continue
-        while tok_idx < len(tokens) and tokens[tok_idx].char_offset + len(tokens[tok_idx].surface) <= i:
-            tok_idx += 1
-        # token immediately before the terminator, if any
-        prev = tokens[tok_idx - 1] if tok_idx > 0 else None
-        if ch == "." and prev is not None and prev.folded in cfg.abbreviations:
-            continue
-        j = i + 1
-        while j < n and text[j] in _CLOSERS:
-            j += 1
-        if j >= n:
-            positions.append(i)
-            continue
-        if not text[j].isspace():
-            continue
-        while j < n and (text[j].isspace() or text[j] in _OPENERS):
-            j += 1
-        if j >= n or _is_upper(text[j]):
-            positions.append(i)
+        i = match.start()
+        if text[i] == "." and cfg.abbreviations:
+            k = bisect_right(offsets, i)
+            if k and offsets[k - 1] + len(tokens[k - 1].surface) > i:
+                k -= 1  # that token holds the period itself
+            if k and tokens[k - 1].surface.casefold() in cfg.abbreviations:
+                continue
+        positions.append(i)
     return positions
 
 
@@ -197,18 +252,14 @@ def split_sentences(
         tokens = tokenize(text, cfg)
     if not tokens:
         return []
+    offsets = list(map(attrgetter("char_offset"), tokens))
     spans: list[SentenceSpan] = []
     prev_end = 0
-    for pos in _boundary_positions(text, tokens, cfg):
-        k = _count_tokens_before(tokens, pos)
+    for pos in _boundary_positions(text, tokens, offsets, cfg):
+        k = bisect_left(offsets, pos)
         if k > prev_end:
             spans.append(SentenceSpan(prev_end, k))
             prev_end = k
     if prev_end < len(tokens):
         spans.append(SentenceSpan(prev_end, len(tokens)))
     return spans
-
-
-def _count_tokens_before(tokens: list[Token], pos: int) -> int:
-    # offsets are strictly increasing, so bisect applies directly
-    return bisect_left(tokens, pos, key=lambda t: t.char_offset)

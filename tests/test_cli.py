@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from textlaws import ResourceFormatError, ValidationError
+from textlaws import ResourceFormatError, ValidationError, split_sentences
 from textlaws.cli import main
 from textlaws.config import load_run_config
 from textlaws.reports import emit_plot_data
@@ -78,6 +78,16 @@ class TestConfig:
         with pytest.raises(ResourceFormatError) as err:
             load_run_config(bad)
         assert str(err.value).startswith(f"{bad}:{line_no}: ")
+
+
+    def test_abbreviations_match_without_case_folding(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[paths]\ntext = x.txt\n[tokenizer]\ncase_folding = false\nabbreviations = Т\n",
+            encoding="utf-8",
+        )
+        tok = load_run_config(ini).tokenizer
+        assert len(split_sentences("Жив у Т. Шевченка. Він знав це.", tok)) == 2
 
 
 class TestPipeline:

@@ -1,15 +1,28 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import textlaws
 from textlaws import (
+    DEFAULT_CONFIG,
     ScriptClass,
+    SentenceSpan,
+    Token,
     TokenizerConfig,
     ValidationError,
     classify_script,
     split_sentences,
     tokenize,
+)
+from tokenizer_oracle import (
+    split_sentences as oracle_split_sentences,
+    tokenize as oracle_tokenize,
 )
 
 # alphabet mixing scripts, digits, joiners and separator punctuation
@@ -165,6 +178,15 @@ class TestSentences:
         spans = split_sentences("Жив у м. Львів. Він знав це.", cfg)
         assert len(spans) == 2
 
+    @pytest.mark.parametrize("abbreviation, folding", [
+        ("Т", True), ("т", False), ("Т", False),
+    ])
+    def test_abbreviations_match_case_insensitively(self, abbreviation, folding):
+        cfg = TokenizerConfig(case_folding=folding, abbreviations=frozenset({abbreviation}))
+        assert cfg.abbreviations == {"т"}
+        spans = split_sentences("Жив у Т. Шевченка. Він знав це.", cfg)
+        assert len(spans) == 2
+
     def test_lowercase_continuation_does_not_split(self):
         spans = split_sentences("п. іванов прийшов")
         assert len(spans) == 1
@@ -183,6 +205,71 @@ class TestSentences:
             assert span.end_token > span.start_token
             covered = span.end_token
         assert covered == len(tokens)
+
+
+def test_numerals_outside_nd_separate_tokens():
+    # ², Ⅻ and ½ are numerals (No, Nl) but not decimal digits (Nd)
+    assert surfaces("x² Ⅻ ½") == ["x"]
+    assert surfaces("x²y 1½ Ⅻ-а") == ["x", "y", "1", "а"]
+
+
+# joiners, the section sign, digits, ß, numerals outside Nd, a combining
+# acute, a byte order mark, terminators, closers and openers
+ORACLE_ALPHABET = (
+    "абТтAbß" "-‐‑'’ʼ`" "§" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
+)
+
+tokenizer_configs = st.builds(
+    TokenizerConfig,
+    # intra chars may overlap the terminators (§, .) and be numerals (², Ⅻ)
+    intra_token_chars=st.frozensets(st.sampled_from("-‐'’`§._²Ⅻ09а")),
+    case_folding=st.booleans(),
+    sentence_terminators=st.frozensets(st.sampled_from(".!?…§»«")),
+    abbreviations=st.frozensets(st.sampled_from(["т", "Т", "ab", "AB", "ß", "ss"])),
+)
+
+
+def token_fields(tokens):
+    return [(t.surface, t.folded, t.char_offset, t.script) for t in tokens]
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=ORACLE_ALPHABET, max_size=60), tokenizer_configs)
+@example("a§ §1 a§§b a§§§b в--в м’ята x²y 1½ Ⅻ-а", DEFAULT_CONFIG)
+@example("x²§ §² ²²a ½§", TokenizerConfig(intra_token_chars=frozenset("²§")))
+def test_tokenize_matches_scanner_oracle(text, cfg):
+    assert token_fields(tokenize(text, cfg)) == token_fields(oracle_tokenize(text, cfg))
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=ORACLE_ALPHABET, max_size=60), tokenizer_configs)
+# the period ends the token "ab.", so the abbreviation is the "ab" before it
+@example("ab ab. Б ab. Б", TokenizerConfig(intra_token_chars=frozenset("."), abbreviations=frozenset({"ab"})))
+@example("Жив у Т. Шевченка. «Він» знав!» Так… ", TokenizerConfig(case_folding=False, abbreviations=frozenset({"т"})))
+def test_split_sentences_matches_scanner_oracle(text, cfg):
+    assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
+
+
+def test_tokens_and_spans_are_frozen_slotted():
+    records = [(Token("а", "а", 0, ScriptClass.CYRILLIC), "char_offset"), (SentenceSpan(0, 1), "end_token")]
+    for record, field in records:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 2)
+
+
+def test_import_compiles_no_token_pattern():
+    code = (
+        "import textlaws, textlaws.tokenizer as t\n"
+        "before = t._patterns.cache_info().currsize\n"
+        "textlaws.tokenize('а')\n"
+        "print(before, t._patterns.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(textlaws.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_config_rejects_whitespace_intra_chars():

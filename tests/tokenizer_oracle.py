@@ -101,7 +101,8 @@ def _boundary_positions(text: str, tokens: list[Token], cfg: TokenizerConfig) ->
             tok_idx += 1
         # token immediately before the terminator, if any
         prev = tokens[tok_idx - 1] if tok_idx > 0 else None
-        if ch == "." and prev is not None and prev.folded in cfg.abbreviations:
+        # abbreviations match case-insensitively (TokenizerConfig casefolds them)
+        if ch == "." and prev is not None and prev.surface.casefold() in cfg.abbreviations:
             continue
         j = i + 1
         while j < n and text[j] in _CLOSERS:
