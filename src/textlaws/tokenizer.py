@@ -80,6 +80,17 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdecimal()
 
 
+@lru_cache(maxsize=None)
+def _letter_script(ch: str) -> str:
+    """"CYRILLIC" or "LATIN" for a letter named so, else ""."""
+    if ch.isalpha():
+        name = unicodedata.name(ch, "")
+        for script in ("CYRILLIC", "LATIN"):
+            if name.startswith(script):
+                return script
+    return ""
+
+
 def classify_script(surface: str) -> ScriptClass:
     """Classify a token surface into one of the four script classes.
 
@@ -89,20 +100,11 @@ def classify_script(surface: str) -> ScriptClass:
     """
     if not surface:
         raise ValidationError("cannot classify an empty token surface")
-    if surface[0] == "§" or any(unicodedata.category(c) == "Nd" for c in surface):
+    if surface[0] == "§" or any(map(str.isdecimal, surface)):
         return ScriptClass.ALPHANUMERIC
-    has_cyr = has_lat = False
-    for ch in surface:
-        if unicodedata.category(ch).startswith("L"):
-            name = unicodedata.name(ch, "")
-            if name.startswith("CYRILLIC"):
-                has_cyr = True
-            elif name.startswith("LATIN"):
-                has_lat = True
-    if has_cyr and has_lat:
-        return ScriptClass.MIXED
-    if has_cyr:
-        return ScriptClass.CYRILLIC
+    scripts = set(map(_letter_script, surface))
+    if "CYRILLIC" in scripts:
+        return ScriptClass.MIXED if "LATIN" in scripts else ScriptClass.CYRILLIC
     return ScriptClass.LATIN
 
 
@@ -114,10 +116,11 @@ def _char_class(chars) -> str:
 def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
     """The token pattern and the sentence-boundary pattern of ``cfg``.
 
-    Token: ``[^\\W_]`` is a word character, a joiner counts only before a
-    word character, an extra (another intra-token mark such as the section
-    sign) only with a word character on one side, and a token starts at a
-    word character or at an extra just before one.  ``[^\\W_]`` also admits
+    Token: ``W`` (``[^\\W_]``) is a word character, ``J`` a joiner and
+    ``E`` an extra (another intra-token mark such as the section sign).  A
+    token is ``E?W+`` followed by any number of ``JW+``, ``EW+`` or, right
+    after a word character, a lone ``E``: a joiner needs a word character
+    after it, an extra one on either side.  ``[^\\W_]`` also admits
     numerals outside Nd (``²``, ``Ⅻ``, ``½``); ``_run_tokens`` splits runs
     that hold one.
 
@@ -131,15 +134,13 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
         if ch not in joiners and not _is_word_char(ch)
     }
     word = f"[^\\W_{_char_class(extras)}]"
-    lead = word
-    steps = [f"{word}+"]
-    if joiners:
-        steps.append(f"[{_char_class(joiners)}](?={word})")
     if extras:
         extra = f"[{_char_class(extras)}]"
-        lead = f"(?:{word}|{extra}(?={word}))"
-        steps += [f"(?<={word}){extra}", f"{extra}(?={word})"]
-    token = re.compile(f"{lead}(?:{'|'.join(steps)})*")
+        token = f"{extra}?{word}+(?:[{_char_class(joiners | extras)}]{word}+|(?<={word}){extra})*"
+    elif joiners:
+        token = f"{word}+(?:[{_char_class(joiners)}]{word}+)*"
+    else:
+        token = f"{word}+"
 
     if cfg.sentence_terminators:
         boundary = re.compile(
@@ -149,7 +150,7 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
         )
     else:
         boundary = re.compile("(?!)")
-    return token, boundary
+    return re.compile(token), boundary
 
 
 def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str, ScriptClass]:
@@ -166,15 +167,14 @@ def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
     just outside a run are not word characters either, so the run can be
     matched on its own.
     """
-    if not run.isalpha() and not all(
-        _is_word_char(c) or c in cfg.intra_token_chars for c in run
-    ):
+    if not run.isalpha():
         blanked = "".join(
             c if _is_word_char(c) or c in cfg.intra_token_chars else " " for c in run
         )
-        return tuple(
-            (m.start(), *_token_fields(m[0], cfg)) for m in token.finditer(blanked)
-        )
+        if blanked != run:
+            return tuple(
+                (m.start(), *_token_fields(m[0], cfg)) for m in token.finditer(blanked)
+            )
     return ((0, *_token_fields(run, cfg)),)
 
 

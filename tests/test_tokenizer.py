@@ -21,6 +21,7 @@ from textlaws import (
     tokenize,
 )
 from tokenizer_oracle import (
+    classify_script as oracle_classify_script,
     split_sentences as oracle_split_sentences,
     tokenize as oracle_tokenize,
 )
@@ -213,10 +214,11 @@ def test_numerals_outside_nd_separate_tokens():
     assert surfaces("x²y 1½ Ⅻ-а") == ["x", "y", "1", "а"]
 
 
-# joiners, the section sign, digits, ß, numerals outside Nd, a combining
-# acute, a byte order mark, terminators, closers and openers
+# letters of three scripts (ǅ is titlecase), joiners, the section sign,
+# digits, numerals outside Nd, a combining acute, a byte order mark,
+# terminators, closers and openers
 ORACLE_ALPHABET = (
-    "абТтAbß" "-‐‑'’ʼ`" "§" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
+    "абТтAbßλǅ" "-‐‑'’ʼ`" "§" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
 )
 
 tokenizer_configs = st.builds(
@@ -248,6 +250,11 @@ def test_tokenize_matches_scanner_oracle(text, cfg):
 @example("Жив у Т. Шевченка. «Він» знав!» Так… ", TokenizerConfig(case_folding=False, abbreviations=frozenset({"т"})))
 def test_split_sentences_matches_scanner_oracle(text, cfg):
     assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
+
+
+@given(st.text(alphabet=ORACLE_ALPHABET + "ŁЖΩ٣", min_size=1, max_size=12))
+def test_classify_script_matches_oracle(surface):
+    assert classify_script(surface) is oracle_classify_script(surface)
 
 
 def test_tokens_and_spans_are_frozen_slotted():

@@ -1,10 +1,12 @@
 """Reference tokenizer: the per-character scanner ``textlaws.tokenizer`` replaced.
 
 It walks the text one character at a time and asks ``unicodedata`` about
-each one.  It is slow and kept only as the oracle that the compiled
-pattern in ``textlaws.tokenizer`` is tested against.  Word characters are
-letters (L*) and decimal digits (Nd); see ``tokenize`` for the joiner and
-section-sign rules and ``_boundary_positions`` for the sentence rules.
+each one, and ``classify_script`` looks up the Unicode name of every
+letter.  It is slow and kept only as the oracle that the compiled pattern
+and the memoised script lookup in ``textlaws.tokenizer`` are tested
+against.  Word characters are letters (L*) and decimal digits (Nd); see
+``tokenize`` for the joiner and section-sign rules and
+``_boundary_positions`` for the sentence rules.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from bisect import bisect_left
 
 from textlaws.tokenizer import (
     DEFAULT_CONFIG,
+    ScriptClass,
     SentenceSpan,
     Token,
     TokenizerConfig,
-    classify_script,
 )
+from textlaws.errors import ValidationError
 
 # General categories of word characters: letters (L*) and decimal digits.
 _WORD_CATEGORIES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nd"})
@@ -32,6 +35,32 @@ _OPENERS = frozenset("«\"“‘([—–-")
 
 def _is_word_char(ch: str) -> bool:
     return unicodedata.category(ch) in _WORD_CATEGORIES
+
+
+def classify_script(surface: str) -> ScriptClass:
+    """Classify a token surface into one of the four script classes.
+
+    Digits or a leading section sign dominate (Alphanumeric); then tokens
+    mixing Cyrillic and Latin letters; otherwise the letter script, with
+    non-Cyrillic scripts bucketed as Latin.
+    """
+    if not surface:
+        raise ValidationError("cannot classify an empty token surface")
+    if surface[0] == "§" or any(unicodedata.category(c) == "Nd" for c in surface):
+        return ScriptClass.ALPHANUMERIC
+    has_cyr = has_lat = False
+    for ch in surface:
+        if unicodedata.category(ch).startswith("L"):
+            name = unicodedata.name(ch, "")
+            if name.startswith("CYRILLIC"):
+                has_cyr = True
+            elif name.startswith("LATIN"):
+                has_lat = True
+    if has_cyr and has_lat:
+        return ScriptClass.MIXED
+    if has_cyr:
+        return ScriptClass.CYRILLIC
+    return ScriptClass.LATIN
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
