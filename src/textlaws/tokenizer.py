@@ -136,7 +136,8 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
     word = f"[^\\W_{_char_class(extras)}]"
     if extras:
         extra = f"[{_char_class(extras)}]"
-        token = f"{extra}?{word}+(?:[{_char_class(joiners | extras)}]{word}+|(?<={word}){extra})*"
+        marks = _char_class(joiners | extras)
+        token = f"{extra}?{word}+(?:[{marks}]{word}+|(?<={word}){extra})*"
     elif joiners:
         token = f"{word}+(?:[{_char_class(joiners)}]{word}+)*"
     else:

@@ -246,8 +246,14 @@ def test_tokenize_matches_scanner_oracle(text, cfg):
 @settings(max_examples=300)
 @given(st.text(alphabet=ORACLE_ALPHABET, max_size=60), tokenizer_configs)
 # the period ends the token "ab.", so the abbreviation is the "ab" before it
-@example("ab ab. Б ab. Б", TokenizerConfig(intra_token_chars=frozenset("."), abbreviations=frozenset({"ab"})))
-@example("Жив у Т. Шевченка. «Він» знав!» Так… ", TokenizerConfig(case_folding=False, abbreviations=frozenset({"т"})))
+@example(
+    "ab ab. Б ab. Б",
+    TokenizerConfig(intra_token_chars=frozenset("."), abbreviations=frozenset({"ab"})),
+)
+@example(
+    "Жив у Т. Шевченка. «Він» знав!» Так… ",
+    TokenizerConfig(case_folding=False, abbreviations=frozenset({"т"})),
+)
 def test_split_sentences_matches_scanner_oracle(text, cfg):
     assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
 
@@ -258,7 +264,10 @@ def test_classify_script_matches_oracle(surface):
 
 
 def test_tokens_and_spans_are_frozen_slotted():
-    records = [(Token("а", "а", 0, ScriptClass.CYRILLIC), "char_offset"), (SentenceSpan(0, 1), "end_token")]
+    records = [
+        (Token("а", "а", 0, ScriptClass.CYRILLIC), "char_offset"),
+        (SentenceSpan(0, 1), "end_token"),
+    ]
     for record, field in records:
         assert not hasattr(record, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
