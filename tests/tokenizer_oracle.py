@@ -14,6 +14,7 @@ from __future__ import annotations
 import unicodedata
 from bisect import bisect_left
 
+from textlaws.errors import ValidationError
 from textlaws.tokenizer import (
     DEFAULT_CONFIG,
     ScriptClass,
@@ -21,7 +22,6 @@ from textlaws.tokenizer import (
     Token,
     TokenizerConfig,
 )
-from textlaws.errors import ValidationError
 
 # General categories of word characters: letters (L*) and decimal digits.
 _WORD_CATEGORIES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nd"})
