@@ -80,7 +80,7 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalpha() or ch.isdecimal()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per distinct character, a few hundred in a text
 def _letter_script(ch: str) -> str:
     """"CYRILLIC" or "LATIN" for a letter named so, else ""."""
     if ch.isalpha():
