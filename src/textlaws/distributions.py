@@ -5,11 +5,12 @@ phonemes or syllables.  Syllables are counted as vowel nuclei, so forms
 without a vowel (б, ж, в) have length zero and the syllable spectrum has
 mass at the origin.  Phoneme counts come from ordered longest-match
 rewrite rules over graphemes, shipped as data with a default of one
-phoneme per letter.
+phoneme per letter and matched as one compiled pattern per rule set.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
@@ -38,40 +39,48 @@ class G2PRules:
 
     At each position the longest matching grapheme wins (first rule listed
     on ties).  Unmatched characters consume ``default_delta`` phonemes; with
-    no default, an unmatched character is an error.
+    no default, an unmatched character is an error.  Graphemes must be
+    non-empty and deltas non-negative.
     """
 
     rules: tuple[tuple[str, int], ...]
     default_delta: int | None = 1
-    # rules longest grapheme first; the stable sort keeps listed order on ties
-    by_length: tuple[tuple[str, int], ...] = field(init=False, repr=False, compare=False)
+    # one alternation, longest grapheme first (listed order on ties)
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)
+    # grapheme -> delta of the first rule listed for it
+    deltas: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "by_length", tuple(sorted(self.rules, key=lambda r: -len(r[0]))))
+        deltas: dict[str, int] = {}
+        for grapheme, delta in self.rules:
+            if not grapheme or delta < 0:
+                raise ValidationError(
+                    f"rule {(grapheme, delta)!r}: empty grapheme or negative delta"
+                )
+            deltas.setdefault(grapheme, delta)
+        alternation = "|".join(map(re.escape, sorted(deltas, key=len, reverse=True)))
+        object.__setattr__(self, "pattern", re.compile(alternation or "(?!)"))
+        object.__setattr__(self, "deltas", deltas)
 
 
 DEFAULT_G2P_RESOURCE = "uk_g2p.tsv"
 
 
 def count_phonemes(form: str, rules: G2PRules) -> int:
-    """Apply rewrite rules longest-match-first, consuming each letter once."""
-    total = 0
-    i = 0
-    n = len(form)
+    """Phonemes of the casefolded form, each character consumed once.
+
+    Matches of the rule pattern add their deltas; each character between
+    them adds ``default_delta`` or, with no default, is an error.
+    """
     folded = form.casefold()
-    while i < n:
-        for grapheme, delta in rules.by_length:
-            if folded.startswith(grapheme, i):
-                total += delta
-                i += len(grapheme)
-                break
-        else:
-            if rules.default_delta is None:
-                raise RuleGapError(
-                    f"no rewrite rule for character {form[i]!r} and no default set"
-                )
-            total += rules.default_delta
-            i += 1
+    graphemes = rules.pattern.findall(folded)
+    total = sum(map(rules.deltas.__getitem__, graphemes))
+    unmatched = len(folded) - sum(map(len, graphemes))
+    if unmatched:
+        if rules.default_delta is None:
+            gap = rules.pattern.sub("", folded)[0]
+            raise RuleGapError(f"no rewrite rule for character {gap!r} and no default set")
+        total += unmatched * rules.default_delta
     return total
 
 

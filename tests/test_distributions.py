@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textlaws import (
     FormLexicon,
@@ -20,6 +20,7 @@ from textlaws import (
     read_g2p_rules,
     top_k,
 )
+from g2p_oracle import oracle_count_phonemes
 
 lexicon_strategy = st.dictionaries(
     st.text(alphabet="абвгдежзиклмнопрстец", min_size=1, max_size=8),
@@ -92,6 +93,65 @@ class TestPhonemes:
     def test_phonemes_bounded_by_letters_for_small_deltas(self, form):
         rules = G2PRules((("дж", 1), ("дз", 1), ("ь", 0), ("’", 0)))
         assert count_phonemes(form, rules) <= len(form)
+
+    @pytest.mark.parametrize("rule", [("", 1), ("а", -1)])
+    def test_rules_reject_empty_grapheme_and_negative_delta(self, rule):
+        # an empty grapheme matches without consuming, so counting never ended
+        with pytest.raises(ValidationError, match="empty grapheme or negative delta"):
+            G2PRules((("б", 1), rule))
+
+    def test_counts_the_whole_casefolded_form(self):
+        # casefolding makes ß two characters and İ two (i + combining dot)
+        assert count_phonemes("ßb", G2PRules((("ss", 1),))) == 2
+        assert count_phonemes("İ", G2PRules(())) == 2
+        with pytest.raises(RuleGapError, match="'b'"):
+            count_phonemes("ßb", G2PRules((("s", 1),), default_delta=None))
+
+    def test_rule_gap_names_folded_character(self):
+        with pytest.raises(RuleGapError, match="'б'"):
+            count_phonemes("АБ", G2PRules((("а", 1),), default_delta=None))
+
+    def test_rules_compare_by_rules_and_default(self):
+        rules = (("дж", 1), ("д", 2))
+        assert G2PRules(rules) == G2PRules(rules)
+        assert hash(G2PRules(rules)) == hash(G2PRules(rules))
+        assert G2PRules(rules) != G2PRules(rules, default_delta=None)
+
+
+# Characters casefolding leaves alone, among them regex metacharacters.
+G2P_ALPHABET = "абдзж’.*|(\\"
+assert G2P_ALPHABET.casefold() == G2P_ALPHABET
+
+# graphemes of one to three characters drawn from a few letters, so rules
+# overlap, share prefixes, tie on length and repeat with other deltas
+g2p_rule_sets = st.builds(
+    G2PRules,
+    st.lists(
+        st.tuples(
+            st.text(alphabet="аджз.*|(", min_size=1, max_size=3),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=8,
+    ).map(tuple),
+    st.sampled_from([None, 0, 1, 2]),
+)
+
+
+def count_or_error(counter, form, rules):
+    try:
+        return counter(form, rules)
+    except RuleGapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=G2P_ALPHABET, max_size=16), g2p_rule_sets)
+@example("джз", G2PRules((("д", 5), ("дж", 1), ("жз", 2), ("дж", 3)), None))
+@example(".*|(\\", G2PRules(((".", 1), ("*|", 0), (".*", 2)), None))
+def test_count_phonemes_matches_rule_walk_oracle(form, rules):
+    assert count_or_error(count_phonemes, form, rules) == count_or_error(
+        oracle_count_phonemes, form, rules
+    )
 
 
 class TestLengthDistribution:
