@@ -242,17 +242,23 @@ def _as_param_array(model: Model, params) -> np.ndarray:
 
 
 def model_eval(model: Model | str, params, x):
-    """Evaluate a model at x (scalar or array), enforcing its domain."""
+    """Evaluate a model at x (scalar or array), enforcing its domain.
+
+    A domain or non-finite error names the first offending abscissa.
+    """
     if isinstance(model, str):
         model = get_model(model)
     p = _as_param_array(model, params)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not model.x_in_domain(xs):
-        raise DomainError(f"{model.id}: x={x!r} outside the model domain")
+        bad = next(v for v in xs if not model.x_in_domain(v))
+        raise DomainError(f"{model.id}: x={float(bad)!r} outside the model domain")
     if not model.params_in_domain(p, xs):
         raise DomainError(f"{model.id}: parameters {p.tolist()} outside the model domain")
     y = model.evaluate(p, xs)
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"{model.id}: non-finite value at x={x!r}")
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = xs[np.argmin(finite)]
+        raise DomainError(f"{model.id}: non-finite value at x={float(bad)!r}")
     return float(y[0]) if scalar else y

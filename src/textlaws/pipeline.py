@@ -13,6 +13,8 @@ import logging
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import distributions as dist
 from .config import RunConfig, MissingTextError
 from .errors import ResourceFormatError, TextlawsError
@@ -213,10 +215,11 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
 
 
 def _emit_fit_curve(model_id, result, data, out) -> None:
+    xs = [x for x, _ in data]
     try:
-        points = [(x, model_eval(model_id, result.params, x)) for x, _ in data]
+        ys = model_eval(model_id, result.params, np.array(xs, dtype=float))
     except TextlawsError as exc:
         # a diverged fit may leave parameters the model cannot evaluate
         log.info("fitted curve for %s not sampled: %s", model_id, exc)
         return
-    emit_plot_data(points, out / f"fitcurve_{model_id}.dat")
+    emit_plot_data(zip(xs, ys.tolist()), out / f"fitcurve_{model_id}.dat")

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from textlaws import ResourceFormatError, ValidationError, split_sentences
+from textlaws import pipeline
 from textlaws.cli import main
 from textlaws.config import load_run_config
+from textlaws.fitting import model_eval
 from textlaws.reports import emit_plot_data
 
 BUNDLE = [
@@ -105,6 +107,26 @@ class TestPipeline:
         )
         assert len((out / "coverage.dat").read_text().splitlines()) == vocab_size
         assert len((out / "rank_freq.dat").read_text().splitlines()) == vocab_size
+
+    def test_fit_curves_sampled_by_one_array_call(self, fixture_config, tmp_path, monkeypatch):
+        calls = []
+
+        def recording_eval(model_id, params, x):
+            y = model_eval(model_id, params, x)
+            calls.append((model_id, params, x, y))
+            return y
+
+        monkeypatch.setattr(pipeline, "model_eval", recording_eval)
+        out = tmp_path / "out"
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
+        curves = sorted(path.name for path in out.glob("fitcurve_*.dat"))
+        assert curves == sorted(f"fitcurve_{model_id}.dat" for model_id, *_ in calls)
+        for model_id, params, x, y in calls:
+            per_point = [(v, model_eval(model_id, params, v)) for v in x.tolist()]
+            assert y.tolist() == [value for _, value in per_point]
+            expected = tmp_path / f"{model_id}.dat"
+            emit_plot_data(per_point, expected)
+            assert (out / f"fitcurve_{model_id}.dat").read_bytes() == expected.read_bytes()
 
     def test_basis_override_changes_length_weighting(self, fixture_config, tmp_path):
         types_out, tokens_out = tmp_path / "types", tmp_path / "tokens"

@@ -82,6 +82,25 @@ class TestModelEval:
         values = model_eval("ZipfPower", {"A": 100.0, "z": 1.0}, np.array([1.0, 2.0, 4.0]))
         assert np.allclose(values, [100.0, 50.0, 25.0])
 
+    def test_array_domain_error_names_first_offending_abscissa(self):
+        ranks = np.concatenate([np.arange(1.0, 5001.0), [-3.0, -7.0]])
+        with pytest.raises(DomainError) as info:
+            model_eval("ZipfPower", {"A": 1.0, "z": 1.0}, ranks)
+        assert str(info.value) == "ZipfPower: x=-3.0 outside the model domain"
+
+    def test_array_non_finite_error_names_first_offending_abscissa(self):
+        # exp(c x) overflows from x = 710 on
+        x = np.arange(1.0, 5001.0)
+        with pytest.raises(DomainError) as info:
+            model_eval("MeanSyllableExp", {"A": 1.0, "b": 0.0, "c": 1.0}, x)
+        assert str(info.value) == "MeanSyllableExp: non-finite value at x=710.0"
+
+    def test_array_matches_per_point_values(self):
+        params = {"A": 25000.0, "b": 1.14, "C": 5.2}
+        x = np.arange(1.0, 2001.0)
+        values = model_eval("ZipfMandelbrot", params, x).tolist()
+        assert values == [model_eval("ZipfMandelbrot", params, v) for v in x.tolist()]
+
     def test_unknown_model(self):
         with pytest.raises(ValidationError, match="unknown model"):
             model_eval("NoSuchModel", {}, 1.0)
