@@ -56,9 +56,12 @@ class FitResult:
     sse_trace: tuple[float, ...] = ()
 
 
-def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float) -> np.ndarray:
-    """Forward-difference Jacobian of a residual vector w.r.t. parameters."""
-    r0 = residual_fn(p)
+def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np.ndarray:
+    """Forward-difference Jacobian of a residual vector w.r.t. parameters.
+
+    ``r0`` is the residual vector at ``p`` when the caller already holds it.
+    """
+    r0 = residual_fn(p) if r0 is None else r0
     jac = np.empty((r0.size, p.size))
     for j in range(p.size):
         h = rel_step * max(abs(p[j]), 1.0)
@@ -135,7 +138,7 @@ def lm_fit(
 
     for _ in range(opts.max_iterations):
         iterations += 1
-        jac = forward_jacobian(residual, p, opts.jacobian_rel_step)
+        jac = forward_jacobian(residual, p, opts.jacobian_rel_step, r)
         grad = jac.T @ r
         if np.all(np.isfinite(grad)) and float(np.max(np.abs(grad))) < opts.gradient_tol:
             converged = True
@@ -168,7 +171,7 @@ def lm_fit(
         if not stepped or converged:
             break
 
-    stderr = _standard_errors(model, residual, p, x.size, sse, opts)
+    stderr = _standard_errors(model, residual, p, r, sse, opts)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(
         model_id=model.id,
@@ -183,13 +186,13 @@ def lm_fit(
     )
 
 
-def _standard_errors(model, residual, p, n_points, sse, opts):
+def _standard_errors(model, residual, p, r, sse, opts):
     """Asymptotic per-parameter errors from the final Jacobian."""
     names = model.param_names
-    dof = n_points - model.n_params
+    dof = r.size - model.n_params
     if dof <= 0:
         return {name: float("nan") for name in names}
-    jac = forward_jacobian(residual, p, opts.jacobian_rel_step)
+    jac = forward_jacobian(residual, p, opts.jacobian_rel_step, r)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (sse / dof)
     except np.linalg.LinAlgError:

@@ -110,6 +110,24 @@ def test_forward_jacobian_matches_central_differences():
     assert np.max(np.abs(forward - central) / scale) < 1e-4
 
 
+def test_forward_jacobian_reuses_given_residual():
+    model = get_model("ZipfMandelbrot")
+    x = np.linspace(1.0, 40.0, 25)
+    y = model_eval(model, {"A": 30.0, "b": 1.3, "C": 2.0}, x)
+    evaluated = []
+
+    def residual(p):
+        evaluated.append(p.copy())
+        return y - model.evaluate(p, x)
+
+    p = np.array([25.0, 1.1, 1.5])
+    fresh = forward_jacobian(residual, p, 1e-6)
+    evaluated.clear()
+    reused = forward_jacobian(residual, p, 1e-6, residual(p))
+    assert np.array_equal(reused, fresh)
+    assert len(evaluated) == 1 + p.size  # the caller's call, then one per parameter
+
+
 def test_bit_identical_reruns():
     data = synthetic("ZipfMandelbrot", {"A": 25000.0, "b": 1.14, "C": 5.2}, range(1, 400))
     first = lm_fit("ZipfMandelbrot", data)
