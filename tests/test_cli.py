@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from textlaws import ResourceFormatError, ValidationError, split_sentences
-from textlaws import pipeline
+from textlaws import ResourceFormatError, ValidationError, pipeline, split_sentences
 from textlaws.cli import main
 from textlaws.config import load_run_config
 from textlaws.fitting import model_eval

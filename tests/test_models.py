@@ -95,12 +95,6 @@ class TestModelEval:
             model_eval("MeanSyllableExp", {"A": 1.0, "b": 0.0, "c": 1.0}, x)
         assert str(info.value) == "MeanSyllableExp: non-finite value at x=710.0"
 
-    def test_array_matches_per_point_values(self):
-        params = {"A": 25000.0, "b": 1.14, "C": 5.2}
-        x = np.arange(1.0, 2001.0)
-        values = model_eval("ZipfMandelbrot", params, x).tolist()
-        assert values == [model_eval("ZipfMandelbrot", params, v) for v in x.tolist()]
-
     def test_unknown_model(self):
         with pytest.raises(ValidationError, match="unknown model"):
             model_eval("NoSuchModel", {}, 1.0)
