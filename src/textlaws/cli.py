@@ -5,11 +5,23 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
-from .config import STAGES, MissingTextError, load_run_config
+from .config import CHOICES, STAGES, MissingTextError, analysis_value, load_run_config
 from .errors import ResourceFormatError
 from .pipeline import run_analysis
+
+
+def _analysis_flag(key: str):
+    """An argparse type checking a flag by the rule of its [analysis] key."""
+    def parse(raw: str):
+        try:
+            return analysis_value(key, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,14 +31,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "corpus indices and fit rank/length distribution models.",
     )
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument("--out", dest="output_dir", type=Path,
+                        help="output directory (overrides the config)")
     parser.add_argument(
         "--only",
         help="comma-separated stages to emit: " + ",".join(STAGES),
     )
-    parser.add_argument("--basis", choices=("types", "tokens"),
+    parser.add_argument("--basis", choices=CHOICES["basis"],
                         help="length-distribution basis (overrides the config)")
-    parser.add_argument("--threshold", type=int,
+    parser.add_argument("--threshold", type=_analysis_flag("threshold"),
                         help="concentration-index frequency threshold")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
@@ -53,9 +66,9 @@ def main(argv=None) -> int:
         print(f"analyze: {exc}", file=sys.stderr)
         return 3
 
-    cfg = cfg.with_overrides(
-        out=args.out, only=only, basis=args.basis, threshold=args.threshold
-    )
+    flags = {"output_dir": args.output_dir, "stages": only,
+             "basis": args.basis, "threshold": args.threshold}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
     return run_analysis(cfg)
 
 

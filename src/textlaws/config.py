@@ -4,14 +4,17 @@ Paths are resolved relative to the config file's directory.  Only the
 text path is required; every other resource is optional and its absence
 disables the dependent outputs with a logged notice.
 
-Schema::
+Schema (configparser keeps an inline ``# ...`` as part of the value, so
+comments go on lines of their own)::
 
     [paths]
-    text = corpus.txt            # required
+    # required
+    text = corpus.txt
     lemma_map = lemmas.tsv
     merge_rules = merges.tsv
     overrides = overrides.tsv
-    g2p_rules = g2p.tsv          # default rules ship with the package
+    # default rules ship with the package
+    g2p_rules = g2p.tsv
     output_dir = out
 
     [tokenizer]
@@ -23,10 +26,14 @@ Schema::
     [analysis]
     vowels = аеиіоуяюєї
     threshold = 10
-    basis = types                # types | tokens
-    rank_basis = lemmas          # lemmas | forms
-    count_basis = lemmas         # hapax/concentration basis: lemmas | forms
-    word_length_basis = tokens   # tokens | types
+    # types | tokens
+    basis = types
+    # lemmas | forms
+    rank_basis = lemmas
+    # hapax/concentration basis: lemmas | forms
+    count_basis = lemmas
+    # tokens | types
+    word_length_basis = tokens
     top_k = 20
     min_support = 5
 
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS
@@ -60,6 +67,16 @@ DEFAULT_FIT_MODELS = (
     "ZipfMandelbrot",
     "LogCoverage",
 )
+
+# allowed values of each [analysis] choice key (RunConfig holds the defaults)
+CHOICES = {
+    "basis": ("types", "tokens"),
+    "rank_basis": ("lemmas", "forms"),
+    "count_basis": ("lemmas", "forms"),
+    "word_length_basis": ("tokens", "types"),
+}
+# least value of each [analysis] integer key
+MINIMUMS = {"threshold": 1, "top_k": 1, "min_support": 0}
 
 
 class MissingTextError(TextlawsError):
@@ -89,17 +106,21 @@ class RunConfig:
     inits: dict[str, dict[str, float]] = field(default_factory=dict)
     stages: tuple[str, ...] = STAGES
 
-    def with_overrides(self, out=None, only=None, basis=None, threshold=None) -> "RunConfig":
-        cfg = self
-        if out is not None:
-            cfg = replace(cfg, output_dir=Path(out))
-        if only is not None:
-            cfg = replace(cfg, stages=only)
-        if basis is not None:
-            cfg = replace(cfg, basis=basis)
-        if threshold is not None:
-            cfg = replace(cfg, threshold=threshold)
-        return cfg
+
+def analysis_value(key: str, raw: str):
+    """One [analysis] choice or integer value, checked; ValueError says why not."""
+    raw = raw.strip()
+    if key in CHOICES:
+        if raw not in CHOICES[key]:
+            raise ValueError(f"{key} must be one of {sorted(CHOICES[key])}, got {raw!r}")
+        return raw
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer") from None
+    if value < MINIMUMS[key]:
+        raise ValueError(f"{key} must be >= {MINIMUMS[key]}")
+    return value
 
 
 def _key_lines(text: str) -> dict[tuple[str, str], int]:
@@ -153,6 +174,9 @@ def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
         model_id = key[len("init_"):]
         if model_id not in MODELS:
             raise err(section, key, f"unknown model {model_id!r}")
+        if model_id in ("ZipfPower", "LogCoverage"):
+            # per-interval regressions in closed form: a start value would do nothing
+            raise err(section, key, f"{model_id} is fitted per interval and takes no start values")
         values = {}
         for assign in parser.get(section, key).split(","):
             assign = assign.strip()
@@ -165,26 +189,6 @@ def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
                 raise err(section, key, f"bad init value {assign!r}") from None
         inits[model_id] = values
     return inits
-
-
-def _choice(parser, section, key, default, allowed, err):
-    value = parser.get(section, key, fallback=default).strip()
-    if value not in allowed:
-        raise err(section, key, f"{key} must be one of {sorted(allowed)}, got {value!r}")
-    return value
-
-
-def _intval(parser, section, key, default, err, minimum=1):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise err(section, key, f"{key} must be an integer") from None
-    if value < minimum:
-        raise err(section, key, f"{key} must be >= {minimum}")
-    return value
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -239,9 +243,16 @@ def load_run_config(path: str | Path) -> RunConfig:
             )
     tokenizer = TokenizerConfig(**tok_kwargs)
 
-    vowels = DEFAULT_UK_VOWELS
+    analysis = {}
     if parser.has_option("analysis", "vowels"):
-        vowels = frozenset(parser.get("analysis", "vowels").strip())
+        analysis["vowels"] = frozenset(parser.get("analysis", "vowels").strip())
+    for key in (*CHOICES, *MINIMUMS):
+        raw = parser.get("analysis", key, fallback=None)
+        if raw is not None:
+            try:
+                analysis[key] = analysis_value(key, raw)
+            except ValueError as exc:
+                raise err("analysis", key, str(exc)) from None
 
     fits = {}
     if parser.has_section("fits"):
@@ -265,15 +276,6 @@ def load_run_config(path: str | Path) -> RunConfig:
         overrides_path=respath("paths", "overrides"),
         g2p_rules_path=respath("paths", "g2p_rules"),
         tokenizer=tokenizer,
-        vowels=vowels,
-        threshold=_intval(parser, "analysis", "threshold", 10, err),
-        basis=_choice(parser, "analysis", "basis", "types", {"types", "tokens"}, err),
-        rank_basis=_choice(parser, "analysis", "rank_basis", "lemmas", {"lemmas", "forms"}, err),
-        count_basis=_choice(parser, "analysis", "count_basis", "lemmas", {"lemmas", "forms"}, err),
-        word_length_basis=_choice(
-            parser, "analysis", "word_length_basis", "tokens", {"tokens", "types"}, err
-        ),
-        top_k=_intval(parser, "analysis", "top_k", 20, err),
-        min_support=_intval(parser, "analysis", "min_support", 5, err, minimum=0),
+        **analysis,
         **fits,
     )

@@ -84,7 +84,7 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
     return total
 
 
-def read_g2p_rules(path: str | Path, default_delta: int | None = 1) -> G2PRules:
+def read_g2p_rules(path: str | Path) -> G2PRules:
     """Read rewrite rules from a TSV file of ``grapheme<TAB>delta`` lines."""
     rules = []
     for line_no, line in data_lines(Path(path)):
@@ -99,7 +99,7 @@ def read_g2p_rules(path: str | Path, default_delta: int | None = 1) -> G2PRules:
         if not grapheme or delta < 0:
             raise ResourceFormatError(path, line_no, "empty grapheme or negative delta")
         rules.append((grapheme.casefold(), delta))
-    return G2PRules(tuple(rules), default_delta)
+    return G2PRules(tuple(rules))
 
 
 def load_default_g2p() -> G2PRules:

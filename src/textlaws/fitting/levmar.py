@@ -71,20 +71,11 @@ def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np
     return jac
 
 
-def _prepare_data(data, weights):
+def _prepare_data(data):
     pairs = np.asarray(list(data), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("data must be a sequence of (x, y) pairs")
-    x, y = pairs[:, 0], pairs[:, 1]
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape:
-            raise ValidationError("weights must match the number of data points")
-        if np.any(w < 0):
-            raise ValidationError("weights must be non-negative")
-    return x, y, np.sqrt(w)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def lm_fit(
@@ -92,40 +83,31 @@ def lm_fit(
     data,
     init=None,
     opts: FitOptions = DEFAULT_OPTIONS,
-    weights=None,
-    log_space: bool = False,
 ) -> FitResult:
     """Fit a model to (x, y) data by damped least squares.
 
     ``init`` maps parameter names to starting values (or is an ordered
     sequence); without it the model's documented default guess is used.
-    ``log_space`` fits on log-transformed ordinates, which requires y > 0.
     Singular normal equations at every damping level yield a result with
     ``converged=False`` rather than an exception; a non-finite model value
     at the accepted parameters is a domain error.
     """
     if isinstance(model, str):
         model = get_model(model)
-    x, y, sqrtw = _prepare_data(data, weights)
+    x, y = _prepare_data(data)
     if x.size < model.n_params:
         raise ValidationError(
             f"{model.id}: {x.size} data points cannot determine {model.n_params} parameters"
         )
     if not model.x_in_domain(x):
         raise DomainError(f"{model.id}: data abscissae outside the model domain")
-    if log_space and np.any(y <= 0):
-        raise ValidationError("log-space fitting requires positive ordinates")
 
     p = model.default_init(x, y) if init is None else _as_param_array(model, init)
     if not model.params_in_domain(p, x):
         raise DomainError(f"{model.id}: initial parameters outside the model domain")
 
     def residual(params):
-        f = model.evaluate(params, x)
-        if log_space:
-            with np.errstate(all="ignore"):
-                return (np.log(y) - np.log(f)) * sqrtw
-        return (y - f) * sqrtw
+        return y - model.evaluate(params, x)
 
     r = residual(p)
     if not np.all(np.isfinite(r)):

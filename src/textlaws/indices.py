@@ -8,19 +8,13 @@ recomputes them over word-forms for sensitivity studies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 from .distributions import count_letters
 from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
 from .tokenizer import SentenceSpan, Token
-
-PROFILE_FIELDS = (
-    "N", "F", "V", "variety", "density", "hapax_V1", "excl_vocab", "excl_text",
-    "N_at_threshold", "V_at_threshold", "conc_text", "conc_vocab",
-    "mean_word_len_letters", "mean_sentence_len_words", "threshold",
-)
 
 
 @dataclass
@@ -42,7 +36,7 @@ class CorpusProfile:
     threshold: int
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in PROFILE_FIELDS}
+        return asdict(self)
 
 
 def corpus_profile(

@@ -1,8 +1,9 @@
 """End-to-end analysis pipeline driven by one RunConfig.
 
 Stages run in order (ingest and lexicon always; profile, lengths, ranks
-and fits only when selected) and write a deterministic bundle into the
-output directory.  A failing stage prints a diagnostic naming itself and
+and fits only when selected, with the lengths and ranks computed but not
+written when only the fits need them) and write a deterministic bundle
+into the output directory.  A failing stage prints a diagnostic naming itself and
 the run exits nonzero; a fit that merely fails to converge is recorded in
 the fits report and does not affect the exit status.
 """
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import distributions as dist
-from .config import RunConfig, MissingTextError
+from .config import RunConfig
 from .errors import ResourceFormatError, TextlawsError
 from .fitting import fit_coverage, lm_fit, model_eval, segmented_loglog_fit
 from .indices import corpus_profile
@@ -63,9 +64,6 @@ def run_analysis(cfg: RunConfig) -> int:
             return 2
         _execute(cfg)
         return 0
-    except MissingTextError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
     except StageFailure as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -111,47 +109,51 @@ def _execute(cfg: RunConfig) -> None:
             )
             write_profile(profile, out)
 
-    with _stage("lengths"):
-        g2p = (
-            dist.read_g2p_rules(cfg.g2p_rules_path)
-            if cfg.g2p_rules_path is not None
-            else dist.load_default_g2p()
-        )
-        lengths = {
-            "letters": dist.length_distribution(forms, "letters", dist.count_letters, cfg.basis),
-            "phonemes": dist.length_distribution(
-                forms, "phonemes", lambda f: dist.count_phonemes(f, g2p), cfg.basis
-            ),
-            "syllables": dist.length_distribution(
-                forms, "syllables", lambda f: dist.count_syllables(f, cfg.vowels), cfg.basis
-            ),
-        }
-        syllable_series = dist.mean_syllable_series(forms, cfg.vowels)
-        if "lengths" in cfg.stages:
-            for unit, distribution in lengths.items():
-                emit_plot_data(distribution.points, out / f"lengths_{unit}.dat")
-            if syllable_series.points:
-                emit_plot_data(
-                    [(s, m) for s, m, _ in syllable_series.points],
-                    out / "mean_syllable.dat",
-                )
-            else:
-                log.info("no syllabic word-forms: mean_syllable.dat not written")
+    if {"lengths", "fits"} & set(cfg.stages):
+        with _stage("lengths"):
+            g2p = (
+                dist.read_g2p_rules(cfg.g2p_rules_path)
+                if cfg.g2p_rules_path is not None
+                else dist.load_default_g2p()
+            )
+            lengths = {
+                "letters": dist.length_distribution(
+                    forms, "letters", dist.count_letters, cfg.basis
+                ),
+                "phonemes": dist.length_distribution(
+                    forms, "phonemes", lambda f: dist.count_phonemes(f, g2p), cfg.basis
+                ),
+                "syllables": dist.length_distribution(
+                    forms, "syllables", lambda f: dist.count_syllables(f, cfg.vowels), cfg.basis
+                ),
+            }
+            syllable_series = dist.mean_syllable_series(forms, cfg.vowels)
+            if "lengths" in cfg.stages:
+                for unit, distribution in lengths.items():
+                    emit_plot_data(distribution.points, out / f"lengths_{unit}.dat")
+                if syllable_series.points:
+                    emit_plot_data(
+                        [(s, m) for s, m, _ in syllable_series.points],
+                        out / "mean_syllable.dat",
+                    )
+                else:
+                    log.info("no syllabic word-forms: mean_syllable.dat not written")
 
-    with _stage("ranks"):
-        rank_lex = forms
-        if cfg.rank_basis == "lemmas":
-            if lemmas is not None:
-                rank_lex = lemmas
-            else:
-                log.info("rank basis falls back to word-forms (no lemma lexicon)")
-        rf = dist.rank_frequency(rank_lex)
-        curve = dist.coverage_curve(rf)
-        if "ranks" in cfg.stages:
-            emit_plot_data([(r, f) for r, _, f in rf.rows], out / "rank_freq.dat")
-            emit_plot_data(curve.points, out / "coverage.dat")
-            k = min(cfg.top_k, len(rf.rows))
-            write_topk(dist.top_k(rf, k), out / "topk.tsv")
+    if {"ranks", "fits"} & set(cfg.stages):
+        with _stage("ranks"):
+            rank_lex = forms
+            if cfg.rank_basis == "lemmas":
+                if lemmas is not None:
+                    rank_lex = lemmas
+                else:
+                    log.info("rank basis falls back to word-forms (no lemma lexicon)")
+            rf = dist.rank_frequency(rank_lex)
+            curve = dist.coverage_curve(rf)
+            if "ranks" in cfg.stages:
+                emit_plot_data([(r, f) for r, _, f in rf.rows], out / "rank_freq.dat")
+                emit_plot_data(curve.points, out / "coverage.dat")
+                k = min(cfg.top_k, len(rf.rows))
+                write_topk(dist.top_k(rf, k), out / "topk.tsv")
 
     if "fits" in cfg.stages:
         with _stage("fits"):

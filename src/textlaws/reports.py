@@ -18,16 +18,11 @@ def _g6(value) -> str:
     return f"{value:.6g}"
 
 
-def emit_plot_data(series, path: str | Path, header: str | None = None) -> None:
-    """Write an ``x y`` file, one point per line, no header by default."""
-    rows = list(series)
-    if not rows:
+def emit_plot_data(series, path: str | Path) -> None:
+    """Write an ``x y`` file, one point per line, no header."""
+    lines = [f"{_g6(x)} {_g6(y)}" for x, y in series]
+    if not lines:
         raise ValidationError(f"refusing to write an empty plot file: {path}")
-    lines = []
-    if header is not None:
-        lines.append(f"# {header}")
-    for x, y in rows:
-        lines.append(f"{_g6(x)} {_g6(y)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,12 +1,15 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from textlaws import ResourceFormatError, ValidationError, pipeline, split_sentences
+from textlaws import ResourceFormatError, ValidationError, cli, config, pipeline, split_sentences
 from textlaws.cli import main
 from textlaws.config import load_run_config
+from textlaws.distributions import DEFAULT_UK_VOWELS
 from textlaws.fitting import model_eval
 from textlaws.reports import emit_plot_data
 
@@ -33,11 +36,6 @@ class TestEmitPlotData:
         path = tmp_path / "series.dat"
         emit_plot_data([(3, 0.12345678)], path)
         assert path.read_text() == "3 0.123457\n"
-
-    def test_optional_header(self, tmp_path):
-        path = tmp_path / "series.dat"
-        emit_plot_data([(1, 1.0)], path, header="rank coverage")
-        assert path.read_text() == "# rank coverage\n1 1\n"
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -72,6 +70,9 @@ class TestConfig:
         pytest.param(
             "[tokenizer]\nthreshold = 3\n[analysis]\nthreshold = -1\n", 6, id="same-key-other-section"
         ),
+        # interval models are fitted in closed form, so a start value would do nothing
+        pytest.param("[fits]\ninit_ZipfPower = A=1,z=99\n", 4, id="init-ZipfPower"),
+        pytest.param("[fits]\ninit_LogCoverage = k=5,T0=7\n", 4, id="init-LogCoverage"),
     ])
     def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
         bad = tmp_path / "run.ini"
@@ -80,6 +81,21 @@ class TestConfig:
             load_run_config(bad)
         assert str(err.value).startswith(f"{bad}:{line_no}: ")
 
+    @pytest.mark.parametrize("source", ["readme", "docstring"])
+    def test_documented_schema_loads(self, tmp_path, source):
+        if source == "readme":
+            readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+            schema = re.search(r"Full schema.*?```ini\n(.*?)```", readme, re.S).group(1)
+        else:
+            block = config.__doc__.split("::\n", 1)[1]
+            schema = "\n".join(line[4:] for line in block.splitlines())
+        ini = tmp_path / "run.ini"
+        ini.write_text(schema, encoding="utf-8")
+        cfg = load_run_config(ini)
+        assert cfg.vowels == DEFAULT_UK_VOWELS
+        assert cfg.threshold == 10
+        assert cfg.text_path == tmp_path / "corpus.txt"
+        assert "#" not in "".join(cfg.tokenizer.abbreviations)
 
     def test_abbreviations_match_without_case_folding(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -212,6 +228,43 @@ class TestPipeline:
 
     def test_unknown_stage_exits_2(self, fixture_config, capsys):
         assert main(["--config", str(fixture_config), "--only", "nope"]) == 2
+
+    def test_bad_threshold_flag_is_a_usage_error(self, fixture_config, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "run_analysis", lambda cfg: pytest.fail("the run started"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(fixture_config), "--out", str(out), "--threshold", "0"])
+        assert exc.value.code == 2
+        assert "threshold must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unselected_lengths_stage_does_not_run(self, fixtures_dir, tmp_path):
+        g2p = tmp_path / "bad.tsv"
+        g2p.write_text("no-tab-here\n", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\ng2p_rules = {g2p}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--only", "profile"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["profile.json", "profile.tsv"]
+
+    def test_unselected_ranks_stage_does_not_run(self, fixtures_dir, tmp_path):
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("жодна-форма\tлема\n", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\nlemma_map = {lemmas}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--only", "lengths"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "lengths_letters.dat", "lengths_phonemes.dat", "lengths_syllables.dat",
+            "mean_syllable.dat",
+        ]
 
     def test_empty_corpus_fails_with_stage_name(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
