@@ -24,6 +24,17 @@ def _analysis_flag(key: str):
     return parse
 
 
+def _stage_list(raw: str) -> tuple[str, ...]:
+    """An argparse type: a comma-separated list of one or more known stages."""
+    stages = tuple(s.strip() for s in raw.split(",") if s.strip())
+    unknown = [s for s in stages if s not in STAGES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown stage(s): {', '.join(unknown)}")
+    if not stages:
+        raise argparse.ArgumentTypeError("no stage named")
+    return stages
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="analyze",
@@ -33,10 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", dest="output_dir", type=Path,
                         help="output directory (overrides the config)")
-    parser.add_argument(
-        "--only",
-        help="comma-separated stages to emit: " + ",".join(STAGES),
-    )
+    parser.add_argument("--only", dest="stages", type=_stage_list,
+                        help="comma-separated stages to emit: " + ",".join(STAGES))
     parser.add_argument("--basis", choices=CHOICES["basis"],
                         help="length-distribution basis (overrides the config)")
     parser.add_argument("--threshold", type=_analysis_flag("threshold"),
@@ -49,14 +58,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="analyze: %(message)s")
     args = build_parser().parse_args(argv)
 
-    only = None
-    if args.only is not None:
-        only = tuple(s.strip() for s in args.only.split(",") if s.strip())
-        unknown = [s for s in only if s not in STAGES]
-        if unknown:
-            print(f"analyze: unknown stage(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-
     try:
         cfg = load_run_config(args.config)
     except MissingTextError as exc:
@@ -66,9 +67,10 @@ def main(argv=None) -> int:
         print(f"analyze: {exc}", file=sys.stderr)
         return 3
 
-    flags = {"output_dir": args.output_dir, "stages": only,
-             "basis": args.basis, "threshold": args.threshold}
-    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    # each flag's dest is the RunConfig field it overrides
+    flags = {name: value for name, value in vars(args).items()
+             if name != "config" and value is not None}
+    cfg = replace(cfg, **flags)
     return run_analysis(cfg)
 
 

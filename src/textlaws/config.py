@@ -2,7 +2,8 @@
 
 Paths are resolved relative to the config file's directory.  Only the
 text path is required; every other resource is optional and its absence
-disables the dependent outputs with a logged notice.
+disables the dependent outputs with a logged notice.  An unknown section
+or key is an error that names its line.
 
 Schema (configparser keeps an inline ``# ...`` as part of the value, so
 comments go on lines of their own)::
@@ -78,6 +79,43 @@ CHOICES = {
 # least value of each [analysis] integer key
 MINIMUMS = {"threshold": 1, "top_k": 1, "min_support": 0}
 
+# [paths] key -> RunConfig field
+PATHS = {
+    "text": "text_path",
+    "output_dir": "output_dir",
+    "lemma_map": "lemma_map_path",
+    "merge_rules": "merge_rules_path",
+    "overrides": "overrides_path",
+    "g2p_rules": "g2p_rules_path",
+}
+BREAKPOINT_KEYS = ("zipf_breakpoints", "coverage_breakpoints")
+INIT_PREFIX = "init_"
+
+
+def _chars(raw: str) -> frozenset[str]:
+    return frozenset(raw.strip())
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+# how each [tokenizer] key, a TokenizerConfig field, is read
+TOKENIZER_VALUES = {
+    "intra_token_chars": _chars,
+    "sentence_terminators": _chars,
+    "case_folding": lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
+    "abbreviations": lambda raw: frozenset(_names(raw)),
+}
+
+# every key the loader reads, by section; [fits] also takes INIT_PREFIX + model
+KNOWN_KEYS = {
+    "paths": PATHS,
+    "tokenizer": TOKENIZER_VALUES,
+    "analysis": ("vowels", *CHOICES, *MINIMUMS),
+    "fits": ("models", *BREAKPOINT_KEYS),
+}
+
 
 class MissingTextError(TextlawsError):
     """The required input text is not configured or does not exist."""
@@ -123,9 +161,12 @@ def analysis_value(key: str, raw: str):
     return value
 
 
-def _key_lines(text: str) -> dict[tuple[str, str], int]:
-    """Line number of each ``key = value`` or ``key: value`` entry, by section."""
-    lines: dict[tuple[str, str], int] = {}
+def _key_lines(text: str) -> dict[tuple[str, str | None], int]:
+    """Line number of each ``key = value`` or ``key: value`` entry, by section.
+
+    A section's header line is filed under the key None.
+    """
+    lines: dict[tuple[str, str | None], int] = {}
     section = None
     # configparser splits lines on "\n" only, so count lines the same way
     for no, line in enumerate(text.split("\n"), start=1):
@@ -133,6 +174,7 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
         header = re.match(r"\[(.+)\]", stripped)
         if header:
             section = header.group(1)
+            lines.setdefault((section, None), no)
         elif stripped and stripped[0] not in "#;":
             key = re.split("[=:]", stripped, maxsplit=1)[0].strip()
             lines.setdefault((section, key), no)
@@ -169,9 +211,9 @@ def _parse_breakpoints(raw: str, err, key: str):
 def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
     inits = {}
     for key in parser.options(section):
-        if not key.startswith("init_"):
+        if not key.startswith(INIT_PREFIX):
             continue
-        model_id = key[len("init_"):]
+        model_id = key.removeprefix(INIT_PREFIX)
         if model_id not in MODELS:
             raise err(section, key, f"unknown model {model_id!r}")
         if model_id in ("ZipfPower", "LogCoverage"):
@@ -197,51 +239,56 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise MissingTextError(f"config file not found: {path}")
     text = path.read_text(encoding="utf-8")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no defaults section: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     try:
         parser.read_string(text, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:
+        raise ResourceFormatError(path, exc.lineno, "missing section header") from exc
     except configparser.ParsingError as exc:
         line_no = exc.errors[0][0] if exc.errors else 0
         raise ResourceFormatError(path, line_no, "cannot parse config") from exc
-    except configparser.MissingSectionHeaderError as exc:
-        raise ResourceFormatError(path, exc.lineno, "missing section header") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ResourceFormatError(path, exc.lineno, f"duplicate section [{exc.section}]") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ResourceFormatError(
+            path, exc.lineno, f"duplicate key {exc.option!r} in [{exc.section}]"
+        ) from exc
 
     key_lines = _key_lines(text)
 
     def err(section, key, message):
         return ResourceFormatError(path, key_lines.get((section, key), 0), message)
 
+    for section in parser.sections():
+        if section not in KNOWN_KEYS:
+            raise err(section, None, f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in KNOWN_KEYS[section] and not (
+                section == "fits" and key.startswith(INIT_PREFIX)
+            ):
+                raise err(section, key, f"unknown key {key!r} in [{section}]")
+
     base = path.parent
 
-    def respath(section, key):
-        raw = parser.get(section, key, fallback=None)
+    def respath(key):
+        raw = parser.get("paths", key, fallback=None)
         if raw is None or not raw.strip():
             return None
         p = Path(raw.strip())
         return p if p.is_absolute() else base / p
 
-    text_path = respath("paths", "text") if parser.has_section("paths") else None
-    if text_path is None:
+    paths = {name: respath(key) for key, name in PATHS.items()}
+    if paths["text_path"] is None:
         raise MissingTextError(f"{path}: [paths] text is required")
+    paths["output_dir"] = paths["output_dir"] or base / "out"
 
-    tok_kwargs = {}
-    if parser.has_section("tokenizer"):
-        raw = parser.get("tokenizer", "intra_token_chars", fallback=None)
-        if raw is not None:
-            tok_kwargs["intra_token_chars"] = frozenset(raw.strip())
-        raw = parser.get("tokenizer", "sentence_terminators", fallback=None)
-        if raw is not None:
-            tok_kwargs["sentence_terminators"] = frozenset(raw.strip())
-        raw = parser.get("tokenizer", "case_folding", fallback=None)
-        if raw is not None:
-            tok_kwargs["case_folding"] = raw.strip().lower() in ("1", "true", "yes", "on")
-        raw = parser.get("tokenizer", "abbreviations", fallback=None)
-        if raw is not None:
-            tok_kwargs["abbreviations"] = frozenset(
-                a.strip() for a in raw.split(",") if a.strip()
-            )
-    tokenizer = TokenizerConfig(**tok_kwargs)
+    tokenizer = TokenizerConfig(**{
+        key: read(parser.get("tokenizer", key))
+        for key, read in TOKENIZER_VALUES.items()
+        if parser.has_option("tokenizer", key)
+    })
 
     analysis = {}
     if parser.has_option("analysis", "vowels"):
@@ -258,24 +305,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     if parser.has_section("fits"):
         raw = parser.get("fits", "models", fallback=None)
         if raw is not None:
-            fits["models"] = tuple(m.strip() for m in raw.split(",") if m.strip())
+            fits["models"] = _names(raw)
             for m in fits["models"]:
                 if m not in MODELS:
                     raise err("fits", "models", f"unknown model {m!r}")
-        for key in ("zipf_breakpoints", "coverage_breakpoints"):
+        for key in BREAKPOINT_KEYS:
             raw = parser.get("fits", key, fallback=None)
             if raw is not None:
                 fits[key] = _parse_breakpoints(raw, err, key)
         fits["inits"] = _parse_inits(parser, "fits", err)
 
-    return RunConfig(
-        text_path=text_path,
-        output_dir=respath("paths", "output_dir") or base / "out",
-        lemma_map_path=respath("paths", "lemma_map"),
-        merge_rules_path=respath("paths", "merge_rules"),
-        overrides_path=respath("paths", "overrides"),
-        g2p_rules_path=respath("paths", "g2p_rules"),
-        tokenizer=tokenizer,
-        **analysis,
-        **fits,
-    )
+    return RunConfig(**paths, tokenizer=tokenizer, **analysis, **fits)

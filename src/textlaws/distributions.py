@@ -87,7 +87,7 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
 def read_g2p_rules(path: str | Path) -> G2PRules:
     """Read rewrite rules from a TSV file of ``grapheme<TAB>delta`` lines."""
     rules = []
-    for line_no, line in data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path).read_bytes()):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ResourceFormatError(path, line_no, "expected grapheme<TAB>delta")

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ResourceFormatError, ValidationError
 from .tokenizer import Token
@@ -33,12 +35,21 @@ class MergeRule:
     variants: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LemmaMap:
-    """form -> lemma routing; ambiguous forms carry per-lemma shares."""
+    """form -> lemma routing; ambiguous forms carry per-lemma shares.
 
-    rows: dict[str, str] = field(default_factory=dict)
-    ambiguous: dict[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
+    Read-only, as ``read_lemma_map`` returns one map to every call that reads
+    the same bytes: both mappings are ``MappingProxyType`` views of the dicts
+    given (not copies of them).
+    """
+
+    rows: Mapping[str, str] = field(default_factory=dict)
+    ambiguous: Mapping[str, tuple[tuple[str, float], ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", MappingProxyType(self.rows))
+        object.__setattr__(self, "ambiguous", MappingProxyType(self.ambiguous))
 
 
 @dataclass
@@ -182,20 +193,26 @@ def pattern_count(lex: FormLexicon, pattern: str, where: str = "suffix") -> tupl
 # starting with '#' are skipped.
 # ---------------------------------------------------------------------------
 
-def data_lines(path: Path):
-    """Yield ``(line number, line)`` for each data line of a TSV resource."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+def data_lines(data: bytes):
+    r"""Yield ``(line number, line)`` for each data line of a TSV resource.
+
+    The bytes are decoded in one piece, so a bad byte raises a
+    ``UnicodeDecodeError`` whose offset counts from the start of the file.
+    Lines end as in text-mode ``open()``: at ``\n``, ``\r\n`` or a lone
+    ``\r``.  Other Unicode line breaks (``\x85``, ``\u2028``, ``\x0c``) stay
+    inside the line, so ``str.splitlines`` would not do.
+    """
+    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
             yield line_no, line
 
 
 def read_merge_rules(path: str | Path) -> list[MergeRule]:
     """Read merge rules: one rule per line, ``canonical<TAB>var1,var2,...``."""
     rules = []
-    for line_no, line in data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path).read_bytes()):
         fields = line.split("\t")
         if len(fields) != 2:
             raise ResourceFormatError(path, line_no, "expected canonical<TAB>variants")
@@ -208,14 +225,40 @@ def read_merge_rules(path: str | Path) -> list[MergeRule]:
     return rules
 
 
+# the SHA-256 of the last lemma map's bytes and the map parsed from them: runs
+# in one process that share a map parse it once; a miss drops the old entry
+# before parsing, so the memo never holds more than one map
+_last_lemma_map: tuple[bytes, LemmaMap] | None = None
+
+
 def read_lemma_map(path: str | Path) -> LemmaMap:
     """Read a lemma map: ``form<TAB>lemma[<TAB>share]``, one row per pair.
 
     A form with several rows is ambiguous; its shares may be fractions or
-    absolute counts (they are normalized when the split is applied).
+    absolute counts (they are normalized when the split is applied).  When
+    the file's bytes equal those of the previous call, the map parsed then
+    is returned again; a malformed file is parsed (and reported) every time.
     """
-    per_form: dict[str, list[tuple[str, float]]] = {}
-    for line_no, line in data_lines(Path(path)):
+    # imported here, not at the top: hashlib loads OpenSSL (about 6 ms and
+    # 3.5 MB), which start-up and runs without a lemma map need not pay
+    import hashlib
+
+    global _last_lemma_map
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest()
+    if _last_lemma_map is not None and _last_lemma_map[0] == digest:
+        return _last_lemma_map[1]
+    _last_lemma_map = None
+    lemma_map = _parse_lemma_map(path, data)
+    _last_lemma_map = digest, lemma_map
+    return lemma_map
+
+
+def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
+    rows: dict[str, str] = {}            # the first row of each form
+    shares: dict[str, float] = {}        # its share, where the row gives one
+    more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
+    for line_no, line in data_lines(data):
         fields = line.split("\t")
         if len(fields) not in (2, 3):
             raise ResourceFormatError(path, line_no, "expected form<TAB>lemma[<TAB>share]")
@@ -230,24 +273,25 @@ def read_lemma_map(path: str | Path) -> LemmaMap:
                 raise ResourceFormatError(path, line_no, f"bad share {fields[2]!r}") from None
             if share < 0:
                 raise ResourceFormatError(path, line_no, "share must be non-negative")
-        rows = per_form.setdefault(form, [])
-        if any(lemma == seen for seen, _ in rows):
+        if form not in rows:
+            rows[form] = lemma
+            if len(fields) == 3:
+                shares[form] = share
+        elif lemma == rows[form] or any(lemma == seen for seen, _ in more.get(form, ())):
             raise ResourceFormatError(path, line_no, f"duplicate row for ({form}, {lemma})")
-        rows.append((lemma, share))
-
-    lemma_map = LemmaMap()
-    for form, rows in per_form.items():
-        if len(rows) == 1:
-            lemma_map.rows[form] = rows[0][0]
         else:
-            lemma_map.ambiguous[form] = tuple(rows)
-    return lemma_map
+            more.setdefault(form, []).append((lemma, share))
+    # a form with several rows is ambiguous: it leaves ``rows``
+    ambiguous = {
+        form: ((rows.pop(form), shares.get(form, 1.0)), *later) for form, later in more.items()
+    }
+    return LemmaMap(rows, ambiguous)
 
 
 def read_overrides(path: str | Path) -> list[tuple[str, str, int]]:
     """Read homonym overrides: ``form<TAB>lemma<TAB>count``."""
     overrides = []
-    for line_no, line in data_lines(Path(path)):
+    for line_no, line in data_lines(Path(path).read_bytes()):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ResourceFormatError(path, line_no, "expected form<TAB>lemma<TAB>count")

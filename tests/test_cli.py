@@ -2,11 +2,20 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from textlaws import ResourceFormatError, ValidationError, cli, config, pipeline, split_sentences
+from textlaws import (
+    ResourceFormatError,
+    TokenizerConfig,
+    ValidationError,
+    cli,
+    config,
+    pipeline,
+    split_sentences,
+)
 from textlaws.cli import main
 from textlaws.config import load_run_config
 from textlaws.distributions import DEFAULT_UK_VOWELS
@@ -67,8 +76,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("body, line_no", [
         pytest.param("[analysis]\ntop_k: zero\n", 4, id="colon-delimiter"),
+        # a key known in [analysis] is unknown in [tokenizer]: the error names its own line
         pytest.param(
-            "[tokenizer]\nthreshold = 3\n[analysis]\nthreshold = -1\n", 6, id="same-key-other-section"
+            "[analysis]\nthreshold = 5\n[tokenizer]\nthreshold = 3\n", 6, id="same-key-other-section"
         ),
         # interval models are fitted in closed form, so a start value would do nothing
         pytest.param("[fits]\ninit_ZipfPower = A=1,z=99\n", 4, id="init-ZipfPower"),
@@ -80,6 +90,47 @@ class TestConfig:
         with pytest.raises(ResourceFormatError) as err:
             load_run_config(bad)
         assert str(err.value).startswith(f"{bad}:{line_no}: ")
+
+    @pytest.mark.parametrize("body, line_no, message", [
+        pytest.param("[analysis]\ntreshold = 0\n", 4, "unknown key 'treshold' in [analysis]",
+                     id="misspelt-key"),
+        pytest.param("[fits]\nmodel = ZipfMandelbrot\n", 4, "unknown key 'model' in [fits]",
+                     id="fits-key"),
+        pytest.param("[analysis]\ntop_k = 3\n[plots]\n", 5, "unknown section [plots]",
+                     id="unknown-section"),
+        pytest.param("[DEFAULT]\nthreshold = 3\n", 3, "unknown section [DEFAULT]",
+                     id="defaults-section"),
+    ])
+    def test_unknown_section_or_key_names_its_line(self, tmp_path, body, line_no, message):
+        bad = tmp_path / "run.ini"
+        bad.write_text("[paths]\ntext = x.txt\n" + body, encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            load_run_config(bad)
+        assert str(err.value) == f"{bad}:{line_no}: {message}"
+
+    def test_misspelt_key_exits_3_before_the_run(self, fixtures_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(cli, "run_analysis", lambda cfg: pytest.fail("the run started"))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\n"
+                       "[analysis]\ntreshold = 0\n", encoding="utf-8")
+        assert main(["--config", str(ini)]) == 3
+        assert f"{ini}:4: unknown key 'treshold'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line_no", [
+        pytest.param("text = x.txt\n", 1, id="missing-header"),
+        pytest.param("[paths]\ntext = x.txt\ntext = y.txt\n", 3, id="duplicate-key"),
+        pytest.param("[paths]\ntext = x.txt\n[paths]\n", 3, id="duplicate-section"),
+    ])
+    def test_unparsable_config_reports_its_line(self, tmp_path, text, line_no):
+        bad = tmp_path / "run.ini"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            load_run_config(bad)
+        assert err.value.line_no == line_no
+
+    def test_tokenizer_keys_are_the_tokenizer_config_fields(self):
+        assert set(config.TOKENIZER_VALUES) == {f.name for f in fields(TokenizerConfig)}
 
     @pytest.mark.parametrize("source", ["readme", "docstring"])
     def test_documented_schema_loads(self, tmp_path, source):
@@ -227,7 +278,18 @@ class TestPipeline:
         assert "lexicon" in err
 
     def test_unknown_stage_exits_2(self, fixture_config, capsys):
-        assert main(["--config", str(fixture_config), "--only", "nope"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(fixture_config), "--only", "nope"])
+        assert exc.value.code == 2
+        assert "unknown stage(s): nope" in capsys.readouterr().err
+
+    def test_empty_stage_list_is_a_usage_error(self, fixture_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(fixture_config), "--out", str(out), "--only", ","])
+        assert exc.value.code == 2
+        assert "no stage named" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_threshold_flag_is_a_usage_error(self, fixture_config, tmp_path, capsys,
                                                  monkeypatch):
@@ -283,6 +345,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "ingest" in err
         assert "byte 11" in err
+
+    def test_invalid_utf8_in_resource_names_absolute_byte_offset(self, fixtures_dir, tmp_path,
+                                                                 capsys):
+        rows = "".join(f"форма{i}\tлема{i}\n" for i in range(8000)).encode("utf-8")
+        offset = 70_000  # past the first 64 KB
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_bytes(rows[:offset] + b"\xff" + rows[offset:])
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\nlemma_map = {lemmas}\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "stage lexicon" in err
+        assert f"at byte {offset}" in err
 
     def test_topk_has_four_decimal_percentages(self, fixture_config, tmp_path):
         out = tmp_path / "out"

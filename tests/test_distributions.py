@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from textlaws import (
     FormLexicon,
     G2PRules,
+    ResourceFormatError,
     RuleGapError,
     ValidationError,
     count_letters,
@@ -78,16 +79,29 @@ class TestPhonemes:
         with pytest.raises(RuleGapError, match="'б'"):
             count_phonemes("аб", rules)
 
+    # lines end as in text-mode open(): "\n", "\r\n" or a lone "\r", but not
+    # "\x85", "\u2028" or "\x0c", so a comment runs on past those
     @pytest.mark.parametrize("text", [
         pytest.param("# digraphs\nдж\t1\nь\t0\n", id="lf"),
         pytest.param("# digraphs\r\nдж\t1\r\nь\t0\r\n", id="crlf"),
         pytest.param("\nдж\t1\n  \t\n   # indented\nь\t0\n", id="blank-and-indented-comment"),
+        pytest.param("# digraphs\rдж\t1\rь\t0\r", id="lone-cr"),
+        pytest.param("# digraphs\x85ґ\t9\nдж\t1\nь\t0\n", id="nel-in-comment"),
+        pytest.param("# digraphs\u2028ґ\t9\nдж\t1\nь\t0\n", id="ls-in-comment"),
+        pytest.param("дж\t\x0c1\nь\t0\n", id="ff-in-field"),
     ])
     def test_rules_file_reader(self, tmp_path, text):
         path = tmp_path / "g2p.tsv"
         path.write_bytes(text.encode("utf-8"))
         rules = read_g2p_rules(path)
         assert rules.rules == (("дж", 1), ("ь", 0))
+        # a bad line after the text is numbered as text-mode open() counts lines
+        path.write_bytes((text + "bad\n").encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            line_count = sum(1 for _ in fh)
+        with pytest.raises(ResourceFormatError) as err:
+            read_g2p_rules(path)
+        assert err.value.line_no == line_count
 
     @given(st.text(alphabet="абвдежзиклмнопрстьщ’", max_size=12))
     def test_phonemes_bounded_by_letters_for_small_deltas(self, form):

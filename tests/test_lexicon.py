@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,12 +13,14 @@ from textlaws import (
     apply_merge_rules,
     build_form_spectrum,
     lemmatize,
+    lexicon,
     pattern_count,
     read_lemma_map,
     read_merge_rules,
     read_overrides,
     tokenize,
 )
+from textlaws.cli import main
 
 forms_strategy = st.dictionaries(
     st.text(alphabet="абвгдежзиклмнопрст", min_size=1, max_size=6),
@@ -214,15 +217,30 @@ class TestResourceFiles:
             read_lemma_map(path)
         assert err.value.line_no == 1
 
-    @pytest.mark.parametrize("text", [
-        pytest.param("# comment\nяк\tяк_спол\t17\n", id="lf"),
-        pytest.param("# comment\r\nяк\tяк_спол\t17\r\n", id="crlf"),
-        pytest.param("\n \n\t# indented\nяк\tяк_спол\t17\n\n", id="blank-and-indented-comment"),
+    # lines end as in text-mode open(): "\n", "\r\n" or a lone "\r", but not
+    # "\x85", "\u2028" or "\x0c", so a comment runs on past those
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("# comment\nяк\tяк_спол\t17\n", [("як", "як_спол", 17)], id="lf"),
+        pytest.param("# comment\r\nяк\tяк_спол\t17\r\n", [("як", "як_спол", 17)], id="crlf"),
+        pytest.param("\n \n\t# indented\nяк\tяк_спол\t17\n\n", [("як", "як_спол", 17)],
+                     id="blank-and-indented-comment"),
+        pytest.param("# comment\rяк\tяк_спол\t17\r", [("як", "як_спол", 17)], id="lone-cr"),
+        pytest.param("# comment\r\r\nяк\tяк_спол\t17\n", [("як", "як_спол", 17)], id="cr-crlf"),
+        pytest.param("# comment\x85як\tяк_спол\t17\n", [], id="nel-in-comment"),
+        pytest.param("# comment\u2028як\tяк_спол\t17\n", [], id="ls-in-comment"),
+        pytest.param("як\x0c\tяк_спол\t17\n", [("як", "як_спол", 17)], id="ff-in-field"),
     ])
-    def test_overrides_reader(self, tmp_path, text):
+    def test_overrides_reader(self, tmp_path, text, expected):
         path = tmp_path / "overrides.tsv"
         path.write_bytes(text.encode("utf-8"))
-        assert read_overrides(path) == [("як", "як_спол", 17)]
+        assert read_overrides(path) == expected
+        # a bad line after the text is numbered as text-mode open() counts lines
+        path.write_bytes((text + "bad\n").encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            line_count = sum(1 for _ in fh)
+        with pytest.raises(ResourceFormatError) as err:
+            read_overrides(path)
+        assert err.value.line_no == line_count
 
     def test_overrides_bad_count(self, tmp_path):
         path = tmp_path / "overrides.tsv"
@@ -230,3 +248,78 @@ class TestResourceFiles:
         with pytest.raises(ResourceFormatError) as err:
             read_overrides(path)
         assert err.value.line_no == 1
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Paths the lemma-map parser is run on, starting from an empty memo."""
+    calls = []
+    parse = lexicon._parse_lemma_map
+
+    def counted(path, data):
+        calls.append(path)
+        return parse(path, data)
+
+    monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+    monkeypatch.setattr(lexicon, "_parse_lemma_map", counted)
+    return calls
+
+
+class TestLemmaMapReuse:
+    MAP = "стежки\tстежка\nщо\tщо_спол\t0.7\nщо\tщо_займ\t0.3\n"
+
+    def write(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_same_bytes_at_two_paths_parse_once(self, tmp_path, parses):
+        first = read_lemma_map(self.write(tmp_path / "a.tsv", self.MAP))
+        assert read_lemma_map(self.write(tmp_path / "b.tsv", self.MAP)) is first
+        assert parses == [tmp_path / "a.tsv"]
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path, parses):
+        path = self.write(tmp_path / "lemmas.tsv", self.MAP)
+        read_lemma_map(path)
+        self.write(path, "стежки\tстежина\n")
+        assert read_lemma_map(path) == LemmaMap(rows={"стежки": "стежина"})
+        assert len(parses) == 2
+
+    def test_malformed_map_reports_the_same_line_every_call(self, tmp_path, parses):
+        path = self.write(tmp_path / "lemmas.tsv", "стежки\tстежка\nbroken\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ResourceFormatError) as err:
+                read_lemma_map(path)
+            messages.append(str(err.value))
+        assert messages == [f"{path}:2: expected form<TAB>lemma[<TAB>share]"] * 2
+        assert len(parses) == 2
+
+    def test_shared_map_is_read_only(self, tmp_path):
+        lemma_map = read_lemma_map(self.write(tmp_path / "lemmas.tsv", self.MAP))
+        with pytest.raises(TypeError):
+            lemma_map.rows["нове"] = "нове"
+        with pytest.raises(TypeError):
+            lemma_map.ambiguous["що"] = (("що", 1.0),)
+        with pytest.raises(FrozenInstanceError):
+            lemma_map.rows = {}
+
+    def test_two_chapters_in_one_process_parse_once(self, fixtures_dir, tmp_path, parses,
+                                                     monkeypatch):
+        words = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8").split(" ")
+        half = len(words) // 2
+        configs = []
+        for k, chapter in enumerate((words[:half], words[half:])):
+            self.write(tmp_path / f"ch{k}.txt", " ".join(chapter))
+            configs.append(self.write(
+                tmp_path / f"ch{k}.ini",
+                f"[paths]\ntext = ch{k}.txt\nlemma_map = {fixtures_dir / 'lemmas.tsv'}\n",
+            ))
+        for k, ini in enumerate(configs):
+            assert main(["--config", str(ini), "--out", str(tmp_path / f"out{k}")]) == 0
+        assert len(parses) == 1
+        # the reused map gives the bundle a fresh parse gives
+        monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+        assert main(["--config", str(configs[1]), "--out", str(tmp_path / "fresh")]) == 0
+        assert len(parses) == 2
+        for reused in sorted((tmp_path / "out1").iterdir()):
+            assert reused.read_bytes() == (tmp_path / "fresh" / reused.name).read_bytes()
