@@ -18,6 +18,7 @@ from .distributions import (
     count_syllables,
     coverage_curve,
     filter_min_support,
+    form_lengths,
     length_distribution,
     load_default_g2p,
     mean_syllable_series,

@@ -132,46 +132,45 @@ class CoverageCurve:
     points: tuple[tuple[int, float], ...]       # (rank, covered fraction)
 
 
-def length_distribution(
-    lex: FormLexicon,
-    unit: str,
-    counter,
-    basis: str = "types",
-) -> LengthDistribution:
-    """Fraction of word-forms (types) or token mass (tokens) per length."""
+def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dict[str, list[int]]:
+    """Each form's letters, phonemes and syllables: one column per unit, in entry order."""
     if not lex.entries:
         raise ValidationError("cannot build a length distribution from an empty lexicon")
+    forms = list(lex.entries)
+    return {
+        "letters": [count_letters(form) for form in forms],
+        "phonemes": [count_phonemes(form, g2p) for form in forms],
+        "syllables": [count_syllables(form, vowels) for form in forms],
+    }
+
+
+def length_distribution(
+    lex: FormLexicon, unit: str, lengths: list[int], basis: str
+) -> LengthDistribution:
+    """Fraction of word-forms (types) or token mass (tokens) per length in ``lengths``."""
     if basis not in ("types", "tokens"):
         raise ValidationError(f"unknown basis {basis!r}")
     weight_per_length: dict[int, int] = defaultdict(int)
-    total = 0
-    for form, count in lex.entries.items():
-        weight = count if basis == "tokens" else 1
-        weight_per_length[counter(form)] += weight
-        total += weight
-    points = tuple(
-        (length, weight_per_length[length] / total)
-        for length in sorted(weight_per_length)
-    )
+    for length, count in zip(lengths, lex.entries.values(), strict=True):
+        weight_per_length[length] += count if basis == "tokens" else 1
+    total = sum(weight_per_length.values())
+    points = tuple((n, weight / total) for n, weight in sorted(weight_per_length.items()))
     return LengthDistribution(unit, basis, points)
 
 
-def mean_syllable_series(
-    lex: FormLexicon,
-    vowels: frozenset[str] = DEFAULT_UK_VOWELS,
-) -> MeanSyllableSeries:
+def mean_syllable_series(letters: list[int], syllables: list[int]) -> MeanSyllableSeries:
     """Mean syllable length (letters per syllable) by word length in syllables.
 
-    Averages over distinct word-forms.  Non-syllabic forms are excluded:
-    with zero syllables their syllable length is unbounded.
+    Averages over distinct word-forms (columns of ``form_lengths``).
+    Non-syllabic forms are excluded: with zero syllables their syllable
+    length is unbounded.
     """
     sums: dict[int, float] = defaultdict(float)
     support: dict[int, int] = defaultdict(int)
-    for form in lex.entries:
-        s = count_syllables(form, vowels)
+    for n_letters, s in zip(letters, syllables, strict=True):
         if s == 0:
             continue
-        sums[s] += count_letters(form) / s
+        sums[s] += n_letters / s
         support[s] += 1
     points = tuple((s, sums[s] / support[s], support[s]) for s in sorted(sums))
     return MeanSyllableSeries(points)

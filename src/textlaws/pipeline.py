@@ -116,18 +116,12 @@ def _execute(cfg: RunConfig) -> None:
                 if cfg.g2p_rules_path is not None
                 else dist.load_default_g2p()
             )
+            table = dist.form_lengths(forms, g2p, cfg.vowels)
             lengths = {
-                "letters": dist.length_distribution(
-                    forms, "letters", dist.count_letters, cfg.basis
-                ),
-                "phonemes": dist.length_distribution(
-                    forms, "phonemes", lambda f: dist.count_phonemes(f, g2p), cfg.basis
-                ),
-                "syllables": dist.length_distribution(
-                    forms, "syllables", lambda f: dist.count_syllables(f, cfg.vowels), cfg.basis
-                ),
+                unit: dist.length_distribution(forms, unit, column, cfg.basis)
+                for unit, column in table.items()
             }
-            syllable_series = dist.mean_syllable_series(forms, cfg.vowels)
+            syllable_series = dist.mean_syllable_series(table["letters"], table["syllables"])
             if "lengths" in cfg.stages:
                 for unit, distribution in lengths.items():
                     emit_plot_data(distribution.points, out / f"lengths_{unit}.dat")

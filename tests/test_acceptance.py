@@ -23,11 +23,12 @@ from textlaws import (
     apply_merge_rules,
     build_form_spectrum,
     corpus_profile,
-    count_letters,
     count_syllables,
     coverage_curve,
+    form_lengths,
     lemmatize,
     length_distribution,
+    load_default_g2p,
     rank_frequency,
     read_lemma_map,
     read_merge_rules,
@@ -36,6 +37,7 @@ from textlaws import (
     tokenize,
 )
 from textlaws.cli import main as cli_main
+from textlaws.distributions import DEFAULT_UK_VOWELS
 from textlaws.fitting import (
     fit_coverage,
     gamma_fn,
@@ -318,6 +320,7 @@ def test_criterion_5_three_regime_recovery():
 @criterion(6, "distribution invariants")
 def test_criterion_6_distribution_invariants():
     rng = random.Random(20060815)
+    g2p = load_default_g2p()
     consonants = "бвгджзклмнпрстфхшщ"
     letters = consonants + "аеиіоу"
     for _ in range(100):
@@ -331,14 +334,15 @@ def test_criterion_6_distribution_invariants():
             entries[form] = rng.randint(1, 99)
         lex = FormLexicon(dict(entries), sum(entries.values()))
         basis = rng.choice(("types", "tokens"))
+        table = form_lengths(lex, g2p, DEFAULT_UK_VOWELS)
 
-        for unit, counter in (("letters", count_letters), ("syllables", count_syllables)):
-            dist = length_distribution(lex, unit, counter, basis)
+        for unit in ("letters", "syllables"):
+            dist = length_distribution(lex, unit, table[unit], basis)
             assert abs(sum(f for _, f in dist.points) - 1.0) <= 1e-9
             assert all(length >= 0 for length, _ in dist.points)
 
         if any(count_syllables(form) == 0 for form in entries):
-            syllables = length_distribution(lex, "syllables", count_syllables, basis)
+            syllables = length_distribution(lex, "syllables", table["syllables"], basis)
             assert syllables.points[0][0] == 0
             assert syllables.points[0][1] > 0
 

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from textlaws import (
     ValidationError,
     cli,
     config,
+    distributions,
     pipeline,
     split_sentences,
 )
@@ -204,6 +206,20 @@ class TestPipeline:
             (types_out / "lengths_letters.dat").read_bytes()
             != (tokens_out / "lengths_letters.dat").read_bytes()
         )
+
+    def test_each_form_length_counted_once(self, fixture_config, tmp_path, monkeypatch):
+        calls = {name: Counter() for name in ("count_letters", "count_phonemes", "count_syllables")}
+        for name, seen in calls.items():
+            def counting(form, *args, count=getattr(distributions, name), seen=seen):
+                seen[form] += 1
+                return count(form, *args)
+            monkeypatch.setattr(distributions, name, counting)
+        out = tmp_path / "out"
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
+        n_forms = json.loads((out / "profile.json").read_text())["F"]
+        for name, seen in calls.items():
+            assert len(seen) == n_forms, name
+            assert set(seen.values()) == {1}, name
 
     def test_minimal_config_degraded_mode(self, fixtures_dir, tmp_path):
         cfg = tmp_path / "minimal.ini"

@@ -14,6 +14,7 @@ from textlaws import (
     count_syllables,
     coverage_curve,
     filter_min_support,
+    form_lengths,
     length_distribution,
     load_default_g2p,
     mean_syllable_series,
@@ -21,6 +22,7 @@ from textlaws import (
     read_g2p_rules,
     top_k,
 )
+from textlaws.distributions import DEFAULT_UK_VOWELS
 from g2p_oracle import oracle_count_phonemes
 
 lexicon_strategy = st.dictionaries(
@@ -33,6 +35,19 @@ lexicon_strategy = st.dictionaries(
 
 def lex_of(entries):
     return FormLexicon(dict(entries), sum(entries.values()))
+
+
+def table_of(entries, vowels=DEFAULT_UK_VOWELS):
+    return form_lengths(lex_of(entries), G2PRules(()), vowels)
+
+
+def spectrum(entries, unit, basis):
+    return length_distribution(lex_of(entries), unit, table_of(entries)[unit], basis)
+
+
+def series_of(entries, vowels=DEFAULT_UK_VOWELS):
+    table = table_of(entries, vowels)
+    return mean_syllable_series(table["letters"], table["syllables"])
 
 
 class TestSyllables:
@@ -168,15 +183,73 @@ def test_count_phonemes_matches_rule_walk_oracle(form, rules):
     )
 
 
+# Forms mixing scripts, digits, joiners, upper case and characters that
+# casefolding expands (ß -> ss, İ -> i + combining dot).
+MIXED_ALPHABET = "абвгґеєжиіїйоуьюяАБЄІЇabcsAEZßİ019'’ʼ-"
+mixed_rule_sets = st.builds(
+    G2PRules,
+    st.lists(
+        st.tuples(
+            st.text(alphabet="абжіїaes’", min_size=1, max_size=3),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=6,
+    ).map(tuple),
+    st.sampled_from([None, 0, 1, 2]),
+)
+
+
+class TestFormLengths:
+    @settings(max_examples=300)
+    @given(
+        st.dictionaries(
+            st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=10),
+            st.integers(min_value=1, max_value=50),
+            min_size=1,
+            max_size=20,
+        ),
+        st.frozensets(st.sampled_from(MIXED_ALPHABET)),
+        mixed_rule_sets,
+    )
+    def test_columns_match_per_form_counters(self, entries, vowels, rules):
+        lex = lex_of(entries)
+        try:
+            phonemes = [count_phonemes(form, rules) for form in entries]
+        except RuleGapError as exc:
+            # the first form in entry order without a rule names the gap
+            with pytest.raises(RuleGapError) as err:
+                form_lengths(lex, rules, vowels)
+            assert str(err.value) == str(exc)
+            return
+        assert form_lengths(lex, rules, vowels) == {
+            "letters": [count_letters(form) for form in entries],
+            "phonemes": phonemes,
+            "syllables": [count_syllables(form, vowels) for form in entries],
+        }
+
+    def test_empty_lexicon_rejected(self):
+        with pytest.raises(ValidationError):
+            form_lengths(lex_of({}), G2PRules(()), DEFAULT_UK_VOWELS)
+
+    def test_columns_of_another_length_rejected(self):
+        lex = lex_of({"на": 1, "кіт": 2})
+        with pytest.raises(ValueError):
+            length_distribution(lex, "letters", [2], "types")
+        with pytest.raises(ValueError):
+            length_distribution(lex, "letters", [2, 3, 1], "tokens")
+        with pytest.raises(ValueError):
+            mean_syllable_series([2, 3], [1])
+        with pytest.raises(ValueError):
+            mean_syllable_series([2], [1, 1])
+
+
 class TestLengthDistribution:
     def test_types_basis(self):
-        dist = length_distribution(lex_of({"a": 5, "bb": 5}), "letters", count_letters)
+        dist = spectrum({"a": 5, "bb": 5}, "letters", "types")
         assert dist.points == ((1, 0.5), (2, 0.5))
 
     def test_tokens_basis_weighting(self):
-        dist = length_distribution(
-            lex_of({"a": 9, "bb": 1}), "letters", count_letters, basis="tokens"
-        )
+        dist = spectrum({"a": 9, "bb": 1}, "letters", "tokens")
         assert dist.points == ((1, 0.9), (2, 0.1))
 
     def test_matches_brute_force_histogram(self):
@@ -189,46 +262,40 @@ class TestLengthDistribution:
         hist = {}
         for form in entries:
             hist[len(form)] = hist.get(len(form), 0) + 1
-        dist = length_distribution(lex_of(entries), "letters", count_letters)
+        dist = spectrum(entries, "letters", "types")
         assert dist.points == tuple(
             (length, hist[length] / 200) for length in sorted(hist)
         )
 
-    def test_empty_lexicon_rejected(self):
-        with pytest.raises(ValidationError):
-            length_distribution(lex_of({}), "letters", count_letters)
-
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValidationError):
-            length_distribution(lex_of({"a": 1}), "letters", count_letters, basis="x")
+            spectrum({"a": 1}, "letters", "x")
 
     @given(lexicon_strategy, st.sampled_from(["types", "tokens"]))
     def test_fractions_sum_to_one(self, entries, basis):
-        dist = length_distribution(lex_of(entries), "letters", count_letters, basis)
+        dist = spectrum(entries, "letters", basis)
         assert abs(sum(f for _, f in dist.points) - 1.0) <= 1e-9
         lengths = [length for length, _ in dist.points]
         assert lengths == sorted(set(lengths))
         assert all(f >= 0 for _, f in dist.points)
 
     def test_syllable_mass_at_zero_for_vowelless_forms(self):
-        dist = length_distribution(
-            lex_of({"б": 3, "на": 2}), "syllables", count_syllables
-        )
+        dist = spectrum({"б": 3, "на": 2}, "syllables", "types")
         assert dist.points[0][0] == 0
         assert dist.points[0][1] > 0
 
 
 class TestMeanSyllableSeries:
     def test_hand_mean(self):
-        series = mean_syllable_series(lex_of({"на": 1, "кіт": 1}))
+        series = series_of({"на": 1, "кіт": 1})
         assert series.points == ((1, 2.5, 2),)
 
     def test_single_vowel_form(self):
-        series = mean_syllable_series(lex_of({"і": 1}))
+        series = series_of({"і": 1})
         assert series.points == ((1, 1.0, 1),)
 
     def test_nonsyllabic_forms_excluded(self):
-        series = mean_syllable_series(lex_of({"б": 5, "ж": 2}))
+        series = series_of({"б": 5, "ж": 2})
         assert series.points == ()
 
     def test_matches_group_by_oracle(self):
@@ -243,13 +310,13 @@ class TestMeanSyllableSeries:
             s = sum(ch in "ае" for ch in form)
             if s:
                 groups.setdefault(s, []).append(len(form) / s)
-        series = mean_syllable_series(lex_of(entries), vowels=frozenset("ае"))
+        series = series_of(entries, vowels=frozenset("ае"))
         assert series.points == tuple(
             (s, sum(vals) / len(vals), len(vals)) for s, vals in sorted(groups.items())
         )
 
     def test_min_support_filter(self):
-        series = mean_syllable_series(lex_of({"на": 1, "і": 1, "мала": 1, "тара": 1}))
+        series = series_of({"на": 1, "і": 1, "мала": 1, "тара": 1})
         kept = filter_min_support(series, 2)
         assert all(support >= 2 for _, _, support in kept.points)
 
