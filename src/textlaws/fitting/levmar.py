@@ -72,7 +72,9 @@ def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np
 
 
 def _prepare_data(data):
-    pairs = np.asarray(list(data), dtype=float)
+    data = list(data)
+    # no pairs at all is shape (0, 2), so the caller reports too few points
+    pairs = np.asarray(data, dtype=float) if data else np.empty((0, 2))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("data must be a sequence of (x, y) pairs")
     return pairs[:, 0], pairs[:, 1]

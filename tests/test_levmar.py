@@ -181,6 +181,15 @@ def test_too_few_points_rejected():
         lm_fit("ZipfMandelbrot", [(1.0, 10.0), (2.0, 5.0)])
 
 
+@pytest.mark.parametrize("model_id", ["MeanSyllablePower", "MeanSyllableExp"])
+def test_no_data_reports_too_few_points(model_id):
+    # an empty mean-syllable series reaches the fit as no pairs at all
+    with pytest.raises(ValidationError, match=f"^{model_id}: 0 data points cannot determine 3 "):
+        lm_fit(model_id, [])
+    with pytest.raises(ValidationError, match="sequence of \\(x, y\\) pairs"):
+        lm_fit(model_id, [(1.0,)])
+
+
 def test_init_outside_domain_rejected():
     data = synthetic("PhonemeGamma", {"b": 0.6, "alpha": 0.03}, range(1, 15))
     with pytest.raises(DomainError):
