@@ -292,7 +292,10 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     analysis = {}
     if parser.has_option("analysis", "vowels"):
-        analysis["vowels"] = frozenset(parser.get("analysis", "vowels").strip())
+        # forms are casefolded before their vowels are counted, so the set is too
+        analysis["vowels"] = _chars(parser.get("analysis", "vowels").casefold())
+        if not analysis["vowels"]:
+            raise err("analysis", "vowels", "vowels must not be empty")
     for key in (*CHOICES, *MINIMUMS):
         raw = parser.get("analysis", key, fallback=None)
         if raw is not None:

@@ -85,6 +85,9 @@ class TestConfig:
         # interval models are fitted in closed form, so a start value would do nothing
         pytest.param("[fits]\ninit_ZipfPower = A=1,z=99\n", 4, id="init-ZipfPower"),
         pytest.param("[fits]\ninit_LogCoverage = k=5,T0=7\n", 4, id="init-LogCoverage"),
+        # no vowel would leave every form without a syllable
+        pytest.param("[analysis]\nvowels =\n", 4, id="empty-vowels"),
+        pytest.param("[analysis]\ntop_k = 3\nvowels =   \n", 5, id="blank-vowels"),
     ])
     def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
         bad = tmp_path / "run.ini"
@@ -150,6 +153,12 @@ class TestConfig:
         assert cfg.text_path == tmp_path / "corpus.txt"
         assert "#" not in "".join(cfg.tokenizer.abbreviations)
 
+    def test_upper_case_vowels_load_casefolded(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[paths]\ntext = x.txt\n[analysis]\nvowels = АЕИІОУЯЮЄЇ\n",
+                       encoding="utf-8")
+        assert load_run_config(ini).vowels == DEFAULT_UK_VOWELS
+
     def test_abbreviations_match_without_case_folding(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
@@ -208,7 +217,8 @@ class TestPipeline:
         )
 
     def test_each_form_length_counted_once(self, fixture_config, tmp_path, monkeypatch):
-        calls = {name: Counter() for name in ("count_letters", "count_phonemes", "count_syllables")}
+        counters = ("count_letters", "count_phonemes", "count_syllables")
+        calls = {name: Counter() for name in counters}
         for name, seen in calls.items():
             def counting(form, *args, count=getattr(distributions, name), seen=seen):
                 seen[form] += 1
