@@ -52,10 +52,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distributions import DEFAULT_UK_VOWELS
+from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import ResourceFormatError, TextlawsError
 from .fitting.models import MODELS
 from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
+from .indices import COUNT_BASES, WORD_LENGTH_BASES
 from .tokenizer import TokenizerConfig
 
 STAGES = ("profile", "lengths", "ranks", "fits")
@@ -71,10 +72,10 @@ DEFAULT_FIT_MODELS = (
 
 # allowed values of each [analysis] choice key (RunConfig holds the defaults)
 CHOICES = {
-    "basis": ("types", "tokens"),
+    "basis": LENGTH_BASES,
     "rank_basis": ("lemmas", "forms"),
-    "count_basis": ("lemmas", "forms"),
-    "word_length_basis": ("tokens", "types"),
+    "count_basis": COUNT_BASES,
+    "word_length_basis": WORD_LENGTH_BASES,
 }
 # least value of each [analysis] integer key
 MINIMUMS = {"threshold": 1, "top_k": 1, "min_support": 0}

@@ -20,6 +20,8 @@ from .errors import ResourceFormatError, RuleGapError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_lines
 
 DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
+# what a length spectrum weighs: each word-form once, or by its token count
+LENGTH_BASES = ("types", "tokens")
 
 
 def count_letters(form: str) -> int:
@@ -148,7 +150,7 @@ def length_distribution(
     lex: FormLexicon, unit: str, lengths: list[int], basis: str
 ) -> LengthDistribution:
     """Fraction of word-forms (types) or token mass (tokens) per length in ``lengths``."""
-    if basis not in ("types", "tokens"):
+    if basis not in LENGTH_BASES:
         raise ValidationError(f"unknown basis {basis!r}")
     weight_per_length: dict[int, int] = defaultdict(int)
     for length, count in zip(lengths, lex.entries.values(), strict=True):

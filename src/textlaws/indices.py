@@ -16,6 +16,11 @@ from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
 from .tokenizer import SentenceSpan, Token
 
+# lexicon feeding the hapax and concentration counts
+COUNT_BASES = ("lemmas", "forms")
+# what the mean word length averages over
+WORD_LENGTH_BASES = ("tokens", "types")
+
 
 @dataclass
 class CorpusProfile:
@@ -60,9 +65,9 @@ def corpus_profile(
         raise ValidationError("corpus is empty; all indices are undefined")
     if threshold < 1:
         raise ValidationError("threshold must be >= 1")
-    if count_basis not in ("lemmas", "forms"):
+    if count_basis not in COUNT_BASES:
         raise ValidationError(f"unknown count basis {count_basis!r}")
-    if word_length_basis not in ("tokens", "types"):
+    if word_length_basis not in WORD_LENGTH_BASES:
         raise ValidationError(f"unknown word length basis {word_length_basis!r}")
 
     n = forms.total_tokens
