@@ -138,11 +138,10 @@ def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dic
     """Each form's letters, phonemes and syllables: one column per unit, in entry order."""
     if not lex.entries:
         raise ValidationError("cannot build a length distribution from an empty lexicon")
-    forms = list(lex.entries)
     return {
-        "letters": [count_letters(form) for form in forms],
-        "phonemes": [count_phonemes(form, g2p) for form in forms],
-        "syllables": [count_syllables(form, vowels) for form in forms],
+        "letters": [count_letters(form) for form in lex.entries],
+        "phonemes": [count_phonemes(form, g2p) for form in lex.entries],
+        "syllables": [count_syllables(form, vowels) for form in lex.entries],
     }
 
 
@@ -156,7 +155,10 @@ def length_distribution(
     for length, count in zip(lengths, lex.entries.values(), strict=True):
         weight_per_length[length] += count if basis == "tokens" else 1
     total = sum(weight_per_length.values())
-    points = tuple((n, weight / total) for n, weight in sorted(weight_per_length.items()))
+    points = tuple(
+        (length, weight_per_length[length] / total)
+        for length in sorted(weight_per_length)
+    )
     return LengthDistribution(unit, basis, points)
 
 
