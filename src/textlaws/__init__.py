@@ -49,11 +49,9 @@ from .lexicon import (
 )
 from .tokenizer import (
     DEFAULT_CONFIG,
-    ScriptClass,
     SentenceSpan,
     Token,
     TokenizerConfig,
-    classify_script,
     split_sentences,
     tokenize,
 )

@@ -13,7 +13,6 @@ import re
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 
@@ -28,13 +27,6 @@ _JOINER_CHARS = frozenset("-‐‑'’ʼ`")
 _CLOSERS = frozenset("»\"'’”)]")
 # Opening punctuation tolerated between the break and the next capital.
 _OPENERS = frozenset("«\"“‘([—–-")
-
-
-class ScriptClass(Enum):
-    CYRILLIC = "Cyrillic"
-    LATIN = "Latin"
-    ALPHANUMERIC = "Alphanumeric"
-    MIXED = "Mixed"
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,6 @@ class Token:
     surface: str
     folded: str
     char_offset: int
-    script: ScriptClass
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,34 +69,6 @@ class SentenceSpan:
 def _is_word_char(ch: str) -> bool:
     # letters (general category L*) and decimal digits (Nd)
     return ch.isalpha() or ch.isdecimal()
-
-
-@lru_cache(maxsize=None)  # one entry per distinct character, a few hundred in a text
-def _letter_script(ch: str) -> str:
-    """"CYRILLIC" or "LATIN" for a letter named so, else ""."""
-    if ch.isalpha():
-        name = unicodedata.name(ch, "")
-        for script in ("CYRILLIC", "LATIN"):
-            if name.startswith(script):
-                return script
-    return ""
-
-
-def classify_script(surface: str) -> ScriptClass:
-    """Classify a token surface into one of the four script classes.
-
-    Digits or a leading section sign dominate (Alphanumeric); then tokens
-    mixing Cyrillic and Latin letters; otherwise the letter script, with
-    non-Cyrillic scripts bucketed as Latin.
-    """
-    if not surface:
-        raise ValidationError("cannot classify an empty token surface")
-    if surface[0] == "§" or any(map(str.isdecimal, surface)):
-        return ScriptClass.ALPHANUMERIC
-    scripts = set(map(_letter_script, surface))
-    if "CYRILLIC" in scripts:
-        return ScriptClass.MIXED if "LATIN" in scripts else ScriptClass.CYRILLIC
-    return ScriptClass.LATIN
 
 
 def _char_class(chars) -> str:
@@ -154,14 +117,14 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
     return re.compile(token), boundary
 
 
-def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str, ScriptClass]:
+def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str]:
     folded = surface.casefold() if cfg.case_folding else surface
     # equal strings share one object across every token of the form
-    return surface, surface if folded == surface else folded, classify_script(surface)
+    return surface, surface if folded == surface else folded
 
 
 def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
-    """``(offset in run, surface, folded, script)`` of each token in one match.
+    """``(offset in run, surface, folded)`` of each token in one match.
 
     A numeral outside Nd that is not an intra-token char is no word
     character, so it is blanked and the run matched again.  The characters
@@ -201,8 +164,8 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
         if parts is None:
             parts = runs[run] = _run_tokens(run, token, cfg)
         start = match.start()
-        for offset, surface, folded, script in parts:
-            append(Token(surface, folded, start + offset, script))
+        for offset, surface, folded in parts:
+            append(Token(surface, folded, start + offset))
     return tokens
 
 

@@ -11,17 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 import textlaws
 from textlaws import (
     DEFAULT_CONFIG,
-    ScriptClass,
     SentenceSpan,
     Token,
     TokenizerConfig,
     ValidationError,
-    classify_script,
     split_sentences,
     tokenize,
 )
 from tokenizer_oracle import (
-    classify_script as oracle_classify_script,
     split_sentences as oracle_split_sentences,
     tokenize as oracle_tokenize,
 )
@@ -38,7 +35,6 @@ def surfaces(text, cfg=None):
 def test_alphanumeric_sequences_are_single_tokens(raw):
     tokens = tokenize(raw)
     assert [t.surface for t in tokens] == [raw]
-    assert tokens[0].script is ScriptClass.ALPHANUMERIC
 
 
 def test_empty_text_yields_no_tokens():
@@ -49,13 +45,6 @@ def test_hand_tokenized_mixed_sentence():
     # oracle: hand tokenization of the sentence
     tokens = tokenize("Так, так — in die Stadt.")
     assert [t.surface for t in tokens] == ["Так", "так", "in", "die", "Stadt"]
-    assert [t.script for t in tokens] == [
-        ScriptClass.CYRILLIC,
-        ScriptClass.CYRILLIC,
-        ScriptClass.LATIN,
-        ScriptClass.LATIN,
-        ScriptClass.LATIN,
-    ]
 
 
 def test_punctuation_only_runs_yield_no_token():
@@ -120,31 +109,6 @@ def test_tokenize_detokenized_is_idempotent(text):
 def test_every_token_has_letter_or_digit(text):
     for t in tokenize(text):
         assert any(ch.isalpha() or ch.isdigit() for ch in t.surface)
-
-
-@given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
-def test_script_classes_partition_the_stream(text):
-    tokens = tokenize(text)
-    by_class = {cls: 0 for cls in ScriptClass}
-    for t in tokens:
-        by_class[t.script] += 1
-    assert sum(by_class.values()) == len(tokens)
-
-
-class TestClassifyScript:
-    def test_pure_latin(self):
-        assert classify_script("Wagman") is ScriptClass.LATIN
-
-    def test_digits_dominate(self):
-        assert classify_script("1848") is ScriptClass.ALPHANUMERIC
-        assert classify_script("60-ий") is ScriptClass.ALPHANUMERIC
-
-    def test_mixed_scripts(self):
-        assert classify_script("Geschстежки") is ScriptClass.MIXED
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            classify_script("")
 
 
 class TestSentences:
@@ -232,7 +196,7 @@ tokenizer_configs = st.builds(
 
 
 def token_fields(tokens):
-    return [(t.surface, t.folded, t.char_offset, t.script) for t in tokens]
+    return [(t.surface, t.folded, t.char_offset) for t in tokens]
 
 
 @settings(max_examples=300)
@@ -258,14 +222,9 @@ def test_split_sentences_matches_scanner_oracle(text, cfg):
     assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
 
 
-@given(st.text(alphabet=ORACLE_ALPHABET + "ŁЖΩ٣", min_size=1, max_size=12))
-def test_classify_script_matches_oracle(surface):
-    assert classify_script(surface) is oracle_classify_script(surface)
-
-
 def test_tokens_and_spans_are_frozen_slotted():
     records = [
-        (Token("а", "а", 0, ScriptClass.CYRILLIC), "char_offset"),
+        (Token("а", "а", 0), "char_offset"),
         (SentenceSpan(0, 1), "end_token"),
     ]
     for record, field in records:

@@ -1,12 +1,10 @@
 """Reference tokenizer: the per-character scanner ``textlaws.tokenizer`` replaced.
 
 It walks the text one character at a time and asks ``unicodedata`` about
-each one, and ``classify_script`` looks up the Unicode name of every
-letter.  It is slow and kept only as the oracle that the compiled pattern
-and the memoised script lookup in ``textlaws.tokenizer`` are tested
-against.  Word characters are letters (L*) and decimal digits (Nd); see
-``tokenize`` for the joiner and section-sign rules and
-``_boundary_positions`` for the sentence rules.
+each one.  It is slow and kept only as the oracle that the compiled
+pattern in ``textlaws.tokenizer`` is tested against.  Word characters are
+letters (L*) and decimal digits (Nd); see ``tokenize`` for the joiner and
+section-sign rules and ``_boundary_positions`` for the sentence rules.
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ from __future__ import annotations
 import unicodedata
 from bisect import bisect_left
 
-from textlaws.errors import ValidationError
 from textlaws.tokenizer import (
     DEFAULT_CONFIG,
-    ScriptClass,
     SentenceSpan,
     Token,
     TokenizerConfig,
@@ -35,32 +31,6 @@ _OPENERS = frozenset("«\"“‘([—–-")
 
 def _is_word_char(ch: str) -> bool:
     return unicodedata.category(ch) in _WORD_CATEGORIES
-
-
-def classify_script(surface: str) -> ScriptClass:
-    """Classify a token surface into one of the four script classes.
-
-    Digits or a leading section sign dominate (Alphanumeric); then tokens
-    mixing Cyrillic and Latin letters; otherwise the letter script, with
-    non-Cyrillic scripts bucketed as Latin.
-    """
-    if not surface:
-        raise ValidationError("cannot classify an empty token surface")
-    if surface[0] == "§" or any(unicodedata.category(c) == "Nd" for c in surface):
-        return ScriptClass.ALPHANUMERIC
-    has_cyr = has_lat = False
-    for ch in surface:
-        if unicodedata.category(ch).startswith("L"):
-            name = unicodedata.name(ch, "")
-            if name.startswith("CYRILLIC"):
-                has_cyr = True
-            elif name.startswith("LATIN"):
-                has_lat = True
-    if has_cyr and has_lat:
-        return ScriptClass.MIXED
-    if has_cyr:
-        return ScriptClass.CYRILLIC
-    return ScriptClass.LATIN
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
@@ -104,7 +74,7 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
                 break
         surface = text[start:i]
         folded = surface.casefold() if cfg.case_folding else surface
-        tokens.append(Token(surface, folded, start, classify_script(surface)))
+        tokens.append(Token(surface, folded, start))
     return tokens
 
 
