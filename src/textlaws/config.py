@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
-from .errors import ResourceFormatError, TextlawsError
+from .errors import ResourceFormatError, TextlawsError, ValidationError
 from .fitting.models import MODELS
 from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
 from .indices import COUNT_BASES, WORD_LENGTH_BASES
@@ -101,11 +101,19 @@ def _names(raw: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in raw.split(",") if name.strip())
 
 
+def _flag(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        words = sorted(configparser.ConfigParser.BOOLEAN_STATES)
+        raise ValueError(f"must be one of {words}, got {raw.strip()!r}") from None
+
+
 # how each [tokenizer] key, a TokenizerConfig field, is read
 TOKENIZER_VALUES = {
     "intra_token_chars": _chars,
     "sentence_terminators": _chars,
-    "case_folding": lambda raw: raw.strip().lower() in ("1", "true", "yes", "on"),
+    "case_folding": _flag,
     "abbreviations": lambda raw: frozenset(_names(raw)),
 }
 
@@ -203,6 +211,8 @@ def _parse_breakpoints(raw: str, err, key: str):
                 hi = int(hi_raw)
             except ValueError:
                 raise err("fits", key, f"bad rank {lo_hi[1]!r}") from None
+        if hi is not None and hi <= lo:
+            raise err("fits", key, f"bad interval {chunk!r}: need lo < hi")
         intervals.append((lo, hi))
     if not intervals:
         raise err("fits", key, "empty breakpoint list")
@@ -220,14 +230,20 @@ def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
         if model_id in ("ZipfPower", "LogCoverage"):
             # per-interval regressions in closed form: a start value would do nothing
             raise err(section, key, f"{model_id} is fitted per interval and takes no start values")
+        names = MODELS[model_id].param_names
         values = {}
         for assign in parser.get(section, key).split(","):
             assign = assign.strip()
             if not assign:
                 continue
             name, _, raw = assign.partition("=")
+            name = name.strip()
+            if name not in names or name in values:
+                problem = "repeated" if name in values else "unknown"
+                raise err(section, key, f"{problem} parameter {name!r}; "
+                                        f"{model_id} takes {', '.join(names)}")
             try:
-                values[name.strip()] = float(raw)
+                values[name] = float(raw)
             except ValueError:
                 raise err(section, key, f"bad init value {assign!r}") from None
         inits[model_id] = values
@@ -285,11 +301,18 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise MissingTextError(f"{path}: [paths] text is required")
     paths["output_dir"] = paths["output_dir"] or base / "out"
 
-    tokenizer = TokenizerConfig(**{
-        key: read(parser.get("tokenizer", key))
-        for key, read in TOKENIZER_VALUES.items()
-        if parser.has_option("tokenizer", key)
-    })
+    tokenizer = {}
+    for key, read in TOKENIZER_VALUES.items():
+        if parser.has_option("tokenizer", key):
+            try:
+                tokenizer[key] = read(parser.get("tokenizer", key))
+            except ValueError as exc:
+                raise err("tokenizer", key, f"{key} {exc}") from None
+    try:
+        tokenizer = TokenizerConfig(**tokenizer)
+    except ValidationError as exc:
+        # the one check TokenizerConfig makes: no whitespace in intra_token_chars
+        raise err("tokenizer", "intra_token_chars", str(exc)) from None
 
     analysis = {}
     if parser.has_option("analysis", "vowels"):

@@ -88,6 +88,17 @@ class TestConfig:
         # no vowel would leave every form without a syllable
         pytest.param("[analysis]\nvowels =\n", 4, id="empty-vowels"),
         pytest.param("[analysis]\ntop_k = 3\nvowels =   \n", 5, id="blank-vowels"),
+        # only configparser's boolean words: a typo must not read as false
+        pytest.param("[tokenizer]\ncase_folding = ture\n", 4, id="case-folding-typo"),
+        pytest.param("[tokenizer]\nabbreviations = т\ncase_folding =\n", 5,
+                     id="case-folding-blank"),
+        pytest.param("[tokenizer]\nintra_token_chars = - '\n", 4, id="whitespace-intra-chars"),
+        # a start value the fit never reads would be ignored without a word
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=20,b=1.1,C=4,Q=7\n", 4,
+                     id="init-unknown-parameter"),
+        pytest.param("[fits]\nmodels = ZipfMandelbrot\ninit_ZipfMandelbrot = A=20,b=1,A=30\n",
+                     5, id="init-repeated-parameter"),
+        pytest.param("[fits]\nzipf_breakpoints = 1:30,100:30\n", 4, id="empty-interval"),
     ])
     def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
         bad = tmp_path / "run.ini"
