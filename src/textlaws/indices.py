@@ -48,10 +48,11 @@ def corpus_profile(
     tokens: list[Token],
     sentences: list[SentenceSpan],
     forms: FormLexicon,
-    lemmas: LemmaLexicon | None = None,
-    threshold: int = 10,
-    count_basis: str = "lemmas",
-    word_length_basis: str = "tokens",
+    lemmas: LemmaLexicon | None,
+    *,
+    threshold: int,
+    count_basis: str,
+    word_length_basis: str,
 ) -> CorpusProfile:
     """Compute every scalar index from one corpus.
 

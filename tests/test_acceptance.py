@@ -266,7 +266,8 @@ def _library_profile(fixtures_dir, threshold):
         read_lemma_map(fixtures_dir / "lemmas.tsv"),
         read_overrides(fixtures_dir / "overrides.tsv"),
     )
-    return corpus_profile(tokens, sentences, forms, lemmas, threshold=threshold)
+    return corpus_profile(tokens, sentences, forms, lemmas, threshold=threshold,
+                          count_basis="lemmas", word_length_basis="tokens")
 
 
 @criterion(4, "oracle equivalence")
@@ -378,7 +379,8 @@ def test_criterion_7_source_corpus_conditional(tmp_path):
     overrides_path = os.environ.get("TEXTLAWS_SOURCE_OVERRIDES")
     overrides = read_overrides(overrides_path) if overrides_path else []
     lemmas = lemmatize(forms, read_lemma_map(lemmas_path), overrides)
-    profile = corpus_profile(tokens, sentences, forms, lemmas)
+    profile = corpus_profile(tokens, sentences, forms, lemmas, threshold=10,
+                             count_basis="lemmas", word_length_basis="tokens")
 
     assert profile.N == 93885
     assert abs(profile.V - 9962) / 9962 <= 0.02

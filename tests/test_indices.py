@@ -17,12 +17,13 @@ def identity_lemmas(forms):
     return lemmatize(forms, LemmaMap(rows={form: form for form in forms.entries}))
 
 
-def profile_of(text, threshold=10, **kwargs):
+def profile_of(text, threshold=10):
     tokens = tokenize(text)
     sentences = split_sentences(text, tokens=tokens)
     forms = build_form_spectrum(tokens)
     return corpus_profile(
-        tokens, sentences, forms, identity_lemmas(forms), threshold=threshold, **kwargs
+        tokens, sentences, forms, identity_lemmas(forms), threshold=threshold,
+        count_basis="lemmas", word_length_basis="tokens",
     )
 
 
@@ -84,8 +85,11 @@ def test_count_basis_forms_flag():
     forms = build_form_spectrum(tokens)
     lemmas = lemmatize(forms, LemmaMap(rows={"стежка": "стежка", "стежки": "стежка"}))
     sentences = split_sentences("стежка стежки стежка", tokens=tokens)
-    on_lemmas = corpus_profile(tokens, sentences, forms, lemmas)
-    on_forms = corpus_profile(tokens, sentences, forms, lemmas, count_basis="forms")
+    on_lemmas, on_forms = (
+        corpus_profile(tokens, sentences, forms, lemmas, threshold=10,
+                       count_basis=basis, word_length_basis="tokens")
+        for basis in ("lemmas", "forms")
+    )
     assert on_lemmas.hapax_V1 == 0
     assert on_forms.hapax_V1 == 1
 
@@ -93,7 +97,10 @@ def test_count_basis_forms_flag():
 def test_missing_lemmas_leaves_lemma_fields_unset():
     tokens = tokenize("a b a")
     forms = build_form_spectrum(tokens)
-    profile = corpus_profile(tokens, split_sentences("a b a", tokens=tokens), forms, None)
+    profile = corpus_profile(
+        tokens, split_sentences("a b a", tokens=tokens), forms, None,
+        threshold=10, count_basis="lemmas", word_length_basis="tokens",
+    )
     assert profile.V is None
     assert profile.variety is None
     assert profile.hapax_V1 is None
@@ -125,7 +132,8 @@ def test_profile_matches_brute_force_recount():
     lemmas = lemmatize(forms, LemmaMap(rows=dict(lemma_of)))
     spans = split_sentences(text, tokens=tokens)
     threshold = 10
-    profile = corpus_profile(tokens, spans, forms, lemmas, threshold=threshold)
+    profile = corpus_profile(tokens, spans, forms, lemmas, threshold=threshold,
+                             count_basis="lemmas", word_length_basis="tokens")
 
     # --- independent recount ---------------------------------------------
     folded = [t.folded for t in tokens]
@@ -164,9 +172,10 @@ def test_word_length_basis_types():
     tokens = tokenize(text)
     forms = build_form_spectrum(tokens)
     spans = split_sentences(text, tokens=tokens)
-    by_tokens = corpus_profile(tokens, spans, forms, identity_lemmas(forms))
-    by_types = corpus_profile(
-        tokens, spans, forms, identity_lemmas(forms), word_length_basis="types"
+    by_tokens, by_types = (
+        corpus_profile(tokens, spans, forms, identity_lemmas(forms), threshold=10,
+                       count_basis="lemmas", word_length_basis=basis)
+        for basis in ("tokens", "types")
     )
     assert by_tokens.mean_word_len_letters == pytest.approx(5 / 3)
     assert by_types.mean_word_len_letters == pytest.approx(3 / 2)
