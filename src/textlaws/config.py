@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
@@ -105,8 +105,8 @@ def _flag(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
-        words = sorted(configparser.ConfigParser.BOOLEAN_STATES)
-        raise ValueError(f"must be one of {words}, got {raw.strip()!r}") from None
+        words = "1, yes, true, on, 0, no, false or off"
+        raise ValueError(f"expected {words}, got {raw.strip()!r}") from None
 
 
 # how each [tokenizer] key, a TokenizerConfig field, is read
@@ -301,18 +301,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise MissingTextError(f"{path}: [paths] text is required")
     paths["output_dir"] = paths["output_dir"] or base / "out"
 
-    tokenizer = {}
+    # one key at a time, so TokenizerConfig's own checks fail on that key's line
+    tokenizer = TokenizerConfig()
     for key, read in TOKENIZER_VALUES.items():
         if parser.has_option("tokenizer", key):
             try:
-                tokenizer[key] = read(parser.get("tokenizer", key))
-            except ValueError as exc:
-                raise err("tokenizer", key, f"{key} {exc}") from None
-    try:
-        tokenizer = TokenizerConfig(**tokenizer)
-    except ValidationError as exc:
-        # the one check TokenizerConfig makes: no whitespace in intra_token_chars
-        raise err("tokenizer", "intra_token_chars", str(exc)) from None
+                tokenizer = replace(tokenizer, **{key: read(parser.get("tokenizer", key))})
+            except (ValueError, ValidationError) as exc:
+                raise err("tokenizer", key, str(exc)) from None
 
     analysis = {}
     if parser.has_option("analysis", "vowels"):

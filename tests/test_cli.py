@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textlaws import (
     ResourceFormatError,
@@ -21,7 +25,7 @@ from textlaws import (
 from textlaws.cli import main
 from textlaws.config import load_run_config
 from textlaws.distributions import DEFAULT_UK_VOWELS
-from textlaws.fitting import model_eval
+from textlaws.fitting import MODELS, model_eval
 from textlaws.reports import emit_plot_data
 
 BUNDLE = [
@@ -440,3 +444,79 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# the tokenizer oracle's adversarial alphabet (numerals outside Nd, a
+# combining acute, a byte order mark, joiners, closers, openers) plus "_"
+FUZZ_ALPHABET = (
+    "абТтAbßλǅ" "-‐‑'’ʼ`" "§_" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
+)
+# each value strategy draws valid and invalid values alike
+_counts = st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["", "x", "1e3"]))
+_bound = st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["end", "", "x"]))
+_intervals = st.lists(
+    st.tuples(_bound, _bound).map(":".join) | st.sampled_from(["5", "1:2:3"]), max_size=3
+).map(",".join)
+_inits = {
+    f"{config.INIT_PREFIX}{model_id}": st.lists(
+        st.tuples(st.sampled_from([*MODELS[model_id].param_names, "Q"]),
+                  st.sampled_from(["1", "0.5", "-2", "x", "nan"])).map("=".join),
+        max_size=4,
+    ).map(",".join)
+    for model_id in MODELS
+}
+FUZZ_SECTIONS = {
+    "tokenizer": {
+        "intra_token_chars": st.text(alphabet="-'’§._²Ⅻ09а ", max_size=6),
+        "sentence_terminators": st.text(alphabet=".!?…§»«", max_size=4),
+        "case_folding": st.sampled_from(["true", "Off", "1", "ture", ""]),
+        "abbreviations": st.lists(st.sampled_from(["т", "Т", "ab", "ß", ""]), max_size=3)
+        .map(",".join),
+    },
+    "analysis": {
+        "vowels": st.text(alphabet="аеиоAEyЯ ", max_size=5),
+        **{key: st.sampled_from([*allowed, "", "nope"])
+           for key, allowed in config.CHOICES.items()},
+        **{key: _counts for key in config.MINIMUMS},
+        "treshold": _counts,
+    },
+    "fits": {
+        "models": st.lists(st.sampled_from([*MODELS, "Nope"]), max_size=3).map(",".join),
+        **{key: _intervals for key in config.BREAKPOINT_KEYS},
+        **_inits,
+    },
+}
+_config_bodies = st.tuples(*(
+    st.none() | st.fixed_dictionaries({}, optional=keys).map(
+        lambda values, name=name: f"[{name}]\n"
+        + "".join(f"{key} = {value}\n" for key, value in values.items())
+    )
+    for name, keys in FUZZ_SECTIONS.items()
+)).map(lambda bodies: "".join(body for body in bodies if body is not None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(alphabet=FUZZ_ALPHABET, max_size=200),
+    body=_config_bodies,
+    only=st.none() | st.lists(st.sampled_from([*config.STAGES, "nope"]), min_size=1,
+                              unique=True).map(",".join),
+)
+def test_every_input_ends_in_a_documented_exit_code(text, body, only):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus.txt").write_text(text, encoding="utf-8")
+        ini = root / "run.ini"
+        ini.write_text("[paths]\ntext = corpus.txt\n" + body, encoding="utf-8")
+        argv = ["--config", str(ini), "--out", str(root / "out")]
+        if only is not None:
+            argv += ["--only", only]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert stderr.getvalue(), "a failed run must say why"
