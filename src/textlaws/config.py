@@ -102,11 +102,11 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _flag(raw: str) -> bool:
+    words = configparser.ConfigParser.BOOLEAN_STATES
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return words[raw.strip().lower()]
     except KeyError:
-        words = "1, yes, true, on, 0, no, false or off"
-        raise ValueError(f"expected {words}, got {raw.strip()!r}") from None
+        raise ValueError(f"expected one of {', '.join(words)}, got {raw.strip()!r}") from None
 
 
 # how each [tokenizer] key, a TokenizerConfig field, is read
@@ -253,7 +253,7 @@ def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingTextError(f"config file not found: {path}")
     text = path.read_text(encoding="utf-8")
     # no defaults section: a [DEFAULT] header is an unknown section like any other

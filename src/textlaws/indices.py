@@ -48,7 +48,7 @@ def corpus_profile(
     tokens: list[Token],
     sentences: list[SentenceSpan],
     forms: FormLexicon,
-    lemmas: LemmaLexicon | None,
+    lemmas: LemmaLexicon | None = None,
     *,
     threshold: int,
     count_basis: str,

@@ -73,6 +73,10 @@ class TestConfig:
         bad.write_text("[analysis]\nthreshold = 5\n", encoding="utf-8")
         assert main(["--config", str(bad)]) == 2
 
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path)]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
     def test_unknown_model_rejected(self, tmp_path):
         bad = tmp_path / "run.ini"
         bad.write_text("[paths]\ntext = x.txt\n[fits]\nmodels = Nope\n", encoding="utf-8")
