@@ -490,13 +490,18 @@ FUZZ_SECTIONS = {
         **_inits,
     },
 }
-_config_bodies = st.tuples(*(
-    st.none() | st.fixed_dictionaries({}, optional=keys).map(
-        lambda values, name=name: f"[{name}]\n"
-        + "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def _section(name, keys):
+    """An optional INI section holding any subset of ``keys``."""
+    return st.none() | st.fixed_dictionaries({}, optional=keys).map(
+        lambda values: f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
     )
-    for name, keys in FUZZ_SECTIONS.items()
-)).map(lambda bodies: "".join(body for body in bodies if body is not None))
+
+
+_config_bodies = st.tuples(*(_section(name, keys) for name, keys in FUZZ_SECTIONS.items())).map(
+    lambda sections: "".join(filter(None, sections))
+)
 
 
 @settings(max_examples=200, deadline=None)
