@@ -9,16 +9,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import CHOICES, STAGES, MissingTextError, analysis_value, load_run_config
+from .config import KEYS, STAGES, MissingTextError, load_run_config
 from .errors import ResourceFormatError
 from .pipeline import run_analysis
 
 
 def _analysis_flag(key: str):
-    """An argparse type checking a flag by the rule of its [analysis] key."""
+    """An argparse type: the reader of the flag's [analysis] key."""
     def parse(raw: str):
         try:
-            return analysis_value(key, raw)
+            return KEYS["analysis"][key](raw)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides the config)")
     parser.add_argument("--only", dest="stages", type=_stage_list,
                         help="comma-separated stages to emit: " + ",".join(STAGES))
-    parser.add_argument("--basis", choices=CHOICES["basis"],
+    parser.add_argument("--basis", type=_analysis_flag("basis"),
                         help="length-distribution basis (overrides the config)")
     parser.add_argument("--threshold", type=_analysis_flag("threshold"),
                         help="concentration-index frequency threshold")

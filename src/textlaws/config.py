@@ -50,6 +50,7 @@ from __future__ import annotations
 import configparser
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
@@ -61,26 +62,10 @@ from .tokenizer import TokenizerConfig
 
 STAGES = ("profile", "lengths", "ranks", "fits")
 
-DEFAULT_FIT_MODELS = (
-    "PhonemeGamma",
-    "ShiftedMenzerath",
-    "MeanSyllablePower",
-    "ZipfPower",
-    "ZipfMandelbrot",
-    "LogCoverage",
-)
+DEFAULT_FIT_MODELS = ("PhonemeGamma", "ShiftedMenzerath", "MeanSyllablePower",
+                      "ZipfPower", "ZipfMandelbrot", "LogCoverage")
 
-# allowed values of each [analysis] choice key (RunConfig holds the defaults)
-CHOICES = {
-    "basis": LENGTH_BASES,
-    "rank_basis": ("lemmas", "forms"),
-    "count_basis": COUNT_BASES,
-    "word_length_basis": WORD_LENGTH_BASES,
-}
-# least value of each [analysis] integer key
-MINIMUMS = {"threshold": 1, "top_k": 1, "min_support": 0}
-
-# [paths] key -> RunConfig field
+# [paths] key -> RunConfig field; each path is resolved against the config's directory
 PATHS = {
     "text": "text_path",
     "output_dir": "output_dir",
@@ -89,7 +74,6 @@ PATHS = {
     "overrides": "overrides_path",
     "g2p_rules": "g2p_rules_path",
 }
-BREAKPOINT_KEYS = ("zipf_breakpoints", "coverage_breakpoints")
 INIT_PREFIX = "init_"
 
 
@@ -109,20 +93,105 @@ def _flag(raw: str) -> bool:
         raise ValueError(f"expected one of {', '.join(words)}, got {raw.strip()!r}") from None
 
 
-# how each [tokenizer] key, a TokenizerConfig field, is read
-TOKENIZER_VALUES = {
-    "intra_token_chars": _chars,
-    "sentence_terminators": _chars,
-    "case_folding": _flag,
-    "abbreviations": lambda raw: frozenset(_names(raw)),
-}
+def _choice(key: str, allowed: tuple[str, ...], raw: str) -> str:
+    if raw.strip() not in allowed:
+        raise ValueError(f"{key} must be one of {sorted(allowed)}, got {raw.strip()!r}")
+    return raw.strip()
 
-# every key the loader reads, by section; [fits] also takes INIT_PREFIX + model
-KNOWN_KEYS = {
-    "paths": PATHS,
-    "tokenizer": TOKENIZER_VALUES,
-    "analysis": ("vowels", *CHOICES, *MINIMUMS),
-    "fits": ("models", *BREAKPOINT_KEYS),
+
+def _at_least(key: str, least: int, raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer") from None
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}")
+    return value
+
+
+def _vowels(raw: str) -> frozenset[str]:
+    # forms are casefolded before their vowels are counted, so the set is too
+    if not (vowels := _chars(raw.casefold())):
+        raise ValueError("vowels must not be empty")
+    return vowels
+
+
+def _models(raw: str) -> tuple[str, ...]:
+    for m in (models := _names(raw)):
+        if m not in MODELS:
+            raise ValueError(f"unknown model {m!r}")
+    return models
+
+
+def _rank(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"bad rank {raw!r}") from None
+
+
+def _breakpoints(raw: str) -> tuple[tuple[int, int | None], ...]:
+    intervals = []
+    for chunk in _names(raw):
+        lo_hi = chunk.split(":")
+        if len(lo_hi) != 2:
+            raise ValueError(f"bad interval {chunk!r}")
+        lo = _rank(lo_hi[0])
+        hi = None if lo_hi[1].strip().lower() in ("end", "v", "*") else _rank(lo_hi[1])
+        if hi is not None and hi <= lo:
+            raise ValueError(f"bad interval {chunk!r}: need lo < hi")
+        intervals.append((lo, hi))
+    if not intervals:
+        raise ValueError("empty breakpoint list")
+    return tuple(intervals)
+
+
+def _inits(model_id: str, raw: str) -> dict[str, float]:
+    if model_id not in MODELS:
+        raise ValueError(f"unknown model {model_id!r}")
+    if model_id in ("ZipfPower", "LogCoverage"):
+        # per-interval regressions in closed form: a start value would do nothing
+        raise ValueError(f"{model_id} is fitted per interval and takes no start values")
+    names = MODELS[model_id].param_names
+    values = {}
+    for assign in _names(raw):
+        name, _, value = assign.partition("=")
+        name = name.strip()
+        if name not in names or name in values:
+            problem = "repeated" if name in values else "unknown"
+            raise ValueError(f"{problem} parameter {name!r}; {model_id} takes {', '.join(names)}")
+        try:
+            values[name] = float(value)
+        except ValueError:
+            raise ValueError(f"bad init value {assign!r}") from None
+    return values
+
+
+# every key the loader reads, by section, with its reader: raw string -> value,
+# or ValueError with the message users see; [fits] also takes INIT_PREFIX + model
+KEYS = {
+    "paths": dict.fromkeys(PATHS, str.strip),
+    "tokenizer": {
+        "intra_token_chars": _chars,
+        "sentence_terminators": _chars,
+        "case_folding": _flag,
+        "abbreviations": lambda raw: frozenset(_names(raw)),
+    },
+    "analysis": {
+        "vowels": _vowels,
+        "basis": partial(_choice, "basis", LENGTH_BASES),
+        "rank_basis": partial(_choice, "rank_basis", ("lemmas", "forms")),
+        "count_basis": partial(_choice, "count_basis", COUNT_BASES),
+        "word_length_basis": partial(_choice, "word_length_basis", WORD_LENGTH_BASES),
+        "threshold": partial(_at_least, "threshold", 1),
+        "top_k": partial(_at_least, "top_k", 1),
+        "min_support": partial(_at_least, "min_support", 0),
+    },
+    "fits": {
+        "models": _models,
+        "zipf_breakpoints": _breakpoints,
+        "coverage_breakpoints": _breakpoints,
+    },
 }
 
 
@@ -154,22 +223,6 @@ class RunConfig:
     stages: tuple[str, ...] = STAGES
 
 
-def analysis_value(key: str, raw: str):
-    """One [analysis] choice or integer value, checked; ValueError says why not."""
-    raw = raw.strip()
-    if key in CHOICES:
-        if raw not in CHOICES[key]:
-            raise ValueError(f"{key} must be one of {sorted(CHOICES[key])}, got {raw!r}")
-        return raw
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{key} must be an integer") from None
-    if value < MINIMUMS[key]:
-        raise ValueError(f"{key} must be >= {MINIMUMS[key]}")
-    return value
-
-
 def _key_lines(text: str) -> dict[tuple[str, str | None], int]:
     """Line number of each ``key = value`` or ``key: value`` entry, by section.
 
@@ -190,72 +243,19 @@ def _key_lines(text: str) -> dict[tuple[str, str | None], int]:
     return lines
 
 
-def _parse_breakpoints(raw: str, err, key: str):
-    intervals = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo_hi = chunk.split(":")
-        if len(lo_hi) != 2:
-            raise err("fits", key, f"bad interval {chunk!r}")
-        try:
-            lo = int(lo_hi[0])
-        except ValueError:
-            raise err("fits", key, f"bad rank {lo_hi[0]!r}") from None
-        hi_raw = lo_hi[1].strip().lower()
-        if hi_raw in ("end", "v", "*"):
-            hi = None
-        else:
-            try:
-                hi = int(hi_raw)
-            except ValueError:
-                raise err("fits", key, f"bad rank {lo_hi[1]!r}") from None
-        if hi is not None and hi <= lo:
-            raise err("fits", key, f"bad interval {chunk!r}: need lo < hi")
-        intervals.append((lo, hi))
-    if not intervals:
-        raise err("fits", key, "empty breakpoint list")
-    return tuple(intervals)
-
-
-def _parse_inits(parser, section, err) -> dict[str, dict[str, float]]:
-    inits = {}
-    for key in parser.options(section):
-        if not key.startswith(INIT_PREFIX):
-            continue
-        model_id = key.removeprefix(INIT_PREFIX)
-        if model_id not in MODELS:
-            raise err(section, key, f"unknown model {model_id!r}")
-        if model_id in ("ZipfPower", "LogCoverage"):
-            # per-interval regressions in closed form: a start value would do nothing
-            raise err(section, key, f"{model_id} is fitted per interval and takes no start values")
-        names = MODELS[model_id].param_names
-        values = {}
-        for assign in parser.get(section, key).split(","):
-            assign = assign.strip()
-            if not assign:
-                continue
-            name, _, raw = assign.partition("=")
-            name = name.strip()
-            if name not in names or name in values:
-                problem = "repeated" if name in values else "unknown"
-                raise err(section, key, f"{problem} parameter {name!r}; "
-                                        f"{model_id} takes {', '.join(names)}")
-            try:
-                values[name] = float(raw)
-            except ValueError:
-                raise err(section, key, f"bad init value {assign!r}") from None
-        inits[model_id] = values
-    return inits
-
-
 def load_run_config(path: str | Path) -> RunConfig:
     """Parse and validate a run configuration file."""
     path = Path(path)
     if not path.is_file():
         raise MissingTextError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        # decoded in one piece, with text-mode open()'s line ends
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line_no = len(re.split(rb"\r\n?|\n", data[: exc.start]))
+        message = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+        raise ResourceFormatError(path, line_no, message) from None
     # no defaults section: a [DEFAULT] header is an unknown section like any other
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
@@ -264,78 +264,42 @@ def load_run_config(path: str | Path) -> RunConfig:
     except configparser.MissingSectionHeaderError as exc:
         raise ResourceFormatError(path, exc.lineno, "missing section header") from exc
     except configparser.ParsingError as exc:
-        line_no = exc.errors[0][0] if exc.errors else 0
-        raise ResourceFormatError(path, line_no, "cannot parse config") from exc
+        raise ResourceFormatError(path, exc.errors[0][0], "cannot parse config") from exc
     except configparser.DuplicateSectionError as exc:
         raise ResourceFormatError(path, exc.lineno, f"duplicate section [{exc.section}]") from exc
     except configparser.DuplicateOptionError as exc:
-        raise ResourceFormatError(
-            path, exc.lineno, f"duplicate key {exc.option!r} in [{exc.section}]"
-        ) from exc
+        message = f"duplicate key {exc.option!r} in [{exc.section}]"
+        raise ResourceFormatError(path, exc.lineno, message) from exc
 
     key_lines = _key_lines(text)
-
-    def err(section, key, message):
-        return ResourceFormatError(path, key_lines.get((section, key), 0), message)
-
-    for section in parser.sections():
-        if section not in KNOWN_KEYS:
-            raise err(section, None, f"unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in KNOWN_KEYS[section] and not (
-                section == "fits" and key.startswith(INIT_PREFIX)
-            ):
-                raise err(section, key, f"unknown key {key!r} in [{section}]")
-
     base = path.parent
-
-    def respath(key):
-        raw = parser.get("paths", key, fallback=None)
-        if raw is None or not raw.strip():
-            return None
-        p = Path(raw.strip())
-        return p if p.is_absolute() else base / p
-
-    paths = {name: respath(key) for key, name in PATHS.items()}
-    if paths["text_path"] is None:
-        raise MissingTextError(f"{path}: [paths] text is required")
-    paths["output_dir"] = paths["output_dir"] or base / "out"
-
-    # one key at a time, so TokenizerConfig's own checks fail on that key's line
-    tokenizer = TokenizerConfig()
-    for key, read in TOKENIZER_VALUES.items():
-        if parser.has_option("tokenizer", key):
+    fields, inits, tokenizer = {}, {}, TokenizerConfig()
+    for section in parser.sections():
+        if section not in KEYS:
+            line_no = key_lines.get((section, None), 0)
+            raise ResourceFormatError(path, line_no, f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            read = KEYS[section].get(key)
+            if read is None and section == "fits" and key.startswith(INIT_PREFIX):
+                read = partial(_inits, key.removeprefix(INIT_PREFIX))
             try:
-                tokenizer = replace(tokenizer, **{key: read(parser.get("tokenizer", key))})
+                if read is None:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                value = read(raw)
+                if section == "tokenizer":
+                    # one key at a time, so TokenizerConfig's own check fails on this line
+                    tokenizer = replace(tokenizer, **{key: value})
+                elif section == "paths":
+                    fields[PATHS[key]] = base / value if value else None
+                elif key in KEYS[section]:
+                    fields[key] = value
+                else:
+                    inits[key.removeprefix(INIT_PREFIX)] = value
             except (ValueError, ValidationError) as exc:
-                raise err("tokenizer", key, str(exc)) from None
+                line_no = key_lines.get((section, key), 0)
+                raise ResourceFormatError(path, line_no, str(exc)) from None
 
-    analysis = {}
-    if parser.has_option("analysis", "vowels"):
-        # forms are casefolded before their vowels are counted, so the set is too
-        analysis["vowels"] = _chars(parser.get("analysis", "vowels").casefold())
-        if not analysis["vowels"]:
-            raise err("analysis", "vowels", "vowels must not be empty")
-    for key in (*CHOICES, *MINIMUMS):
-        raw = parser.get("analysis", key, fallback=None)
-        if raw is not None:
-            try:
-                analysis[key] = analysis_value(key, raw)
-            except ValueError as exc:
-                raise err("analysis", key, str(exc)) from None
-
-    fits = {}
-    if parser.has_section("fits"):
-        raw = parser.get("fits", "models", fallback=None)
-        if raw is not None:
-            fits["models"] = _names(raw)
-            for m in fits["models"]:
-                if m not in MODELS:
-                    raise err("fits", "models", f"unknown model {m!r}")
-        for key in BREAKPOINT_KEYS:
-            raw = parser.get("fits", key, fallback=None)
-            if raw is not None:
-                fits[key] = _parse_breakpoints(raw, err, key)
-        fits["inits"] = _parse_inits(parser, "fits", err)
-
-    return RunConfig(**paths, tokenizer=tokenizer, **analysis, **fits)
+    if fields.get("text_path") is None:
+        raise MissingTextError(f"{path}: [paths] text is required")
+    fields["output_dir"] = fields.get("output_dir") or base / "out"
+    return RunConfig(**fields, tokenizer=tokenizer, inits=inits)

@@ -1,10 +1,11 @@
 """End-to-end analysis pipeline driven by one RunConfig.
 
-Stages run in order (ingest and lexicon always; profile, lengths, ranks
-and fits only when selected, with the lengths and ranks computed but not
-written when only the fits need them) and write a deterministic bundle
-into the output directory.  A failing stage prints a diagnostic naming itself and
-the run exits nonzero; a fit that merely fails to converge is recorded in
+Stages run in order (ingest, lexicon and output, which makes the output
+directory, always; profile, lengths, ranks and fits only when selected,
+with the lengths and ranks computed but not written when only the fits
+need them) and write a deterministic bundle into the output directory.
+A failing stage prints a diagnostic naming itself and the run exits
+nonzero; a fit that merely fails to converge is recorded in
 the fits report and does not affect the exit status.
 """
 
@@ -97,7 +98,8 @@ def _execute(cfg: RunConfig) -> None:
             log.info("no lemma map configured: lemma statistics unavailable")
 
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    with _stage("output"):
+        out.mkdir(parents=True, exist_ok=True)
 
     if "profile" in cfg.stages:
         with _stage("profile"):

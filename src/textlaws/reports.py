@@ -54,27 +54,27 @@ def write_topk(rows, path: str | Path) -> None:
 
 
 def write_fits(report: dict[str, dict], out_dir: str | Path) -> None:
-    """Write fits.tsv (model / segment / key / value) and nested fits.json."""
+    """Write fits.tsv (model / segment / key / value) and nested fits.json.
+
+    Each entry's keys are written in their order: a dict as ``key.name`` rows
+    (``param.name`` for ``params``), ``segments`` per interval, a scalar as is.
+    """
     out_dir = Path(out_dir)
     fmt = "{:.10g}".format
     lines = ["model\tsegment\tkey\tvalue"]
     for model_id, entry in report.items():
-        if "segments" in entry:
-            for seg in entry["segments"]:
-                tag = f"{seg['lo']}:{seg['hi']}"
-                for key, value in seg.items():
-                    if key in ("lo", "hi"):
-                        continue
-                    lines.append(f"{model_id}\t{tag}\t{key}\t{_scalar_str(value, fmt)}")
-        elif "error" in entry:
-            lines.append(f"{model_id}\t\terror\t{entry['error']}")
-        else:
-            for group in ("params", "stderr", "derived"):
-                for name, value in entry.get(group, {}).items():
-                    prefix = "param" if group == "params" else group
-                    lines.append(f"{model_id}\t\t{prefix}.{name}\t{_scalar_str(value, fmt)}")
-            for key in ("sse", "iterations", "converged", "final_lambda"):
-                lines.append(f"{model_id}\t\t{key}\t{_scalar_str(entry[key], fmt)}")
+        for key, value in entry.items():
+            if key == "segments":
+                for seg in value:
+                    tag = f"{seg['lo']}:{seg['hi']}"
+                    lines += [f"{model_id}\t{tag}\t{name}\t{_scalar_str(v, fmt)}"
+                              for name, v in seg.items() if name not in ("lo", "hi")]
+            elif isinstance(value, dict):
+                prefix = "param" if key == "params" else key
+                lines += [f"{model_id}\t\t{prefix}.{name}\t{_scalar_str(v, fmt)}"
+                          for name, v in value.items()]
+            else:
+                lines.append(f"{model_id}\t\t{key}\t{_scalar_str(value, fmt)}")
     (out_dir / "fits.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out_dir / "fits.json").write_text(
         json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"

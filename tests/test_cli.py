@@ -153,8 +153,18 @@ class TestConfig:
             load_run_config(bad)
         assert err.value.line_no == line_no
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_config_names_its_line_and_byte(self, tmp_path, capsys, newline):
+        head = newline.join(["[paths]", "text = x.txt", "[analysis]", "vowels = "]).encode()
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(head + b"\xff" + newline.encode())
+        assert main(["--config", str(ini)]) == 3
+        assert capsys.readouterr().err == (
+            f"analyze: {ini}:4: invalid UTF-8: invalid start byte at byte {len(head)}\n"
+        )
+
     def test_tokenizer_keys_are_the_tokenizer_config_fields(self):
-        assert set(config.TOKENIZER_VALUES) == {f.name for f in fields(TokenizerConfig)}
+        assert set(config.KEYS["tokenizer"]) == {f.name for f in fields(TokenizerConfig)}
 
     @pytest.mark.parametrize("source", ["readme", "docstring"])
     def test_documented_schema_loads(self, tmp_path, source):
@@ -346,6 +356,13 @@ class TestPipeline:
         assert "threshold must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_basis_flag_prints_the_ini_message(self, fixture_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(fixture_config), "--basis", "lemmas"])
+        assert exc.value.code == 2
+        assert ("argument --basis: basis must be one of ['tokens', 'types'], got 'lemmas'"
+                in capsys.readouterr().err)
+
     def test_unselected_lengths_stage_does_not_run(self, fixtures_dir, tmp_path):
         g2p = tmp_path / "bad.tsv"
         g2p.write_text("no-tab-here\n", encoding="utf-8")
@@ -407,6 +424,13 @@ class TestPipeline:
         assert "stage lexicon" in err
         assert f"at byte {offset}" in err
 
+    def test_out_naming_a_file_fails_in_its_stage(self, fixture_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "analyze: stage output: " in err and f"File exists: '{out}'" in err
+
     def test_topk_has_four_decimal_percentages(self, fixture_config, tmp_path):
         out = tmp_path / "out"
         main(["--config", str(fixture_config), "--out", str(out)])
@@ -444,6 +468,17 @@ def test_console_invocation_smoke(fixture_config, tmp_path):
     assert (out / "profile.tsv").exists()
 
 
+def test_readme_library_use_runs(fixtures_dir, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"## Library use.*?```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(fixtures_dir)
+    names = {}
+    exec(snippet, names)
+    assert names["profile"].N == 1000
+    assert names["profile"].V is not None
+    assert set(names["fit"].params) == {"A", "b", "C"}
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -457,6 +492,7 @@ FUZZ_ALPHABET = (
 )
 # each value strategy draws valid and invalid values alike
 _counts = st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["", "x", "1e3"]))
+_choices = st.sampled_from(["types", "tokens", "lemmas", "forms", "", "nope"])
 _bound = st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["end", "", "x"]))
 _intervals = st.lists(
     st.tuples(_bound, _bound).map(":".join) | st.sampled_from(["5", "1:2:3"]), max_size=3
@@ -479,14 +515,13 @@ FUZZ_SECTIONS = {
     },
     "analysis": {
         "vowels": st.text(alphabet="аеиоAEyЯ ", max_size=5),
-        **{key: st.sampled_from([*allowed, "", "nope"])
-           for key, allowed in config.CHOICES.items()},
-        **{key: _counts for key in config.MINIMUMS},
+        **dict.fromkeys(("basis", "rank_basis", "count_basis", "word_length_basis"), _choices),
+        **dict.fromkeys(("threshold", "top_k", "min_support"), _counts),
         "treshold": _counts,
     },
     "fits": {
         "models": st.lists(st.sampled_from([*MODELS, "Nope"]), max_size=3).map(",".join),
-        **{key: _intervals for key in config.BREAKPOINT_KEYS},
+        **dict.fromkeys(("zipf_breakpoints", "coverage_breakpoints"), _intervals),
         **_inits,
     },
 }
@@ -504,19 +539,36 @@ _config_bodies = st.tuples(*(_section(name, keys) for name, keys in FUZZ_SECTION
 )
 
 
-@settings(max_examples=200, deadline=None)
+def test_fuzz_draws_every_key_of_every_section():
+    for section, keys in FUZZ_SECTIONS.items():
+        missing = set(config.KEYS[section]) - set(keys)
+        assert not missing, f"[{section}] keys the fuzz test never writes: {missing}"
+    inits = {f"{config.INIT_PREFIX}{model_id}" for model_id in MODELS}
+    assert inits <= set(FUZZ_SECTIONS["fits"])
+
+
+# fewer than one example in ten holds a bad byte and stops at once, so 250
+# keep more than 200 that run
+@settings(max_examples=250, deadline=None)
 @given(
     text=st.text(alphabet=FUZZ_ALPHABET, max_size=200),
     body=_config_bodies,
+    # where to put a byte that is never UTF-8, if anywhere
+    bad_byte=st.integers(0, 4).flatmap(
+        lambda k: st.integers(min_value=0) if k == 4 else st.none()),
     only=st.none() | st.lists(st.sampled_from([*config.STAGES, "nope"]), min_size=1,
                               unique=True).map(",".join),
 )
-def test_every_input_ends_in_a_documented_exit_code(text, body, only):
+def test_every_input_ends_in_a_documented_exit_code(text, body, bad_byte, only):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "corpus.txt").write_text(text, encoding="utf-8")
+        data = ("[paths]\ntext = corpus.txt\n" + body).encode("utf-8")
+        if bad_byte is not None:
+            at = bad_byte % (len(data) + 1)
+            data = data[:at] + b"\xff" + data[at:]
         ini = root / "run.ini"
-        ini.write_text("[paths]\ntext = corpus.txt\n" + body, encoding="utf-8")
+        ini.write_bytes(data)
         argv = ["--config", str(ini), "--out", str(root / "out")]
         if only is not None:
             argv += ["--only", only]
