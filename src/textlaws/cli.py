@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import KEYS, STAGES, MissingTextError, load_run_config
-from .errors import ResourceFormatError
+from .config import KEYS, STAGES, load_run_config
+from .errors import TextlawsError
 from .pipeline import run_analysis
 
 
@@ -58,20 +58,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="analyze: %(message)s")
     args = build_parser().parse_args(argv)
 
-    try:
-        cfg = load_run_config(args.config)
-    except MissingTextError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-    except ResourceFormatError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 3
-
     # each flag's dest is the RunConfig field it overrides
     flags = {name: value for name, value in vars(args).items()
              if name != "config" and value is not None}
-    cfg = replace(cfg, **flags)
-    return run_analysis(cfg)
+    try:
+        run_analysis(replace(load_run_config(args.config), **flags))
+    except TextlawsError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

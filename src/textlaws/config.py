@@ -54,10 +54,11 @@ from functools import partial
 from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
-from .errors import ResourceFormatError, TextlawsError, ValidationError
+from .errors import MissingTextError, ResourceFormatError, ValidationError
 from .fitting.models import MODELS
 from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
 from .indices import COUNT_BASES, WORD_LENGTH_BASES
+from .lexicon import decode_utf8
 from .tokenizer import TokenizerConfig
 
 STAGES = ("profile", "lengths", "ranks", "fits")
@@ -195,10 +196,6 @@ KEYS = {
 }
 
 
-class MissingTextError(TextlawsError):
-    """The required input text is not configured or does not exist."""
-
-
 @dataclass
 class RunConfig:
     text_path: Path
@@ -248,14 +245,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise MissingTextError(f"config file not found: {path}")
-    data = path.read_bytes()
-    try:
-        # decoded in one piece, with text-mode open()'s line ends
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        line_no = len(re.split(rb"\r\n?|\n", data[: exc.start]))
-        message = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
-        raise ResourceFormatError(path, line_no, message) from None
+    text = decode_utf8(path, path.read_bytes())
     # no defaults section: a [DEFAULT] header is an unknown section like any other
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ResourceFormatError, RuleGapError, ValidationError
-from .lexicon import FormLexicon, LemmaLexicon, data_lines
+from .lexicon import FormLexicon, LemmaLexicon, data_rows
 
 DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
 # what a length spectrum weighs: each word-form once, or by its token count
@@ -89,15 +89,12 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
 def read_g2p_rules(path: str | Path) -> G2PRules:
     """Read rewrite rules from a TSV file of ``grapheme<TAB>delta`` lines."""
     rules = []
-    for line_no, line in data_lines(Path(path).read_bytes()):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ResourceFormatError(path, line_no, "expected grapheme<TAB>delta")
-        grapheme = fields[0]
+    data = Path(path).read_bytes()
+    for line_no, (grapheme, raw) in data_rows(path, data, "grapheme<TAB>delta"):
         try:
-            delta = int(fields[1])
+            delta = int(raw)
         except ValueError:
-            raise ResourceFormatError(path, line_no, f"bad delta {fields[1]!r}") from None
+            raise ResourceFormatError(path, line_no, f"bad delta {raw!r}") from None
         if not grapheme or delta < 0:
             raise ResourceFormatError(path, line_no, "empty grapheme or negative delta")
         rules.append((grapheme.casefold(), delta))

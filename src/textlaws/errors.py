@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, each with the exit code of ``analyze``."""
 
 
 class TextlawsError(Exception):
     """Base class for all errors raised by textlaws."""
+
+    exit_code = 1
 
 
 class ValidationError(TextlawsError):
@@ -17,8 +19,16 @@ class RuleGapError(ValidationError):
     """A character has no applicable rewrite rule and no default is set."""
 
 
+class MissingTextError(TextlawsError):
+    """The required input text is not configured or does not exist."""
+
+    exit_code = 2
+
+
 class ResourceFormatError(TextlawsError):
-    """A resource file is malformed; carries the path and line number."""
+    """An input file is malformed; carries the path and line number."""
+
+    exit_code = 3
 
     def __init__(self, path, line_no, message):
         self.path = str(path)

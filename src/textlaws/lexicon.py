@@ -189,39 +189,60 @@ def pattern_count(lex: FormLexicon, pattern: str, where: str = "suffix") -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Resource file readers.  All files are UTF-8 TSV; blank lines and lines
-# starting with '#' are skipped.
+# Input files, the config and the text too, are decoded by decode_utf8.  The
+# resources are TSV; blank lines and lines starting with '#' are skipped.
 # ---------------------------------------------------------------------------
 
-def data_lines(data: bytes):
-    r"""Yield ``(line number, line)`` for each data line of a TSV resource.
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    r"""A file's bytes as text, with text-mode ``open()``'s line ends.
 
-    The bytes are decoded in one piece, so a bad byte raises a
-    ``UnicodeDecodeError`` whose offset counts from the start of the file.
-    Lines end as in text-mode ``open()``: at ``\n``, ``\r\n`` or a lone
-    ``\r``.  Other Unicode line breaks (``\x85``, ``\u2028``, ``\x0c``) stay
-    inside the line, so ``str.splitlines`` would not do.
+    Decoded as UTF-8 in one piece, not "utf-8-sig" (whose error offsets skip
+    a byte-order mark), so a bad byte is a ``ResourceFormatError`` at its line
+    with its offset in the file.  One leading mark is dropped.  ``\r\n`` and
+    ``\r`` become ``\n``; ``\x85``, ``\u2028`` and ``\x0c`` stay in a line.
     """
-    lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        message = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
+        raise ResourceFormatError(path, line_no, message) from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def data_rows(path: str | Path, data: bytes, shape: str):
+    """Yield ``(line number, fields)`` for each data line of a TSV resource.
+
+    ``shape`` names the fields, a bracketed tail being optional, as in
+    ``"form<TAB>lemma[<TAB>share]"``; a line with too few or too many fails.
+    """
+    least, most = shape.partition("[")[0].count("<TAB>") + 1, shape.count("<TAB>") + 1
+    for line_no, line in enumerate(decode_utf8(path, data).split("\n"), start=1):
         stripped = line.lstrip()
         if stripped and stripped[0] != "#":
-            yield line_no, line
+            fields = line.split("\t")
+            if not least <= len(fields) <= most:
+                raise ResourceFormatError(path, line_no, f"expected {shape}")
+            yield line_no, fields
 
 
 def read_merge_rules(path: str | Path) -> list[MergeRule]:
-    """Read merge rules: one rule per line, ``canonical<TAB>var1,var2,...``."""
+    """Read merge rules, ``canonical<TAB>var1,var2,...``; a variant is named once."""
     rules = []
-    for line_no, line in data_lines(Path(path).read_bytes()):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ResourceFormatError(path, line_no, "expected canonical<TAB>variants")
-        canonical = fields[0].strip()
-        variants = tuple(v.strip() for v in fields[1].split(",") if v.strip())
+    seen: set[str] = set()
+    data = Path(path).read_bytes()
+    for line_no, (canonical, listed) in data_rows(path, data, "canonical<TAB>variants"):
+        canonical = canonical.strip()
+        variants = tuple(v.strip() for v in listed.split(",") if v.strip())
         if not canonical or not variants:
             raise ResourceFormatError(path, line_no, "empty canonical or variant list")
+        for form in variants:
+            if form in seen:
+                message = f"form {form!r} appears in more than one merge rule"
+                raise ResourceFormatError(path, line_no, message)
+            seen.add(form)
         rules.append(MergeRule(canonical, variants))
-    validate_merge_rules(rules)
     return rules
 
 
@@ -258,10 +279,8 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
     rows: dict[str, str] = {}            # the first row of each form
     shares: dict[str, float] = {}        # its share, where the row gives one
     more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
-    for line_no, line in data_lines(data):
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ResourceFormatError(path, line_no, "expected form<TAB>lemma[<TAB>share]")
+    last_line: dict[str, int] = {}       # the line of a form's last later row
+    for line_no, fields in data_rows(path, data, "form<TAB>lemma[<TAB>share]"):
         form, lemma = fields[0].strip(), fields[1].strip()
         if not form or not lemma:
             raise ResourceFormatError(path, line_no, "empty form or lemma")
@@ -270,7 +289,9 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
             try:
                 share = float(fields[2])
             except ValueError:
-                raise ResourceFormatError(path, line_no, f"bad share {fields[2]!r}") from None
+                share = math.nan
+            if not math.isfinite(share):
+                raise ResourceFormatError(path, line_no, f"bad share {fields[2]!r}")
             if share < 0:
                 raise ResourceFormatError(path, line_no, "share must be non-negative")
         if form not in rows:
@@ -281,25 +302,28 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
             raise ResourceFormatError(path, line_no, f"duplicate row for ({form}, {lemma})")
         else:
             more.setdefault(form, []).append((lemma, share))
+            last_line[form] = line_no
     # a form with several rows is ambiguous: it leaves ``rows``
     ambiguous = {
         form: ((rows.pop(form), shares.get(form, 1.0)), *later) for form, later in more.items()
     }
+    for form, split in ambiguous.items():
+        if not any(share for _, share in split):
+            message = f"shares of {form!r} must have a positive sum"
+            raise ResourceFormatError(path, last_line[form], message)
     return LemmaMap(rows, ambiguous)
 
 
 def read_overrides(path: str | Path) -> list[tuple[str, str, int]]:
     """Read homonym overrides: ``form<TAB>lemma<TAB>count``."""
     overrides = []
-    for line_no, line in data_lines(Path(path).read_bytes()):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ResourceFormatError(path, line_no, "expected form<TAB>lemma<TAB>count")
-        form, lemma = fields[0].strip(), fields[1].strip()
+    data = Path(path).read_bytes()
+    for line_no, (form, lemma, raw) in data_rows(path, data, "form<TAB>lemma<TAB>count"):
+        form, lemma = form.strip(), lemma.strip()
         try:
-            count = int(fields[2])
+            count = int(raw)
         except ValueError:
-            raise ResourceFormatError(path, line_no, f"bad count {fields[2]!r}") from None
+            raise ResourceFormatError(path, line_no, f"bad count {raw!r}") from None
         if not form or not lemma or count < 0:
             raise ResourceFormatError(path, line_no, "empty field or negative count")
         overrides.append((form, lemma, count))

@@ -4,27 +4,27 @@ Stages run in order (ingest, lexicon and output, which makes the output
 directory, always; profile, lengths, ranks and fits only when selected,
 with the lengths and ranks computed but not written when only the fits
 need them) and write a deterministic bundle into the output directory.
-A failing stage prints a diagnostic naming itself and the run exits
-nonzero; a fit that merely fails to converge is recorded in
+A failing stage raises a ``StageFailure`` that names it and carries its
+cause's exit code; a fit that merely fails to converge is recorded in
 the fits report and does not affect the exit status.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import distributions as dist
 from .config import RunConfig
-from .errors import ResourceFormatError, TextlawsError
+from .errors import MissingTextError, TextlawsError
 from .fitting import fit_coverage, lm_fit, model_eval, segmented_loglog_fit
 from .indices import corpus_profile
 from .lexicon import (
     apply_merge_rules,
     build_form_spectrum,
+    decode_utf8,
     lemmatize,
     read_lemma_map,
     read_merge_rules,
@@ -37,9 +37,8 @@ log = logging.getLogger("textlaws")
 
 
 class StageFailure(TextlawsError):
-    def __init__(self, stage: str, exit_code: int, cause: Exception):
-        self.stage = stage
-        self.exit_code = exit_code
+    def __init__(self, stage: str, cause: TextlawsError | OSError):
+        self.exit_code = getattr(cause, "exit_code", self.exit_code)
         super().__init__(f"stage {stage}: {cause}")
 
 
@@ -47,32 +46,17 @@ class StageFailure(TextlawsError):
 def _stage(name: str):
     try:
         yield
-    except StageFailure:
-        raise
-    except ResourceFormatError as exc:
-        raise StageFailure(name, 3, exc) from exc
-    except UnicodeDecodeError as exc:
-        cause = ValueError(f"invalid UTF-8: {exc.reason} at byte {exc.start}")
-        raise StageFailure(name, 1, cause) from exc
     except (TextlawsError, OSError) as exc:
-        raise StageFailure(name, 1, exc) from exc
+        raise StageFailure(name, exc) from exc
 
 
-def run_analysis(cfg: RunConfig) -> int:
-    try:
-        if not cfg.text_path.is_file():
-            print(f"analyze: text file not found: {cfg.text_path}", file=sys.stderr)
-            return 2
-        _execute(cfg)
-        return 0
-    except StageFailure as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return exc.exit_code
-
-
-def _execute(cfg: RunConfig) -> None:
+def run_analysis(cfg: RunConfig) -> None:
+    """Write the bundle of ``cfg``'s stages; a missing text or failed stage raises."""
+    if not cfg.text_path.is_file():
+        raise MissingTextError(f"text file not found: {cfg.text_path}")
     with _stage("ingest"):
-        text = cfg.text_path.read_text(encoding="utf-8")
+        # the bytes are freed once decoded, before the tokenizer's peak
+        text = decode_utf8(cfg.text_path, cfg.text_path.read_bytes())
         tokens = tokenize(text, cfg.tokenizer)
         sentences = split_sentences(text, cfg.tokenizer, tokens)
 

@@ -10,7 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textlaws import (
     ResourceFormatError,
@@ -162,6 +162,18 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"analyze: {ini}:4: invalid UTF-8: invalid start byte at byte {len(head)}\n"
         )
+
+    def test_config_with_a_byte_order_mark_loads(self, fixture_config, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes("\ufeff".encode("utf-8") + fixture_config.read_bytes())
+
+        def settings(ini):
+            # paths resolve against each config's own directory
+            cfg = load_run_config(ini)
+            return {f.name: v.relative_to(ini.parent) if isinstance(v := getattr(cfg, f.name), Path)
+                    else v for f in fields(cfg)}
+
+        assert settings(ini) == settings(fixture_config)
 
     def test_tokenizer_keys_are_the_tokenizer_config_fields(self):
         assert set(config.KEYS["tokenizer"]) == {f.name for f in fields(TokenizerConfig)}
@@ -403,10 +415,10 @@ class TestPipeline:
         bad.write_bytes("добре ".encode("utf-8") + b"\xff\xfe word")
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[paths]\ntext = {bad}\n", encoding="utf-8")
-        assert main(["--config", str(cfg)]) == 1
+        assert main(["--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "ingest" in err
-        assert "byte 11" in err
+        assert f"{bad}:1: invalid UTF-8: invalid start byte at byte 11" in err
 
     def test_invalid_utf8_in_resource_names_absolute_byte_offset(self, fixtures_dir, tmp_path,
                                                                  capsys):
@@ -419,10 +431,73 @@ class TestPipeline:
             f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\nlemma_map = {lemmas}\n",
             encoding="utf-8",
         )
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "stage lexicon" in err
-        assert f"at byte {offset}" in err
+        line_no = rows[:offset].count(b"\n") + 1
+        assert f"{lemmas}:{line_no}: invalid UTF-8: invalid start byte at byte {offset}" in err
+
+    def test_lemma_map_with_a_byte_order_mark_gives_the_same_profile(self, fixtures_dir,
+                                                                      tmp_path):
+        profiles = []
+        for mark in (b"", "\ufeff".encode("utf-8")):
+            lemmas = tmp_path / f"lemmas{len(mark)}.tsv"
+            lemmas.write_bytes(mark + (fixtures_dir / "lemmas.tsv").read_bytes())
+            cfg = tmp_path / f"run{len(mark)}.ini"
+            cfg.write_text(f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\n"
+                           f"lemma_map = {lemmas}\n", encoding="utf-8")
+            out = tmp_path / f"out{len(mark)}"
+            assert main(["--config", str(cfg), "--out", str(out), "--only", "profile"]) == 0
+            profiles.append((out / "profile.json").read_bytes())
+        assert profiles[0] == profiles[1]
+
+    @pytest.mark.parametrize("rows, line_no, message", [
+        pytest.param("як\tяк\t0\nяк\tяк_2\t0\n", 2, "shares of 'як' must have a positive sum",
+                     id="zero-shares"),
+        pytest.param("як\tяк\tnan\nяк\tяк_2\t1\n", 1, "bad share 'nan'", id="nan-share"),
+        pytest.param("як\tяк\t1\nяк\tяк_2\tinf\n", 2, "bad share 'inf'", id="inf-share"),
+    ])
+    def test_unsplittable_shares_exit_3_at_their_line(self, fixtures_dir, tmp_path, capsys,
+                                                      rows, line_no, message):
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text(rows, encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\nlemma_map = {lemmas}\n",
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"analyze: stage lexicon: {lemmas}:{line_no}: {message}"
+
+    @pytest.mark.parametrize("key, stage", [
+        ("text", "ingest"),
+        ("lemma_map", "lexicon"),
+        ("merge_rules", "lexicon"),
+        ("overrides", "lexicon"),
+        ("g2p_rules", "lengths"),
+    ])
+    def test_invalid_utf8_in_every_input_exits_3_at_its_line(self, fixtures_dir, tmp_path,
+                                                             capsys, key, stage):
+        inputs = {
+            "text": (fixtures_dir / "corpus.txt").read_bytes(),
+            "lemma_map": (fixtures_dir / "lemmas.tsv").read_bytes(),
+            "merge_rules": (fixtures_dir / "merges.tsv").read_bytes(),
+            "overrides": (fixtures_dir / "overrides.tsv").read_bytes(),
+            "g2p_rules": distributions.resources.files("textlaws")
+            .joinpath(f"data/{distributions.DEFAULT_G2P_RESOURCE}").read_bytes(),
+        }
+        data = inputs[key]
+        offset = data.index(b"\n") + 1  # the first byte of line 2
+        inputs[key] = data[:offset] + b"\xff" + data[offset:]
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[paths]\n" + "".join(f"{name} = {name}\n" for name in inputs),
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"analyze: stage {stage}: {tmp_path / key}:2: "
+            f"invalid UTF-8: invalid start byte at byte {offset}"
+        )
 
     def test_out_naming_a_file_fails_in_its_stage(self, fixture_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -547,29 +622,62 @@ def test_fuzz_draws_every_key_of_every_section():
     assert inits <= set(FUZZ_SECTIONS["fits"])
 
 
+# lemma-map rows of forms the fuzz text holds, with valid and invalid shares:
+# each form gets one to three rows (lemmas x, y, z), so it is often ambiguous
+_forms = st.sampled_from(["т", "b", "аб"])
+_shares = st.none() | st.sampled_from(["1", "0", "0.5", "-1", "nan", "inf", "x", ""])
+_lemma_rows = st.lists(
+    st.tuples(_forms, st.lists(_shares, min_size=1, max_size=3)), max_size=3
+).map(lambda forms: "".join(
+    "\t".join(field for field in (form, lemma, share) if field is not None) + "\n"
+    for form, shares in forms for lemma, share in zip("xyz", shares)
+))
+_merge_rows = st.lists(
+    st.tuples(_forms, st.lists(_forms, max_size=3).map(",".join))
+    .map(lambda row: "\t".join(row) + "\n"),
+    max_size=3,
+).map("".join)
+# the config key of each resource file
+FUZZ_RESOURCES = {"lemmas.tsv": "lemma_map", "merges.tsv": "merge_rules"}
+
+
 # fewer than one example in ten holds a bad byte and stops at once, so 250
 # keep more than 200 that run
 @settings(max_examples=250, deadline=None)
+# an ambiguous form of the text whose shares cannot split its count
+@example(text="т", body="", resources={"lemmas.tsv": "т\tx\tnan\nт\ty\n"}, bad_byte=None,
+         only=None)
+@example(text="т", body="", resources={"lemmas.tsv": "т\tx\t0\nт\ty\t0\n"}, bad_byte=None,
+         only=None)
 @given(
-    text=st.text(alphabet=FUZZ_ALPHABET, max_size=200),
+    # some of the forms the lemma map names, then adversarial text
+    text=st.tuples(st.sets(_forms), st.text(alphabet=FUZZ_ALPHABET, max_size=200))
+    .map(lambda words: " ".join([*sorted(words[0]), words[1]])),
     body=_config_bodies,
-    # where to put a byte that is never UTF-8, if anywhere
+    resources=st.fixed_dictionaries({"lemmas.tsv": _lemma_rows},
+                                    optional={"merges.tsv": _merge_rows}),
+    # a byte that is never UTF-8, if anywhere: the file and where in it
     bad_byte=st.integers(0, 4).flatmap(
-        lambda k: st.integers(min_value=0) if k == 4 else st.none()),
+        lambda k: st.tuples(st.sampled_from(["run.ini", "corpus.txt", "lemmas.tsv"]),
+                            st.integers(min_value=0)) if k == 4 else st.none()),
     only=st.none() | st.lists(st.sampled_from([*config.STAGES, "nope"]), min_size=1,
                               unique=True).map(",".join),
 )
-def test_every_input_ends_in_a_documented_exit_code(text, body, bad_byte, only):
+def test_every_input_ends_in_a_documented_exit_code(text, body, resources, bad_byte, only):
+    paths = "".join(f"{FUZZ_RESOURCES[name]} = {name}\n" for name in resources)
+    inputs = {"run.ini": "[paths]\ntext = corpus.txt\n" + paths + body,
+              "corpus.txt": text, **resources}
+    inputs = {name: content.encode("utf-8") for name, content in inputs.items()}
+    if bad_byte is not None:
+        name, at = bad_byte
+        data = inputs[name]
+        at %= len(data) + 1
+        inputs[name] = data[:at] + b"\xff" + data[at:]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "corpus.txt").write_text(text, encoding="utf-8")
-        data = ("[paths]\ntext = corpus.txt\n" + body).encode("utf-8")
-        if bad_byte is not None:
-            at = bad_byte % (len(data) + 1)
-            data = data[:at] + b"\xff" + data[at:]
-        ini = root / "run.ini"
-        ini.write_bytes(data)
-        argv = ["--config", str(ini), "--out", str(root / "out")]
+        for name, data in inputs.items():
+            (root / name).write_bytes(data)
+        argv = ["--config", str(root / "run.ini"), "--out", str(root / "out")]
         if only is not None:
             argv += ["--only", only]
         stderr = io.StringIO()

@@ -201,6 +201,31 @@ class TestResourceFiles:
             read_merge_rules(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("text, line_no, form", [
+        pytest.param("в\tв,у\nі\tі,у\n", 2, "у", id="two-rules"),
+        pytest.param("в\tв,у\nі\tі,й,і\n", 2, "і", id="one-rule"),
+    ])
+    def test_merge_rules_repeated_form_names_its_line(self, tmp_path, text, line_no, form):
+        path = tmp_path / "merges.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            read_merge_rules(path)
+        assert str(err.value) == (
+            f"{path}:{line_no}: form {form!r} appears in more than one merge rule"
+        )
+
+    def test_merge_rules_are_validated_where_applied(self, tmp_path, monkeypatch):
+        path = tmp_path / "merges.tsv"
+        path.write_text("в\tв,у\n", encoding="utf-8")
+
+        def refuse(rules):
+            raise ValidationError("validated")
+
+        monkeypatch.setattr(lexicon, "validate_merge_rules", refuse)
+        rules = read_merge_rules(path)
+        with pytest.raises(ValidationError, match="validated"):
+            apply_merge_rules(lex_of({"у": 1}), rules)
+
     def test_lemma_map_shares_and_rows(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text(
@@ -216,6 +241,31 @@ class TestResourceFiles:
         with pytest.raises(ResourceFormatError) as err:
             read_lemma_map(path)
         assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("share", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_lemma_map_share_must_be_finite(self, tmp_path, share):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text(f"що\tщо_спол\t0.7\nщо\tщо_займ\t{share}\n", encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            read_lemma_map(path)
+        assert str(err.value) == f"{path}:2: bad share {share!r}"
+
+    def test_lemma_map_shares_of_a_form_must_not_all_be_zero(self, tmp_path):
+        # rejected whether or not the form occurs, at the form's last row
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("що\tщо_спол\t0\nстежки\tстежка\t0\nщо\tщо_займ\t0\n",
+                        encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            read_lemma_map(path)
+        assert str(err.value) == f"{path}:3: shares of 'що' must have a positive sum"
+
+    def test_decoder_drops_one_byte_order_mark_and_counts_it_in_offsets(self, tmp_path):
+        bom = "\ufeff".encode("utf-8")
+        assert lexicon.decode_utf8(tmp_path, bom + b"a\r\nb\rc") == "a\nb\nc"
+        assert lexicon.decode_utf8(tmp_path, bom + bom + b"a") == "\ufeffa"
+        with pytest.raises(ResourceFormatError) as err:
+            lexicon.decode_utf8(tmp_path, bom + b"a\r\n\xff")
+        assert str(err.value) == f"{tmp_path}:2: invalid UTF-8: invalid start byte at byte 6"
 
     # lines end as in text-mode open(): "\n", "\r\n" or a lone "\r", but not
     # "\x85", "\u2028" or "\x0c", so a comment runs on past those
