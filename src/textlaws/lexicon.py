@@ -68,18 +68,23 @@ def build_form_spectrum(tokens: list[Token]) -> FormLexicon:
     return FormLexicon(dict(counts), len(tokens))
 
 
-def validate_merge_rules(rules: list[MergeRule]) -> None:
-    """Reject rule sets whose variant lists overlap."""
+def _merge_rule_fault(rules: list[MergeRule]) -> tuple[int, str] | None:
+    """The index of the first rule that is empty or names a variant again, and why."""
     seen: dict[str, int] = {}
     for idx, rule in enumerate(rules):
         if not rule.variants:
-            raise ValidationError(f"merge rule #{idx + 1} has an empty variant list")
+            return idx, f"merge rule #{idx + 1} has an empty variant list"
         for form in rule.variants:
             if form in seen:
-                raise ValidationError(
-                    f"form {form!r} appears in more than one merge rule"
-                )
+                where = "twice in one" if seen[form] == idx else "in more than one"
+                return idx, f"form {form!r} appears {where} merge rule"
             seen[form] = idx
+
+
+def validate_merge_rules(rules: list[MergeRule]) -> None:
+    """Reject rule sets with an empty variant list or overlapping ones."""
+    if fault := _merge_rule_fault(rules):
+        raise ValidationError(fault[1])
 
 
 def apply_merge_rules(lex: FormLexicon, rules: list[MergeRule]) -> FormLexicon:
@@ -104,14 +109,14 @@ def apply_merge_rules(lex: FormLexicon, rules: list[MergeRule]) -> FormLexicon:
 def _largest_remainder(total: int, shares: tuple[tuple[str, float], ...]) -> list[tuple[str, int]]:
     """Split an integer total across lemmas proportionally to their shares.
 
-    Floors the exact quotas, then hands the leftover units to the largest
-    fractional remainders (ties broken by lemma order) so the parts always
-    sum back to the total.
+    Floors the quotas (share / sum * total, divided first so none overflows),
+    then hands the leftover units to the largest fractional remainders (ties
+    broken by lemma order) so the parts always sum back to the total.
     """
     weight_sum = sum(w for _, w in shares)
-    if weight_sum <= 0:
-        raise ValidationError("ambiguous-form shares must have a positive sum")
-    quotas = [(lemma, total * w / weight_sum) for lemma, w in shares]
+    if not 0 < weight_sum < math.inf:
+        raise ValidationError("ambiguous-form shares must have a positive finite sum")
+    quotas = [(lemma, w / weight_sum * total) for lemma, w in shares]
     parts = {lemma: math.floor(q) for lemma, q in quotas}
     leftover = total - sum(parts.values())
     by_remainder = sorted(quotas, key=lambda lq: (-(lq[1] - math.floor(lq[1])), lq[0]))
@@ -211,12 +216,13 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def data_rows(path: str | Path, data: bytes, shape: str):
+def data_rows(path: str | Path, shape: str, data: bytes | None = None):
     """Yield ``(line number, fields)`` for each data line of a TSV resource.
 
-    ``shape`` names the fields, a bracketed tail being optional, as in
-    ``"form<TAB>lemma[<TAB>share]"``; a line with too few or too many fails.
+    ``shape`` names the fields, a bracketed tail optional: ``"a<TAB>b[<TAB>c]"``.
+    A line with too few or too many fails; ``data`` defaults to the file's bytes.
     """
+    data = Path(path).read_bytes() if data is None else data
     least, most = shape.partition("[")[0].count("<TAB>") + 1, shape.count("<TAB>") + 1
     for line_no, line in enumerate(decode_utf8(path, data).split("\n"), start=1):
         stripped = line.lstrip()
@@ -229,20 +235,16 @@ def data_rows(path: str | Path, data: bytes, shape: str):
 
 def read_merge_rules(path: str | Path) -> list[MergeRule]:
     """Read merge rules, ``canonical<TAB>var1,var2,...``; a variant is named once."""
-    rules = []
-    seen: set[str] = set()
-    data = Path(path).read_bytes()
-    for line_no, (canonical, listed) in data_rows(path, data, "canonical<TAB>variants"):
+    rules, lines = [], []
+    for line_no, (canonical, listed) in data_rows(path, "canonical<TAB>variants"):
         canonical = canonical.strip()
         variants = tuple(v.strip() for v in listed.split(",") if v.strip())
         if not canonical or not variants:
             raise ResourceFormatError(path, line_no, "empty canonical or variant list")
-        for form in variants:
-            if form in seen:
-                message = f"form {form!r} appears in more than one merge rule"
-                raise ResourceFormatError(path, line_no, message)
-            seen.add(form)
         rules.append(MergeRule(canonical, variants))
+        lines.append(line_no)
+    if fault := _merge_rule_fault(rules):
+        raise ResourceFormatError(path, lines[fault[0]], fault[1])
     return rules
 
 
@@ -280,7 +282,7 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
     shares: dict[str, float] = {}        # its share, where the row gives one
     more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
     last_line: dict[str, int] = {}       # the line of a form's last later row
-    for line_no, fields in data_rows(path, data, "form<TAB>lemma[<TAB>share]"):
+    for line_no, fields in data_rows(path, "form<TAB>lemma[<TAB>share]", data):
         form, lemma = fields[0].strip(), fields[1].strip()
         if not form or not lemma:
             raise ResourceFormatError(path, line_no, "empty form or lemma")
@@ -308,8 +310,8 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
         form: ((rows.pop(form), shares.get(form, 1.0)), *later) for form, later in more.items()
     }
     for form, split in ambiguous.items():
-        if not any(share for _, share in split):
-            message = f"shares of {form!r} must have a positive sum"
+        if not 0 < sum(share for _, share in split) < math.inf:
+            message = f"shares of {form!r} must have a positive finite sum"
             raise ResourceFormatError(path, last_line[form], message)
     return LemmaMap(rows, ambiguous)
 
@@ -317,8 +319,7 @@ def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
 def read_overrides(path: str | Path) -> list[tuple[str, str, int]]:
     """Read homonym overrides: ``form<TAB>lemma<TAB>count``."""
     overrides = []
-    data = Path(path).read_bytes()
-    for line_no, (form, lemma, raw) in data_rows(path, data, "form<TAB>lemma<TAB>count"):
+    for line_no, (form, lemma, raw) in data_rows(path, "form<TAB>lemma<TAB>count"):
         form, lemma = form.strip(), lemma.strip()
         try:
             count = int(raw)

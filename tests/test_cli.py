@@ -452,8 +452,10 @@ class TestPipeline:
         assert profiles[0] == profiles[1]
 
     @pytest.mark.parametrize("rows, line_no, message", [
-        pytest.param("як\tяк\t0\nяк\tяк_2\t0\n", 2, "shares of 'як' must have a positive sum",
-                     id="zero-shares"),
+        pytest.param("як\tяк\t0\nяк\tяк_2\t0\n", 2,
+                     "shares of 'як' must have a positive finite sum", id="zero-shares"),
+        pytest.param("як\tяк\t1e308\nяк\tяк_2\t1e308\n", 2,
+                     "shares of 'як' must have a positive finite sum", id="overflowing-sum"),
         pytest.param("як\tяк\tnan\nяк\tяк_2\t1\n", 1, "bad share 'nan'", id="nan-share"),
         pytest.param("як\tяк\t1\nяк\tяк_2\tinf\n", 2, "bad share 'inf'", id="inf-share"),
     ])
@@ -625,7 +627,7 @@ def test_fuzz_draws_every_key_of_every_section():
 # lemma-map rows of forms the fuzz text holds, with valid and invalid shares:
 # each form gets one to three rows (lemmas x, y, z), so it is often ambiguous
 _forms = st.sampled_from(["т", "b", "аб"])
-_shares = st.none() | st.sampled_from(["1", "0", "0.5", "-1", "nan", "inf", "x", ""])
+_shares = st.none() | st.sampled_from(["1", "0", "0.5", "-1", "nan", "inf", "1e308", "x", ""])
 _lemma_rows = st.lists(
     st.tuples(_forms, st.lists(_shares, min_size=1, max_size=3)), max_size=3
 ).map(lambda forms: "".join(
@@ -641,7 +643,7 @@ _merge_rows = st.lists(
 FUZZ_RESOURCES = {"lemmas.tsv": "lemma_map", "merges.tsv": "merge_rules"}
 
 
-# fewer than one example in ten holds a bad byte and stops at once, so 250
+# about one example in eight holds a bad byte and stops at once, so 250
 # keep more than 200 that run
 @settings(max_examples=250, deadline=None)
 # an ambiguous form of the text whose shares cannot split its count
@@ -654,12 +656,13 @@ FUZZ_RESOURCES = {"lemmas.tsv": "lemma_map", "merges.tsv": "merge_rules"}
     text=st.tuples(st.sets(_forms), st.text(alphabet=FUZZ_ALPHABET, max_size=200))
     .map(lambda words: " ".join([*sorted(words[0]), words[1]])),
     body=_config_bodies,
-    resources=st.fixed_dictionaries({"lemmas.tsv": _lemma_rows},
-                                    optional={"merges.tsv": _merge_rows}),
-    # a byte that is never UTF-8, if anywhere: the file and where in it
+    resources=st.fixed_dictionaries({}, optional={"lemmas.tsv": _lemma_rows,
+                                                  "merges.tsv": _merge_rows}),
+    # a byte that is never UTF-8, if anywhere: which of the files there are
+    # (the config, the text, then the resources) and where in it
     bad_byte=st.integers(0, 4).flatmap(
-        lambda k: st.tuples(st.sampled_from(["run.ini", "corpus.txt", "lemmas.tsv"]),
-                            st.integers(min_value=0)) if k == 4 else st.none()),
+        lambda k: st.tuples(st.integers(0, 3), st.integers(min_value=0)) if k == 4
+        else st.none()),
     only=st.none() | st.lists(st.sampled_from([*config.STAGES, "nope"]), min_size=1,
                               unique=True).map(",".join),
 )
@@ -669,7 +672,8 @@ def test_every_input_ends_in_a_documented_exit_code(text, body, resources, bad_b
               "corpus.txt": text, **resources}
     inputs = {name: content.encode("utf-8") for name, content in inputs.items()}
     if bad_byte is not None:
-        name, at = bad_byte
+        which, at = bad_byte
+        name = [*inputs][which % len(inputs)]
         data = inputs[name]
         at %= len(data) + 1
         inputs[name] = data[:at] + b"\xff" + data[at:]

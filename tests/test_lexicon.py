@@ -83,6 +83,10 @@ class TestMergeRules:
         with pytest.raises(ValidationError, match="'b'"):
             apply_merge_rules(lex_of({"a": 1}), rules)
 
+    def test_variant_repeated_in_one_rule_says_so(self):
+        with pytest.raises(ValidationError, match="'b' appears twice in one merge rule"):
+            apply_merge_rules(lex_of({"a": 1}), [MergeRule("a", ("b", "c", "b"))])
+
     def test_canonical_absent_from_lexicon(self):
         merged = apply_merge_rules(lex_of({"у": 5}), [MergeRule("в", ("у",))])
         assert merged.entries == {"в": 5}
@@ -131,6 +135,16 @@ class TestLemmatize:
         lemma_map = LemmaMap(ambiguous={"як": (("як_a", 389.0), ("як_b", 125.0), ("як_c", 55.0))})
         result = lemmatize(lex_of({"як": 569}), lemma_map)
         assert result.entries == {"як_a": 389, "як_b": 125, "як_c": 55}
+
+    def test_large_shares_split_without_overflow(self):
+        lemma_map = LemmaMap(ambiguous={"як": (("як_a", 1e308), ("як_b", 1.0))})
+        assert lemmatize(lex_of({"як": 3}), lemma_map).entries == {"як_a": 3}
+
+    @pytest.mark.parametrize("shares", [(0.0, 0.0), (1e308, 1e308), (float("nan"), 1.0)])
+    def test_shares_without_a_positive_finite_sum_rejected(self, shares):
+        lemma_map = LemmaMap(ambiguous={"як": (("як_a", shares[0]), ("як_b", shares[1]))})
+        with pytest.raises(ValidationError, match="positive finite sum"):
+            lemmatize(lex_of({"як": 3}), lemma_map)
 
     def test_override_above_count_rejected(self):
         with pytest.raises(ValidationError, match="above"):
@@ -201,18 +215,20 @@ class TestResourceFiles:
             read_merge_rules(path)
         assert err.value.line_no == 2
 
-    @pytest.mark.parametrize("text, line_no, form", [
-        pytest.param("в\tв,у\nі\tі,у\n", 2, "у", id="two-rules"),
-        pytest.param("в\tв,у\nі\tі,й,і\n", 2, "і", id="one-rule"),
+    @pytest.mark.parametrize("text, line_no, message", [
+        pytest.param("в\tв,у\nі\tі,у\n", 2, "form 'у' appears in more than one merge rule",
+                     id="two-rules"),
+        pytest.param("в\tв,у\nі\tі,й,і\n", 2, "form 'і' appears twice in one merge rule",
+                     id="one-rule"),
+        pytest.param("в\tв,у\n# a comment\nі\tі,й\n\nї\tї,в\n", 5,
+                     "form 'в' appears in more than one merge rule", id="later-line"),
     ])
-    def test_merge_rules_repeated_form_names_its_line(self, tmp_path, text, line_no, form):
+    def test_merge_rules_repeated_form_names_its_line(self, tmp_path, text, line_no, message):
         path = tmp_path / "merges.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ResourceFormatError) as err:
             read_merge_rules(path)
-        assert str(err.value) == (
-            f"{path}:{line_no}: form {form!r} appears in more than one merge rule"
-        )
+        assert str(err.value) == f"{path}:{line_no}: {message}"
 
     def test_merge_rules_are_validated_where_applied(self, tmp_path, monkeypatch):
         path = tmp_path / "merges.tsv"
@@ -257,7 +273,7 @@ class TestResourceFiles:
                         encoding="utf-8")
         with pytest.raises(ResourceFormatError) as err:
             read_lemma_map(path)
-        assert str(err.value) == f"{path}:3: shares of 'що' must have a positive sum"
+        assert str(err.value) == f"{path}:3: shares of 'що' must have a positive finite sum"
 
     def test_decoder_drops_one_byte_order_mark_and_counts_it_in_offsets(self, tmp_path):
         bom = "\ufeff".encode("utf-8")
