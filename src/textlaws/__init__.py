@@ -29,7 +29,6 @@ from .distributions import (
 from .errors import (
     DomainError,
     ResourceFormatError,
-    RuleGapError,
     TextlawsError,
     ValidationError,
 )
@@ -42,7 +41,6 @@ from .lexicon import (
     apply_merge_rules,
     build_form_spectrum,
     lemmatize,
-    pattern_count,
     read_lemma_map,
     read_merge_rules,
     read_overrides,

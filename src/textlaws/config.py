@@ -56,7 +56,7 @@ from pathlib import Path
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import MissingTextError, ResourceFormatError, ValidationError
 from .fitting.models import MODELS
-from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
+from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS, INTERVAL_FITS
 from .indices import COUNT_BASES, WORD_LENGTH_BASES
 from .lexicon import decode_utf8
 from .tokenizer import TokenizerConfig
@@ -119,7 +119,7 @@ def _vowels(raw: str) -> frozenset[str]:
 
 def _models(raw: str) -> tuple[str, ...]:
     for m in (models := _names(raw)):
-        if m not in MODELS:
+        if m not in MODELS and m not in INTERVAL_FITS:
             raise ValueError(f"unknown model {m!r}")
     return models
 
@@ -148,11 +148,11 @@ def _breakpoints(raw: str) -> tuple[tuple[int, int | None], ...]:
 
 
 def _inits(model_id: str, raw: str) -> dict[str, float]:
-    if model_id not in MODELS:
-        raise ValueError(f"unknown model {model_id!r}")
-    if model_id in ("ZipfPower", "LogCoverage"):
+    if model_id in INTERVAL_FITS:
         # per-interval regressions in closed form: a start value would do nothing
         raise ValueError(f"{model_id} is fitted per interval and takes no start values")
+    if model_id not in MODELS:
+        raise ValueError(f"unknown model {model_id!r}")
     names = MODELS[model_id].param_names
     values = {}
     for assign in _names(raw):

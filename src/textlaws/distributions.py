@@ -4,8 +4,8 @@ Length spectra give the fraction of word-forms per length in letters,
 phonemes or syllables.  Syllables are counted as vowel nuclei, so forms
 without a vowel (б, ж, в) have length zero and the syllable spectrum has
 mass at the origin.  Phoneme counts come from ordered longest-match
-rewrite rules over graphemes, shipped as data with a default of one
-phoneme per letter and matched as one compiled pattern per rule set.
+rewrite rules over graphemes, shipped as data, matched as one compiled
+pattern per rule set; a character no rule covers counts one phoneme.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ResourceFormatError, RuleGapError, ValidationError
+from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
 
 DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
@@ -40,13 +40,11 @@ class G2PRules:
     """Ordered grapheme rewrite rules mapping onto phoneme-count deltas.
 
     At each position the longest matching grapheme wins (first rule listed
-    on ties).  Unmatched characters consume ``default_delta`` phonemes; with
-    no default, an unmatched character is an error.  Graphemes must be
-    non-empty and deltas non-negative.
+    on ties); a character no rule covers counts one phoneme.  Graphemes
+    must be non-empty and deltas non-negative.
     """
 
     rules: tuple[tuple[str, int], ...]
-    default_delta: int | None = 1
     # one alternation, longest grapheme first (listed order on ties)
     pattern: re.Pattern = field(init=False, repr=False, compare=False)
     # grapheme -> delta of the first rule listed for it
@@ -72,18 +70,12 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
     """Phonemes of the casefolded form, each character consumed once.
 
     Matches of the rule pattern add their deltas; each character between
-    them adds ``default_delta`` or, with no default, is an error.
+    them adds one.
     """
     folded = form.casefold()
     graphemes = rules.pattern.findall(folded)
-    total = sum(map(rules.deltas.__getitem__, graphemes))
     unmatched = len(folded) - sum(map(len, graphemes))
-    if unmatched:
-        if rules.default_delta is None:
-            gap = rules.pattern.sub("", folded)[0]
-            raise RuleGapError(f"no rewrite rule for character {gap!r} and no default set")
-        total += unmatched * rules.default_delta
-    return total
+    return sum(map(rules.deltas.__getitem__, graphemes)) + unmatched
 
 
 def read_g2p_rules(path: str | Path) -> G2PRules:
@@ -109,9 +101,7 @@ def load_default_g2p() -> G2PRules:
 
 @dataclass(frozen=True)
 class LengthDistribution:
-    unit: str                   # letters | phonemes | syllables
-    basis: str                  # types | tokens
-    points: tuple[tuple[int, float], ...]
+    points: tuple[tuple[int, float], ...]       # (length, fraction)
 
 
 @dataclass(frozen=True)
@@ -142,20 +132,23 @@ def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dic
 
 
 def length_distribution(
-    lex: FormLexicon, unit: str, lengths: list[int], basis: str
+    lex: FormLexicon, unit: str, table: dict[str, list[int]], basis: str
 ) -> LengthDistribution:
-    """Fraction of word-forms (types) or token mass (tokens) per length in ``lengths``."""
+    """Fraction of word-forms (types) or token mass (tokens) per length.
+
+    The lengths are ``table[unit]``, a column of ``form_lengths``.
+    """
     if basis not in LENGTH_BASES:
         raise ValidationError(f"unknown basis {basis!r}")
     weight_per_length: dict[int, int] = defaultdict(int)
-    for length, count in zip(lengths, lex.entries.values(), strict=True):
+    for length, count in zip(table[unit], lex.entries.values(), strict=True):
         weight_per_length[length] += count if basis == "tokens" else 1
     total = sum(weight_per_length.values())
     points = tuple(
         (length, weight_per_length[length] / total)
         for length in sorted(weight_per_length)
     )
-    return LengthDistribution(unit, basis, points)
+    return LengthDistribution(points)
 
 
 def mean_syllable_series(letters: list[int], syllables: list[int]) -> MeanSyllableSeries:

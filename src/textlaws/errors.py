@@ -15,10 +15,6 @@ class DomainError(TextlawsError):
     """A numeric argument lies outside a function's mathematical domain."""
 
 
-class RuleGapError(ValidationError):
-    """A character has no applicable rewrite rule and no default is set."""
-
-
 class MissingTextError(TextlawsError):
     """The required input text is not configured or does not exist."""
 

@@ -2,18 +2,15 @@
 
 from .levmar import DEFAULT_OPTIONS, FitOptions, FitResult, forward_jacobian, lm_fit
 from .models import (
-    LOG_COVERAGE,
     MEAN_SYLLABLE_EXP,
     MEAN_SYLLABLE_POWER,
     MODELS,
     PHONEME_GAMMA,
     SHIFTED_MENZERATH,
     ZIPF_MANDELBROT,
-    ZIPF_POWER,
     Model,
     get_model,
     model_eval,
-    normalization_constant,
 )
 from .segmented import (
     DEFAULT_COVERAGE_BREAKPOINTS,
@@ -30,14 +27,12 @@ __all__ = [
     "DEFAULT_COVERAGE_BREAKPOINTS",
     "DEFAULT_OPTIONS",
     "DEFAULT_ZIPF_BREAKPOINTS",
-    "LOG_COVERAGE",
     "MEAN_SYLLABLE_EXP",
     "MEAN_SYLLABLE_POWER",
     "MODELS",
     "PHONEME_GAMMA",
     "SHIFTED_MENZERATH",
     "ZIPF_MANDELBROT",
-    "ZIPF_POWER",
     "CoverageSegment",
     "FitOptions",
     "FitResult",
@@ -49,7 +44,6 @@ __all__ = [
     "get_model",
     "lm_fit",
     "model_eval",
-    "normalization_constant",
     "ols_line",
     "segmented_loglog_fit",
 ]

@@ -88,8 +88,9 @@ def lm_fit(
 ) -> FitResult:
     """Fit a model to (x, y) data by damped least squares.
 
-    ``init`` maps parameter names to starting values (or is an ordered
-    sequence); without it the model's documented default guess is used.
+    ``init`` maps the model's parameter names, and no others, to starting
+    values (or is an ordered sequence); without it the model's documented
+    default guess is used.  A non-finite data point is a validation error.
     Singular normal equations at every damping level yield a result with
     ``converged=False`` rather than an exception; a non-finite model value
     at the accepted parameters is a domain error.
@@ -97,6 +98,10 @@ def lm_fit(
     if isinstance(model, str):
         model = get_model(model)
     x, y = _prepare_data(data)
+    if not (finite := np.isfinite(x) & np.isfinite(y)).all():
+        i = int(np.argmin(finite))
+        point = (float(x[i]), float(y[i]))
+        raise ValidationError(f"{model.id}: data point #{i + 1} {point} is not finite")
     if x.size < model.n_params:
         raise ValidationError(
             f"{model.id}: {x.size} data points cannot determine {model.n_params} parameters"

@@ -1,15 +1,14 @@
-"""Closed-form models fitted to the empirical distributions.
+"""The closed-form models that ``lm_fit`` fits and ``model_eval`` samples.
 
 Each model declares its free parameters, a vectorized evaluator, domain
 checks, a default initial guess, and (for the two probability-density
 models) the normalization constant derived from the shape parameters, so
-the fitted curve is always a proper density.  Zipf exponents are stored
-positive under the convention F(r) = A / r**z.
+the fitted curve is always a proper density.  The per-interval rank and
+coverage fits are not models here: they live in ``segmented``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,9 +21,7 @@ PHONEME_GAMMA = "PhonemeGamma"
 SHIFTED_MENZERATH = "ShiftedMenzerath"
 MEAN_SYLLABLE_POWER = "MeanSyllablePower"
 MEAN_SYLLABLE_EXP = "MeanSyllableExp"
-ZIPF_POWER = "ZipfPower"
 ZIPF_MANDELBROT = "ZipfMandelbrot"
-LOG_COVERAGE = "LogCoverage"
 
 
 @dataclass(frozen=True)
@@ -87,22 +84,10 @@ def _eval_mean_syllable_exp(p, x):
         return amp * np.power(x, b) * np.exp(c * x)
 
 
-def _eval_zipf_power(p, x):
-    amp, z = p
-    with np.errstate(all="ignore"):
-        return amp * np.power(x, -z)
-
-
 def _eval_zipf_mandelbrot(p, x):
     amp, b, offset = p
     with np.errstate(all="ignore"):
         return amp * np.power(x + offset, -b)
-
-
-def _eval_log_coverage(p, x):
-    k, t0 = p
-    with np.errstate(all="ignore"):
-        return k * np.log(x) + t0
 
 
 def _init_phoneme_gamma(x, y):
@@ -128,22 +113,9 @@ def _init_mean_syllable_exp(x, y):
     return np.array([first if first != 0 else 1.0, -1.0, 0.0])
 
 
-def _init_zipf_power(x, y):
-    r0 = float(x.min())
-    f0 = float(y[np.argmin(x)])
-    return np.array([f0 * r0, 1.0])
-
-
 def _init_zipf_mandelbrot(x, y):
     f0 = float(y[np.argmin(x)])
     return np.array([f0 if f0 > 0 else 1.0, 1.0, 1.0])
-
-
-def _init_log_coverage(x, y):
-    i_lo, i_hi = np.argmin(x), np.argmax(x)
-    dlog = math.log(x[i_hi]) - math.log(x[i_lo])
-    k = float((y[i_hi] - y[i_lo]) / dlog) if dlog > 0 else 1.0
-    return np.array([k, float(y[i_lo]) - k * math.log(x[i_lo])])
 
 
 MODELS: dict[str, Model] = {
@@ -182,14 +154,6 @@ MODELS: dict[str, Model] = {
         params_in_domain=lambda p, x: True,
         default_init=_init_mean_syllable_exp,
     ),
-    ZIPF_POWER: Model(
-        id=ZIPF_POWER,
-        param_names=("A", "z"),
-        evaluate=_eval_zipf_power,
-        x_in_domain=lambda x: bool(np.all(x > 0)),
-        params_in_domain=lambda p, x: True,
-        default_init=_init_zipf_power,
-    ),
     ZIPF_MANDELBROT: Model(
         id=ZIPF_MANDELBROT,
         param_names=("A", "b", "C"),
@@ -197,14 +161,6 @@ MODELS: dict[str, Model] = {
         x_in_domain=lambda x: bool(np.all(x > 0)),
         params_in_domain=lambda p, x: bool(np.all(x + p[2] > 0)),
         default_init=_init_zipf_mandelbrot,
-    ),
-    LOG_COVERAGE: Model(
-        id=LOG_COVERAGE,
-        param_names=("k", "T0"),
-        evaluate=_eval_log_coverage,
-        x_in_domain=lambda x: bool(np.all(x > 0)),
-        params_in_domain=lambda p, x: True,
-        default_init=_init_log_coverage,
     ),
 }
 
@@ -217,21 +173,13 @@ def get_model(model_id: str) -> Model:
         raise ValidationError(f"unknown model {model_id!r}; known models: {known}") from None
 
 
-def normalization_constant(model_id: str, params) -> float:
-    """Derived density constant for the two normalized models."""
-    model = get_model(model_id)
-    p = _as_param_array(model, params)
-    if model.derived is None:
-        raise ValidationError(f"model {model_id!r} has no derived normalization constant")
-    (value,) = model.derived(p).values()
-    return value
-
-
 def _as_param_array(model: Model, params) -> np.ndarray:
     if isinstance(params, dict):
         missing = [name for name in model.param_names if name not in params]
         if missing:
             raise ValidationError(f"{model.id}: missing parameters {missing}")
+        if unknown := [name for name in params if name not in model.param_names]:
+            raise ValidationError(f"{model.id}: unknown parameters {unknown}")
         return np.array([float(params[name]) for name in model.param_names])
     values = np.asarray(params, dtype=float)
     if values.shape != (model.n_params,):

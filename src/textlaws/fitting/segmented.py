@@ -4,7 +4,8 @@ The rank axis splits into domains (by default three); inside each, the
 power-law exponent comes from ordinary least squares on (ln r, ln F) and
 the coverage slope from least squares of T on ln r.  Interval bounds are
 half-open on the left, lo < r <= hi, so shared breakpoints never count a
-rank twice; an unset upper bound runs to the last rank.
+rank twice; an unset upper bound runs to the last rank.  The two fits
+take the ``[fits]`` model names below; ``lm_fit``'s registry has neither.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 from ..errors import ValidationError
 from ..distributions import CoverageCurve, RankFrequencyList
 
+ZIPF_POWER = "ZipfPower"          # segmented_loglog_fit
+LOG_COVERAGE = "LogCoverage"      # fit_coverage
+INTERVAL_FITS = (ZIPF_POWER, LOG_COVERAGE)
+
 DEFAULT_ZIPF_BREAKPOINTS = ((10, 200), (200, 1000), (1000, None))
 DEFAULT_COVERAGE_BREAKPOINTS = ((10, 200), (200, 2000), (2000, None))
 
@@ -24,7 +29,7 @@ class PowerLawSegment:
     lo: int
     hi: int
     z: float          # exponent, sign convention F ~ r**(-z)
-    amplitude: float
+    A: float          # amplitude
     r_squared: float
     n_points: int
 
@@ -34,7 +39,7 @@ class CoverageSegment:
     lo: int
     hi: int
     k: float
-    t0: float
+    T0: float
     r_squared: float
     n_points: int
 

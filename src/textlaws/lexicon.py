@@ -177,22 +177,6 @@ def lemmatize(
     return LemmaLexicon(entries, len(entries), unmapped_tokens, unmapped_forms)
 
 
-def pattern_count(lex: FormLexicon, pattern: str, where: str = "suffix") -> tuple[int, int]:
-    """Total occurrences and distinct forms matching a literal affix."""
-    if not pattern:
-        raise ValidationError("pattern must be non-empty")
-    if where not in ("suffix", "prefix"):
-        raise ValidationError(f"unknown pattern position {where!r}")
-    match = str.endswith if where == "suffix" else str.startswith
-    occurrences = 0
-    distinct = 0
-    for form, count in lex.entries.items():
-        if match(form, pattern):
-            occurrences += count
-            distinct += 1
-    return occurrences, distinct
-
-
 # ---------------------------------------------------------------------------
 # Input files, the config and the text too, are decoded by decode_utf8.  The
 # resources are TSV; blank lines and lines starting with '#' are skipped.

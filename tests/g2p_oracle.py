@@ -1,20 +1,19 @@
 """Reference phoneme counter: the per-character rule walk ``count_phonemes`` replaced.
 
 At each position it tries every rule, longest grapheme first, and takes the
-first that starts there; a character no rule covers counts
-``default_delta`` or is an error.  It is slow and kept only as the oracle
-that the compiled rule pattern in ``textlaws.distributions`` is tested
-against.  The walk is the old one line for line; the only change is that
-the longest-first order it used to read from ``G2PRules.by_length`` is
-sorted here.  It walks ``len(form)`` positions of the casefolded form, so
-it agrees with ``count_phonemes`` only on text that casefolding leaves
-unchanged.
+first that starts there; a character no rule covers counts one.  It is slow
+and kept only as the oracle that the compiled rule pattern in
+``textlaws.distributions`` is tested against.  The walk is the old one line
+for line, except that the longest-first order it used to read from
+``G2PRules.by_length`` is sorted here and an uncovered character counts one
+(``G2PRules`` no longer has a settable default).  It walks ``len(form)``
+positions of the casefolded form, so it agrees with ``count_phonemes`` only
+on text that casefolding leaves unchanged.
 """
 
 from __future__ import annotations
 
 from textlaws.distributions import G2PRules
-from textlaws.errors import RuleGapError
 
 
 def oracle_count_phonemes(form: str, rules: G2PRules) -> int:
@@ -31,10 +30,6 @@ def oracle_count_phonemes(form: str, rules: G2PRules) -> int:
                 i += len(grapheme)
                 break
         else:
-            if rules.default_delta is None:
-                raise RuleGapError(
-                    f"no rewrite rule for character {form[i]!r} and no default set"
-                )
-            total += rules.default_delta
+            total += 1
             i += 1
     return total

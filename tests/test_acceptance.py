@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from textlaws import (
     CoverageCurve,
     FormLexicon,
+    RankFrequencyList,
     apply_merge_rules,
     build_form_spectrum,
     corpus_profile,
@@ -43,9 +44,9 @@ from textlaws.fitting import (
     gamma_fn,
     lm_fit,
     model_eval,
-    normalization_constant,
     segmented_loglog_fit,
 )
+from textlaws.fitting.models import phoneme_gamma_norm, shifted_menzerath_norm
 
 
 def criterion(number, name):
@@ -75,10 +76,14 @@ RECOVERY_CASES = [
     ("PhonemeGamma", {"b": 0.6347, "alpha": 0.02579}, np.arange(1.0, 21.0)),
     ("ShiftedMenzerath", {"d": 5.805, "gamma": 2.245}, np.arange(0.0, 13.0)),
     ("MeanSyllablePower", {"M_inf": 1.984, "B": 1.464, "c": -1.119}, np.arange(1.0, 7.0)),
-    ("ZipfPower", {"A": 1000.0, "z": 0.999}, np.arange(1.0, 201.0)),
     ("ZipfMandelbrot", {"A": 25000.0, "b": 1.14, "C": 5.2}, np.arange(1.0, 1001.0)),
 ]
-LOG_COVERAGE_TRUTH = {"k": 0.133, "T0": 0.2}
+
+
+def _fit_zipf_power(x, f):
+    rows = tuple((int(r), f"w{int(r)}", v) for r, v in zip(x, f))
+    segments = segmented_loglog_fit(RankFrequencyList(rows, sum(f)), breakpoints=((0, 200),))
+    return {"A": segments[0].A, "z": segments[0].z}
 
 
 def _fit_log_coverage(x, t):
@@ -86,7 +91,17 @@ def _fit_log_coverage(x, t):
         CoverageCurve(tuple(zip((int(v) for v in x), t))),
         breakpoints=((9, 200),),
     )
-    return {"k": segments[0].k, "T0": segments[0].t0}
+    return {"k": segments[0].k, "T0": segments[0].T0}
+
+
+# the per-interval fits, as the pipeline runs them, on one interval holding
+# the whole grid: (name, truth, grid, curve, fit)
+INTERVAL_CASES = [
+    ("ZipfPower", {"A": 1000.0, "z": 0.999}, np.arange(1.0, 201.0),
+     lambda p, x: p["A"] * x ** -p["z"], _fit_zipf_power),
+    ("LogCoverage", {"k": 0.133, "T0": 0.2}, np.arange(10.0, 201.0),
+     lambda p, x: p["k"] * np.log(x) + p["T0"], _fit_log_coverage),
+]
 
 
 @criterion(1, "fit recovery")
@@ -101,28 +116,25 @@ def test_criterion_1_fit_recovery():
             rel = abs(result.params[pname] - pval) / abs(pval)
             assert rel <= 1e-6, (model_id, pname, rel)
 
-    x = np.arange(10.0, 201.0)
-    t = LOG_COVERAGE_TRUTH["k"] * np.log(x) + LOG_COVERAGE_TRUTH["T0"]
-    fitted = _fit_log_coverage(x, t)
-    for pname, pval in LOG_COVERAGE_TRUTH.items():
-        assert abs(fitted[pname] - pval) / abs(pval) <= 1e-6, pname
+    for model_id, truth, x, curve, fit in INTERVAL_CASES:
+        fitted = fit(x, curve(truth, x))
+        for pname, pval in truth.items():
+            rel = abs(fitted[pname] - pval) / abs(pval)
+            assert rel <= 1e-6, (model_id, pname, rel)
 
     # 1% multiplicative noise, 100 seeds, medians within 5%
-    noisy_cases = RECOVERY_CASES + [("LogCoverage", LOG_COVERAGE_TRUTH, x)]
-    for model_id, truth, grid in noisy_cases:
-        clean = (
-            model_eval(model_id, truth, grid)
-            if model_id != "LogCoverage"
-            else truth["k"] * np.log(grid) + truth["T0"]
-        )
+    noisy_cases = [
+        (model_id, truth, x, functools.partial(model_eval, model_id),
+         lambda grid, y, model_id=model_id: lm_fit(model_id, list(zip(grid, y))).params)
+        for model_id, truth, x in RECOVERY_CASES
+    ] + INTERVAL_CASES
+    for model_id, truth, grid, curve, fit in noisy_cases:
+        clean = curve(truth, grid)
         recovered = {name: [] for name in truth}
         for seed in range(100):
             rng = np.random.default_rng(seed)
             noisy = clean * (1.0 + 0.01 * rng.standard_normal(clean.size))
-            if model_id == "LogCoverage":
-                params = _fit_log_coverage(grid, noisy)
-            else:
-                params = lm_fit(model_id, list(zip(grid, noisy))).params
+            params = fit(grid, noisy)
             for name in truth:
                 recovered[name].append(params[name])
         for name, value in truth.items():
@@ -140,12 +152,12 @@ def test_criterion_1_fit_recovery():
 @criterion(2, "normalization")
 def test_criterion_2_normalization_integrals():
     b, alpha = 0.6347, 0.02579
-    a_const = normalization_constant("PhonemeGamma", {"b": b, "alpha": alpha})
+    a_const = phoneme_gamma_norm(b, alpha)
     integral, _ = quad(lambda p: a_const * p**b * math.exp(-alpha * p * p), 0, math.inf)
     assert abs(integral - 1.0) <= 1e-6
 
     d, rate = 5.805, 2.245
-    b_const = normalization_constant("ShiftedMenzerath", {"d": d, "gamma": rate})
+    b_const = shifted_menzerath_norm(d, rate)
     integral, _ = quad(lambda t: b_const * t**d * math.exp(-rate * t), 0, math.inf)
     assert abs(integral - 1.0) <= 1e-6
 
@@ -291,8 +303,6 @@ def test_criterion_4_fixture_matches_recount(fixtures_dir):
 
 @criterion(5, "segmented rank fit")
 def test_criterion_5_three_regime_recovery():
-    from textlaws import RankFrequencyList
-
     slopes = (0.999, 1.05, 1.20)
     uppers = (200, 1000, 2000)
     pairs = []
@@ -338,12 +348,12 @@ def test_criterion_6_distribution_invariants():
         table = form_lengths(lex, g2p, DEFAULT_UK_VOWELS)
 
         for unit in ("letters", "syllables"):
-            dist = length_distribution(lex, unit, table[unit], basis)
+            dist = length_distribution(lex, unit, table, basis)
             assert abs(sum(f for _, f in dist.points) - 1.0) <= 1e-9
             assert all(length >= 0 for length, _ in dist.points)
 
         if any(count_syllables(form) == 0 for form in entries):
-            syllables = length_distribution(lex, "syllables", table["syllables"], basis)
+            syllables = length_distribution(lex, "syllables", table, basis)
             assert syllables.points[0][0] == 0
             assert syllables.points[0][1] > 0
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -115,6 +116,15 @@ class TestConfig:
             load_run_config(bad)
         assert str(err.value).startswith(f"{bad}:{line_no}: ")
 
+    @pytest.mark.parametrize("model_id", ["ZipfPower", "LogCoverage"])
+    def test_interval_fit_start_values_exit_3(self, tmp_path, capsys, model_id):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[paths]\ntext = x.txt\n[fits]\ninit_{model_id} = A=1\n",
+                       encoding="utf-8")
+        assert main(["--config", str(ini)]) == 3
+        message = f"{ini}:4: {model_id} is fitted per interval and takes no start values"
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("body, line_no, message", [
         pytest.param("[analysis]\ntreshold = 0\n", 4, "unknown key 'treshold' in [analysis]",
                      id="misspelt-key"),
@@ -225,6 +235,25 @@ class TestPipeline:
         )
         assert len((out / "coverage.dat").read_text().splitlines()) == vocab_size
         assert len((out / "rank_freq.dat").read_text().splitlines()) == vocab_size
+
+    def test_all_seven_models_fit_in_config_order(self, fixture_config, tmp_path):
+        # the five least-squares models and the two per-interval fits, shuffled
+        models = ["LogCoverage", "MeanSyllableExp", "ZipfMandelbrot", "PhonemeGamma",
+                  "ZipfPower", "MeanSyllablePower", "ShiftedMenzerath"]
+        for name in ("corpus.txt", "lemmas.tsv", "merges.tsv", "overrides.tsv"):
+            shutil.copy(fixture_config.parent / name, tmp_path)
+        ini = tmp_path / "run.ini"
+        text = fixture_config.read_text(encoding="utf-8")
+        ini.write_text(re.sub(r"(?m)^models = .*$", "models = " + ",".join(models), text),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        assert list(fits) == models
+        assert [m for m in models if "segments" in fits[m]] == ["LogCoverage", "ZipfPower"]
+        assert [m for m in models if "params" in fits[m]] == [m for m in models if m in MODELS]
+        curves = sorted(path.name for path in out.glob("fitcurve_*.dat"))
+        assert curves == sorted(f"fitcurve_{m}.dat" for m in MODELS)
 
     def test_fit_curves_sampled_by_one_array_call(self, fixture_config, tmp_path, monkeypatch):
         calls = []

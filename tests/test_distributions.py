@@ -7,7 +7,6 @@ from textlaws import (
     FormLexicon,
     G2PRules,
     ResourceFormatError,
-    RuleGapError,
     ValidationError,
     count_letters,
     count_phonemes,
@@ -42,7 +41,7 @@ def table_of(entries, vowels=DEFAULT_UK_VOWELS):
 
 
 def spectrum(entries, unit, basis):
-    return length_distribution(lex_of(entries), unit, table_of(entries)[unit], basis)
+    return length_distribution(lex_of(entries), unit, table_of(entries), basis)
 
 
 def series_of(entries, vowels=DEFAULT_UK_VOWELS):
@@ -89,11 +88,6 @@ class TestPhonemes:
         rules = G2PRules((("д", 5), ("дж", 1)))
         assert count_phonemes("джаз", rules) == 3
 
-    def test_rule_gap_names_character(self):
-        rules = G2PRules((("а", 1),), default_delta=None)
-        with pytest.raises(RuleGapError, match="'б'"):
-            count_phonemes("аб", rules)
-
     # lines end as in text-mode open(): "\n", "\r\n" or a lone "\r", but not
     # "\x85", "\u2028" or "\x0c", so a comment runs on past those
     @pytest.mark.parametrize("text", [
@@ -133,18 +127,14 @@ class TestPhonemes:
         # casefolding makes ß two characters and İ two (i + combining dot)
         assert count_phonemes("ßb", G2PRules((("ss", 1),))) == 2
         assert count_phonemes("İ", G2PRules(())) == 2
-        with pytest.raises(RuleGapError, match="'b'"):
-            count_phonemes("ßb", G2PRules((("s", 1),), default_delta=None))
+        # s matches each half of ss; b, which no rule covers, counts one
+        assert count_phonemes("ßb", G2PRules((("s", 1),))) == 3
 
-    def test_rule_gap_names_folded_character(self):
-        with pytest.raises(RuleGapError, match="'б'"):
-            count_phonemes("АБ", G2PRules((("а", 1),), default_delta=None))
-
-    def test_rules_compare_by_rules_and_default(self):
+    def test_rules_compare_by_rules(self):
         rules = (("дж", 1), ("д", 2))
         assert G2PRules(rules) == G2PRules(rules)
         assert hash(G2PRules(rules)) == hash(G2PRules(rules))
-        assert G2PRules(rules) != G2PRules(rules, default_delta=None)
+        assert G2PRules(rules) != G2PRules(rules[:1])
 
 
 # Characters casefolding leaves alone, among them regex metacharacters.
@@ -162,25 +152,15 @@ g2p_rule_sets = st.builds(
         ),
         max_size=8,
     ).map(tuple),
-    st.sampled_from([None, 0, 1, 2]),
 )
-
-
-def count_or_error(counter, form, rules):
-    try:
-        return counter(form, rules)
-    except RuleGapError as exc:
-        return str(exc)
 
 
 @settings(max_examples=500)
 @given(st.text(alphabet=G2P_ALPHABET, max_size=16), g2p_rule_sets)
-@example("джз", G2PRules((("д", 5), ("дж", 1), ("жз", 2), ("дж", 3)), None))
-@example(".*|(\\", G2PRules(((".", 1), ("*|", 0), (".*", 2)), None))
+@example("джз", G2PRules((("д", 5), ("дж", 1), ("жз", 2), ("дж", 3))))
+@example(".*|(\\", G2PRules(((".", 1), ("*|", 0), (".*", 2))))
 def test_count_phonemes_matches_rule_walk_oracle(form, rules):
-    assert count_or_error(count_phonemes, form, rules) == count_or_error(
-        oracle_count_phonemes, form, rules
-    )
+    assert count_phonemes(form, rules) == oracle_count_phonemes(form, rules)
 
 
 # Forms mixing scripts, digits, joiners, upper case and characters that
@@ -195,7 +175,6 @@ mixed_rule_sets = st.builds(
         ),
         max_size=6,
     ).map(tuple),
-    st.sampled_from([None, 0, 1, 2]),
 )
 
 
@@ -212,18 +191,9 @@ class TestFormLengths:
         mixed_rule_sets,
     )
     def test_columns_match_per_form_counters(self, entries, vowels, rules):
-        lex = lex_of(entries)
-        try:
-            phonemes = [count_phonemes(form, rules) for form in entries]
-        except RuleGapError as exc:
-            # the first form in entry order without a rule names the gap
-            with pytest.raises(RuleGapError) as err:
-                form_lengths(lex, rules, vowels)
-            assert str(err.value) == str(exc)
-            return
-        assert form_lengths(lex, rules, vowels) == {
+        assert form_lengths(lex_of(entries), rules, vowels) == {
             "letters": [count_letters(form) for form in entries],
-            "phonemes": phonemes,
+            "phonemes": [count_phonemes(form, rules) for form in entries],
             "syllables": [count_syllables(form, vowels) for form in entries],
         }
 
@@ -234,9 +204,9 @@ class TestFormLengths:
     def test_columns_of_another_length_rejected(self):
         lex = lex_of({"на": 1, "кіт": 2})
         with pytest.raises(ValueError):
-            length_distribution(lex, "letters", [2], "types")
+            length_distribution(lex, "letters", {"letters": [2]}, "types")
         with pytest.raises(ValueError):
-            length_distribution(lex, "letters", [2, 3, 1], "tokens")
+            length_distribution(lex, "letters", {"letters": [2, 3, 1]}, "tokens")
         with pytest.raises(ValueError):
             mean_syllable_series([2, 3], [1])
         with pytest.raises(ValueError):

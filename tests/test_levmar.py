@@ -4,10 +4,21 @@ import pytest
 from textlaws import DomainError, ValidationError
 from textlaws.fitting import (
     FitOptions,
+    Model,
     forward_jacobian,
     get_model,
     lm_fit,
     model_eval,
+)
+
+# a two-parameter toy, F(r) = A / r**z, outside the registry
+POWER = Model(
+    id="Power",
+    param_names=("A", "z"),
+    evaluate=lambda p, x: p[0] * np.power(x, -p[1]),
+    x_in_domain=lambda x: bool(np.all(x > 0)),
+    params_in_domain=lambda p, x: True,
+    default_init=lambda x, y: np.array([float(y[np.argmin(x)] * x.min()), 1.0]),
 )
 
 
@@ -18,8 +29,8 @@ def synthetic(model_id, truth, xs):
 
 
 def test_noiseless_zipf_recovery_from_given_init():
-    data = synthetic("ZipfPower", {"A": 50.0, "z": 1.2}, range(1, 25))
-    result = lm_fit("ZipfPower", data, init={"A": 40.0, "z": 1.0})
+    data = synthetic(POWER, {"A": 50.0, "z": 1.2}, range(1, 25))
+    result = lm_fit(POWER, data, init={"A": 40.0, "z": 1.0})
     assert result.converged
     assert result.params["A"] == pytest.approx(50.0, rel=1e-8)
     assert result.params["z"] == pytest.approx(1.2, rel=1e-8)
@@ -77,7 +88,7 @@ def test_noisy_phoneme_density_medians_and_grid_oracle():
 
 def test_sse_trace_is_strictly_decreasing():
     for model_id, truth, xs in [
-        ("ZipfPower", {"A": 120.0, "z": 1.1}, range(1, 40)),
+        (POWER, {"A": 120.0, "z": 1.1}, range(1, 40)),
         ("ShiftedMenzerath", {"d": 5.805, "gamma": 2.245}, range(0, 13)),
         ("ZipfMandelbrot", {"A": 900.0, "b": 1.2, "C": 3.0}, range(1, 150)),
     ]:
@@ -142,18 +153,18 @@ def test_stall_returns_nonconverged_without_exception():
     # its cap and the fit must report failure instead of raising
     x = np.arange(1.0, 12.0)
     rng = np.random.default_rng(1)
-    y = model_eval("ZipfPower", {"A": 5.0, "z": 1.0}, x)
+    y = model_eval(POWER, {"A": 5.0, "z": 1.0}, x)
     y = y * (1 + 0.05 * rng.standard_normal(x.size))
     opts = FitOptions(gradient_tol=1e-300, step_tol=1e-300, max_iterations=500)
-    result = lm_fit("ZipfPower", list(zip(x, y)), init={"A": 4.0, "z": 0.9}, opts=opts)
+    result = lm_fit(POWER, list(zip(x, y)), init={"A": 4.0, "z": 0.9}, opts=opts)
     assert result.converged is False
     assert result.final_lambda > opts.max_lambda
     assert result.sse == min(result.sse_trace)
 
 
 def test_exact_recovery_can_reach_zero_sse():
-    data = synthetic("ZipfPower", {"A": 5.0, "z": 1.0}, range(1, 12))
-    result = lm_fit("ZipfPower", data, init={"A": 4.0, "z": 0.9})
+    data = synthetic(POWER, {"A": 5.0, "z": 1.0}, range(1, 12))
+    result = lm_fit(POWER, data, init={"A": 4.0, "z": 0.9})
     assert result.converged
     assert result.sse < 1e-18
 
@@ -198,14 +209,31 @@ def test_init_outside_domain_rejected():
 
 def test_data_outside_domain_rejected():
     with pytest.raises(DomainError):
-        lm_fit("ZipfPower", [(-1.0, 2.0), (1.0, 1.0), (2.0, 0.5)])
+        lm_fit(POWER, [(-1.0, 2.0), (1.0, 1.0), (2.0, 0.5)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_data_point_named(bad):
+    data = synthetic("ZipfMandelbrot", {"A": 900.0, "b": 1.2, "C": 3.0}, range(1, 20))
+    data[6] = (data[6][0], bad)
+    data[9] = (bad, data[9][1])
+    with pytest.raises(ValidationError) as info:
+        lm_fit("ZipfMandelbrot", data)
+    assert str(info.value) == f"ZipfMandelbrot: data point #7 (7.0, {bad!r}) is not finite"
+
+
+def test_init_with_unknown_parameter_rejected():
+    data = synthetic("ZipfMandelbrot", {"A": 900.0, "b": 1.2, "C": 3.0}, range(1, 20))
+    init = {"A": 100.0, "b": 1.1, "C": 2.0, "c": 9.0}
+    with pytest.raises(ValidationError, match=r"^ZipfMandelbrot: unknown parameters \['c'\]$"):
+        lm_fit("ZipfMandelbrot", data, init=init)
 
 
 def test_stderr_reported_for_noisy_fit():
     x = np.arange(1.0, 30.0)
     rng = np.random.default_rng(2)
-    y = model_eval("ZipfPower", {"A": 50.0, "z": 1.2}, x) * (1 + 0.02 * rng.standard_normal(x.size))
-    result = lm_fit("ZipfPower", list(zip(x, y)))
+    y = model_eval(POWER, {"A": 50.0, "z": 1.2}, x) * (1 + 0.02 * rng.standard_normal(x.size))
+    result = lm_fit(POWER, list(zip(x, y)))
     assert result.stderr["A"] > 0
     assert result.stderr["z"] > 0
 

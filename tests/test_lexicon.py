@@ -14,7 +14,6 @@ from textlaws import (
     build_form_spectrum,
     lemmatize,
     lexicon,
-    pattern_count,
     read_lemma_map,
     read_merge_rules,
     read_overrides,
@@ -178,27 +177,6 @@ class TestLemmatize:
         one = lemmatize(lex_of(entries), lemma_map)
         other = lemmatize(lex_of(dict(reversed(entries.items()))), lemma_map)
         assert one.entries == other.entries
-
-
-class TestPatternCount:
-    def test_suffix_hand_count(self):
-        lex = lex_of({"cats": 2, "dogs": 3, "cat": 1})
-        assert pattern_count(lex, "s") == (5, 2)
-
-    def test_no_match(self):
-        assert pattern_count(lex_of({"а": 1}), "ся") == (0, 0)
-
-    def test_prefix_mode(self):
-        lex = lex_of({"під": 2, "підпис": 3, "пис": 1})
-        assert pattern_count(lex, "під", where="prefix") == (5, 2)
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValidationError):
-            pattern_count(lex_of({"а": 1}), "")
-
-    def test_unknown_position_rejected(self):
-        with pytest.raises(ValidationError):
-            pattern_count(lex_of({"а": 1}), "а", where="infix")
 
 
 class TestResourceFiles:

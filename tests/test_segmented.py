@@ -50,7 +50,7 @@ class TestSegmentedZipf:
         segments = segmented_loglog_fit(rank_list(pairs), breakpoints=((9, 200),))
         seg = segments[0]
         assert seg.z == pytest.approx(1.0, abs=1e-9)
-        assert seg.amplitude == pytest.approx(1000.0, rel=1e-9)
+        assert seg.A == pytest.approx(1000.0, rel=1e-9)
         assert seg.r_squared == pytest.approx(1.0, abs=1e-9)
         assert seg.n_points == 191
 
@@ -80,7 +80,7 @@ class TestSegmentedZipf:
         raw = segmented_loglog_fit(rank_list(pairs), breakpoints=((4, None),))[0]
         big = segmented_loglog_fit(rank_list(scaled), breakpoints=((4, None),))[0]
         assert big.z == pytest.approx(raw.z, rel=1e-13)
-        assert big.amplitude == pytest.approx(1000.0 * raw.amplitude, rel=1e-10)
+        assert big.A == pytest.approx(1000.0 * raw.A, rel=1e-10)
 
 
 class TestCoverageFit:
@@ -88,7 +88,7 @@ class TestCoverageFit:
         points = tuple((r, 0.1 * math.log(r) + 0.2) for r in range(10, 200))
         segments = fit_coverage(CoverageCurve(points), breakpoints=((9, None),))
         assert segments[0].k == pytest.approx(0.1, rel=1e-12)
-        assert segments[0].t0 == pytest.approx(0.2, rel=1e-12)
+        assert segments[0].T0 == pytest.approx(0.2, rel=1e-12)
 
     def test_two_regime_concatenated_curve(self):
         first = [(r, 0.13 * math.log(r) + 0.1) for r in range(10, 201)]
