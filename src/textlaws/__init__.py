@@ -8,10 +8,7 @@ coverage growth) by damped least squares or per-interval regression.
 """
 
 from .distributions import (
-    CoverageCurve,
     G2PRules,
-    LengthDistribution,
-    MeanSyllableSeries,
     RankFrequencyList,
     count_letters,
     count_phonemes,

@@ -40,8 +40,10 @@ comments go on lines of their own)::
 
     [fits]
     models = PhonemeGamma,ShiftedMenzerath,MeanSyllablePower,ZipfPower,ZipfMandelbrot,LogCoverage
+    # lo:hi rank intervals; only end leaves one open to the last rank
     zipf_breakpoints = 10:200,200:1000,1000:end
     coverage_breakpoints = 10:200,200:2000,2000:end
+    # each of the model's parameters once, with a finite value
     init_ZipfMandelbrot = A=20000,b=1.1,C=4
 """
 
@@ -55,7 +57,7 @@ from pathlib import Path
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import MissingTextError, ResourceFormatError, ValidationError
-from .fitting.models import MODELS
+from .fitting.models import MODELS, _as_param_array
 from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS, INTERVAL_FITS
 from .indices import COUNT_BASES, WORD_LENGTH_BASES
 from .lexicon import decode_utf8
@@ -138,7 +140,7 @@ def _breakpoints(raw: str) -> tuple[tuple[int, int | None], ...]:
         if len(lo_hi) != 2:
             raise ValueError(f"bad interval {chunk!r}")
         lo = _rank(lo_hi[0])
-        hi = None if lo_hi[1].strip().lower() in ("end", "v", "*") else _rank(lo_hi[1])
+        hi = None if lo_hi[1].strip().lower() == "end" else _rank(lo_hi[1])
         if hi is not None and hi <= lo:
             raise ValueError(f"bad interval {chunk!r}: need lo < hi")
         intervals.append((lo, hi))
@@ -165,6 +167,8 @@ def _inits(model_id: str, raw: str) -> dict[str, float]:
             values[name] = float(value)
         except ValueError:
             raise ValueError(f"bad init value {assign!r}") from None
+    # every parameter, each with a finite value
+    _as_param_array(MODELS[model_id], values)
     return values
 
 

@@ -26,13 +26,12 @@ LENGTH_BASES = ("types", "tokens")
 
 def count_letters(form: str) -> int:
     """Number of alphabetic characters; digits and marks do not count."""
-    return sum(1 for ch in form if ch.isalpha())
+    return sum(map(str.isalpha, form))
 
 
 def count_syllables(form: str, vowels: frozenset[str] = DEFAULT_UK_VOWELS) -> int:
     """Number of vowel nuclei; zero for non-syllabic forms."""
-    folded = form.casefold()
-    return sum(1 for ch in folded if ch in vowels)
+    return sum(map(vowels.__contains__, form.casefold()))
 
 
 @dataclass(frozen=True)
@@ -100,24 +99,9 @@ def load_default_g2p() -> G2PRules:
 
 
 @dataclass(frozen=True)
-class LengthDistribution:
-    points: tuple[tuple[int, float], ...]       # (length, fraction)
-
-
-@dataclass(frozen=True)
-class MeanSyllableSeries:
-    points: tuple[tuple[int, float, int], ...]  # (syllables, mean length, support)
-
-
-@dataclass(frozen=True)
 class RankFrequencyList:
     rows: tuple[tuple[int, str, int], ...]      # (rank, item, frequency)
     total: int
-
-
-@dataclass(frozen=True)
-class CoverageCurve:
-    points: tuple[tuple[int, float], ...]       # (rank, covered fraction)
 
 
 def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dict[str, list[int]]:
@@ -133,10 +117,11 @@ def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dic
 
 def length_distribution(
     lex: FormLexicon, unit: str, table: dict[str, list[int]], basis: str
-) -> LengthDistribution:
+) -> tuple[tuple[int, float], ...]:
     """Fraction of word-forms (types) or token mass (tokens) per length.
 
-    The lengths are ``table[unit]``, a column of ``form_lengths``.
+    Returns (length, fraction) points.  The lengths are ``table[unit]``, a
+    column of ``form_lengths``.
     """
     if basis not in LENGTH_BASES:
         raise ValidationError(f"unknown basis {basis!r}")
@@ -144,17 +129,19 @@ def length_distribution(
     for length, count in zip(table[unit], lex.entries.values(), strict=True):
         weight_per_length[length] += count if basis == "tokens" else 1
     total = sum(weight_per_length.values())
-    points = tuple(
+    return tuple(
         (length, weight_per_length[length] / total)
         for length in sorted(weight_per_length)
     )
-    return LengthDistribution(points)
 
 
-def mean_syllable_series(letters: list[int], syllables: list[int]) -> MeanSyllableSeries:
+def mean_syllable_series(
+    letters: list[int], syllables: list[int]
+) -> tuple[tuple[int, float, int], ...]:
     """Mean syllable length (letters per syllable) by word length in syllables.
 
-    Averages over distinct word-forms (columns of ``form_lengths``).
+    Returns (syllables, mean, support) points; the mean is over the
+    ``support`` distinct word-forms (columns of ``form_lengths``).
     Non-syllabic forms are excluded: with zero syllables their syllable
     length is unbounded.
     """
@@ -165,13 +152,12 @@ def mean_syllable_series(letters: list[int], syllables: list[int]) -> MeanSyllab
             continue
         sums[s] += n_letters / s
         support[s] += 1
-    points = tuple((s, sums[s] / support[s], support[s]) for s in sorted(sums))
-    return MeanSyllableSeries(points)
+    return tuple((s, sums[s] / support[s], support[s]) for s in sorted(sums))
 
 
-def filter_min_support(series: MeanSyllableSeries, min_support: int) -> MeanSyllableSeries:
+def filter_min_support(series, min_support: int) -> tuple[tuple[int, float, int], ...]:
     """Drop series points backed by fewer than ``min_support`` word-forms."""
-    return MeanSyllableSeries(tuple(p for p in series.points if p[2] >= min_support))
+    return tuple(p for p in series if p[2] >= min_support)
 
 
 def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
@@ -183,14 +169,14 @@ def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
     return RankFrequencyList(rows, sum(lex.entries.values()))
 
 
-def coverage_curve(rf: RankFrequencyList) -> CoverageCurve:
-    """Cumulative fraction of the ranked token mass up to each rank."""
+def coverage_curve(rf: RankFrequencyList) -> tuple[tuple[int, float], ...]:
+    """Cumulative fraction of the ranked token mass up to each rank, as (rank, fraction)."""
     points = []
     acc = 0
     for rank, _, count in rf.rows:
         acc += count
         points.append((rank, acc / rf.total))
-    return CoverageCurve(tuple(points))
+    return tuple(points)
 
 
 def top_k(rf: RankFrequencyList, k: int) -> list[tuple[int, str, float]]:

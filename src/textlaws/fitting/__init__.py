@@ -1,6 +1,6 @@
 """Model catalog, gamma function, damped least squares and segmented fits."""
 
-from .levmar import DEFAULT_OPTIONS, FitOptions, FitResult, forward_jacobian, lm_fit
+from .levmar import FitResult, forward_jacobian, lm_fit
 from .models import (
     MEAN_SYLLABLE_EXP,
     MEAN_SYLLABLE_POWER,
@@ -25,7 +25,6 @@ from .special import gamma_fn
 
 __all__ = [
     "DEFAULT_COVERAGE_BREAKPOINTS",
-    "DEFAULT_OPTIONS",
     "DEFAULT_ZIPF_BREAKPOINTS",
     "MEAN_SYLLABLE_EXP",
     "MEAN_SYLLABLE_POWER",
@@ -34,7 +33,6 @@ __all__ = [
     "SHIFTED_MENZERATH",
     "ZIPF_MANDELBROT",
     "CoverageSegment",
-    "FitOptions",
     "FitResult",
     "Model",
     "PowerLawSegment",

@@ -5,8 +5,8 @@ residuals: a successful step shrinks the damping factor, a rejected one
 grows it, and the normal equations use Marquardt's diagonal scaling so
 parameters of very different magnitudes condition equally.  Derivatives
 come from forward finite differences on the residual vector.  The whole
-computation is deterministic: identical inputs and options reproduce the
-parameter trajectory bit for bit.
+computation is deterministic: identical inputs reproduce the parameter
+trajectory bit for bit.  The settings of the loop are fixed constants.
 """
 
 from __future__ import annotations
@@ -19,33 +19,21 @@ from ..errors import DomainError, ValidationError
 from .models import Model, _as_param_array, get_model
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    gradient_tol: float = 1e-8
-    step_tol: float = 1e-10
-    initial_lambda: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    jacobian_rel_step: float = 1e-6
-    max_lambda: float = 1e14
-
-    def __post_init__(self):
-        if min(self.gradient_tol, self.step_tol, self.initial_lambda,
-               self.jacobian_rel_step) <= 0:
-            raise ValidationError("all tolerances must be positive")
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise ValidationError("need lambda_up > 1 > lambda_down > 0")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-
-
-DEFAULT_OPTIONS = FitOptions()
+# fixed settings of the damping loop
+_MAX_ITERATIONS = 200
+_GRADIENT_TOL = 1e-8
+_STEP_TOL = 1e-10
+_JACOBIAN_REL_STEP = 1e-6
+_INITIAL_LAMBDA = 1e-3
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 0.1
+_MIN_LAMBDA = 1e-12
+# a fit that needs more damping than this has stalled
+_MAX_LAMBDA = 1e14
 
 
 @dataclass
 class FitResult:
-    model_id: str
     params: dict[str, float]
     stderr: dict[str, float]
     derived: dict[str, float]
@@ -72,25 +60,19 @@ def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np
 
 
 def _prepare_data(data):
-    data = list(data)
     # no pairs at all is shape (0, 2), so the caller reports too few points
-    pairs = np.asarray(data, dtype=float) if data else np.empty((0, 2))
+    pairs = np.asarray(data, dtype=float) if len(data) else np.empty((0, 2))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("data must be a sequence of (x, y) pairs")
     return pairs[:, 0], pairs[:, 1]
 
 
-def lm_fit(
-    model: Model | str,
-    data,
-    init=None,
-    opts: FitOptions = DEFAULT_OPTIONS,
-) -> FitResult:
+def lm_fit(model: Model | str, data, init=None) -> FitResult:
     """Fit a model to (x, y) data by damped least squares.
 
-    ``init`` maps the model's parameter names, and no others, to starting
-    values (or is an ordered sequence); without it the model's documented
-    default guess is used.  A non-finite data point is a validation error.
+    ``init`` maps the model's parameter names, and no others, to finite
+    starting values; without it the model's documented default guess is
+    used.  A non-finite data point is a validation error.
     Singular normal equations at every damping level yield a result with
     ``converged=False`` rather than an exception; a non-finite model value
     at the accepted parameters is a domain error.
@@ -121,26 +103,26 @@ def lm_fit(
         raise DomainError(f"{model.id}: model is not finite at the initial parameters")
     sse = float(r @ r)
     trace = [sse]
-    lam = opts.initial_lambda
+    lam = _INITIAL_LAMBDA
     converged = False
     iterations = 0
 
-    for _ in range(opts.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         iterations += 1
-        jac = forward_jacobian(residual, p, opts.jacobian_rel_step, r)
+        jac = forward_jacobian(residual, p, _JACOBIAN_REL_STEP, r)
         grad = jac.T @ r
-        if np.all(np.isfinite(grad)) and float(np.max(np.abs(grad))) < opts.gradient_tol:
+        if np.all(np.isfinite(grad)) and float(np.max(np.abs(grad))) < _GRADIENT_TOL:
             converged = True
             break
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[~(diag > 0)] = 1.0
         stepped = False
-        while lam <= opts.max_lambda:
+        while lam <= _MAX_LAMBDA:
             try:
                 delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
-                lam *= opts.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             p_try = p + delta
             if np.all(np.isfinite(p_try)) and model.params_in_domain(p_try, x):
@@ -150,20 +132,19 @@ def lm_fit(
                     if sse_try < sse:
                         p, r, sse = p_try, r_try, sse_try
                         trace.append(sse)
-                        lam = max(lam * opts.lambda_down, 1e-12)
+                        lam = max(lam * _LAMBDA_DOWN, _MIN_LAMBDA)
                         stepped = True
                         step_norm = float(np.linalg.norm(delta))
-                        if step_norm < opts.step_tol * (float(np.linalg.norm(p)) + opts.step_tol):
+                        if step_norm < _STEP_TOL * (float(np.linalg.norm(p)) + _STEP_TOL):
                             converged = True
                         break
-            lam *= opts.lambda_up
+            lam *= _LAMBDA_UP
         if not stepped or converged:
             break
 
-    stderr = _standard_errors(model, residual, p, r, sse, opts)
+    stderr = _standard_errors(model, residual, p, r, sse)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(
-        model_id=model.id,
         params=dict(zip(model.param_names, (float(v) for v in p))),
         stderr=stderr,
         derived={k: float(v) for k, v in derived.items()},
@@ -175,13 +156,13 @@ def lm_fit(
     )
 
 
-def _standard_errors(model, residual, p, r, sse, opts):
+def _standard_errors(model, residual, p, r, sse):
     """Asymptotic per-parameter errors from the final Jacobian."""
     names = model.param_names
     dof = r.size - model.n_params
     if dof <= 0:
         return {name: float("nan") for name in names}
-    jac = forward_jacobian(residual, p, opts.jacobian_rel_step, r)
+    jac = forward_jacobian(residual, p, _JACOBIAN_REL_STEP, r)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (sse / dof)
     except np.linalg.LinAlgError:

@@ -173,19 +173,18 @@ def get_model(model_id: str) -> Model:
         raise ValidationError(f"unknown model {model_id!r}; known models: {known}") from None
 
 
-def _as_param_array(model: Model, params) -> np.ndarray:
-    if isinstance(params, dict):
-        missing = [name for name in model.param_names if name not in params]
-        if missing:
-            raise ValidationError(f"{model.id}: missing parameters {missing}")
-        if unknown := [name for name in params if name not in model.param_names]:
-            raise ValidationError(f"{model.id}: unknown parameters {unknown}")
-        return np.array([float(params[name]) for name in model.param_names])
-    values = np.asarray(params, dtype=float)
-    if values.shape != (model.n_params,):
-        raise ValidationError(
-            f"{model.id}: expected {model.n_params} parameters, got shape {values.shape}"
-        )
+def _as_param_array(model: Model, params: dict) -> np.ndarray:
+    """The values of ``params``, a dict naming each parameter once, in model order."""
+    missing = [name for name in model.param_names if name not in params]
+    if missing:
+        raise ValidationError(f"{model.id}: missing parameters {missing}")
+    if unknown := [name for name in params if name not in model.param_names]:
+        raise ValidationError(f"{model.id}: unknown parameters {unknown}")
+    values = np.array([float(params[name]) for name in model.param_names])
+    if not (finite := np.isfinite(values)).all():
+        i = int(np.argmin(finite))
+        name, value = model.param_names[i], float(values[i])
+        raise ValidationError(f"{model.id}: parameter {name}={value!r} is not finite")
     return values
 
 

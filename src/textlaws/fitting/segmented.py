@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ValidationError
-from ..distributions import CoverageCurve, RankFrequencyList
+from ..distributions import RankFrequencyList
 
 ZIPF_POWER = "ZipfPower"          # segmented_loglog_fit
 LOG_COVERAGE = "LogCoverage"      # fit_coverage
@@ -92,12 +92,9 @@ def segmented_loglog_fit(
     ]
 
 
-def fit_coverage(
-    curve: CoverageCurve,
-    breakpoints=DEFAULT_COVERAGE_BREAKPOINTS,
-) -> list[CoverageSegment]:
-    """Logarithmic growth slope of text coverage per rank domain."""
-    return [
-        CoverageSegment(*line)
-        for line in _interval_lines(curve.points, breakpoints, lambda v: v)
-    ]
+def fit_coverage(curve, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[CoverageSegment]:
+    """Logarithmic growth slope of text coverage per rank domain.
+
+    ``curve`` holds (rank, covered fraction) points, as ``coverage_curve`` gives.
+    """
+    return [CoverageSegment(*line) for line in _interval_lines(curve, breakpoints, lambda v: v)]

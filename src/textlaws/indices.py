@@ -8,7 +8,7 @@ recomputes them over word-forms for sensitivity studies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .distributions import count_letters
@@ -39,9 +39,6 @@ class CorpusProfile:
     mean_word_len_letters: float
     mean_sentence_len_words: float | None
     threshold: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def corpus_profile(

@@ -111,11 +111,10 @@ def run_analysis(cfg: RunConfig) -> None:
             syllable_series = dist.mean_syllable_series(table["letters"], table["syllables"])
             if "lengths" in cfg.stages:
                 for unit, distribution in lengths.items():
-                    emit_plot_data(distribution.points, out / f"lengths_{unit}.dat")
-                if syllable_series.points:
+                    emit_plot_data(distribution, out / f"lengths_{unit}.dat")
+                if syllable_series:
                     emit_plot_data(
-                        [(s, m) for s, m, _ in syllable_series.points],
-                        out / "mean_syllable.dat",
+                        [(s, m) for s, m, _ in syllable_series], out / "mean_syllable.dat"
                     )
                 else:
                     log.info("no syllabic word-forms: mean_syllable.dat not written")
@@ -132,7 +131,7 @@ def run_analysis(cfg: RunConfig) -> None:
             curve = dist.coverage_curve(rf)
             if "ranks" in cfg.stages:
                 emit_plot_data([(r, f) for r, _, f in rf.rows], out / "rank_freq.dat")
-                emit_plot_data(curve.points, out / "coverage.dat")
+                emit_plot_data(curve, out / "coverage.dat")
                 k = min(cfg.top_k, len(rf.rows))
                 write_topk(dist.top_k(rf, k), out / "topk.tsv")
 
@@ -155,12 +154,13 @@ def _lm_report(result) -> dict:
 
 
 def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
-    filtered_series = dist.filter_min_support(syllable_series, cfg.min_support)
+    supported = dist.filter_min_support(syllable_series, cfg.min_support)
+    mean_syllables = [(s, m) for s, m, _ in supported]
     datasets = {
-        "PhonemeGamma": [(x, y) for x, y in lengths["phonemes"].points],
-        "ShiftedMenzerath": [(x, y) for x, y in lengths["syllables"].points],
-        "MeanSyllablePower": [(s, m) for s, m, _ in filtered_series.points],
-        "MeanSyllableExp": [(s, m) for s, m, _ in filtered_series.points],
+        "PhonemeGamma": lengths["phonemes"],
+        "ShiftedMenzerath": lengths["syllables"],
+        "MeanSyllablePower": mean_syllables,
+        "MeanSyllableExp": mean_syllables,
         "ZipfMandelbrot": [(r, f) for r, _, f in rf.rows],
     }
     # each call looks its fit up in this module, where the benchmark's tracer wraps it

@@ -8,6 +8,7 @@ and are UTF-8, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ValidationError
@@ -39,7 +40,7 @@ def _scalar_str(value, float_format) -> str:
 
 def write_profile(profile: CorpusProfile, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
-    record = profile.to_dict()
+    record = asdict(profile)
     tsv = "".join(f"{key}\t{_scalar_str(value, repr)}\n" for key, value in record.items())
     (out_dir / "profile.tsv").write_text(tsv, encoding="utf-8")
     (out_dir / "profile.json").write_text(

@@ -18,7 +18,6 @@ import pytest
 from scipy.integrate import quad
 
 from textlaws import (
-    CoverageCurve,
     FormLexicon,
     RankFrequencyList,
     apply_merge_rules,
@@ -80,6 +79,10 @@ RECOVERY_CASES = [
 ]
 
 
+def _lm_params(model_id, x, y):
+    return lm_fit(model_id, list(zip(x, y))).params
+
+
 def _fit_zipf_power(x, f):
     rows = tuple((int(r), f"w{int(r)}", v) for r, v in zip(x, f))
     segments = segmented_loglog_fit(RankFrequencyList(rows, sum(f)), breakpoints=((0, 200),))
@@ -88,7 +91,7 @@ def _fit_zipf_power(x, f):
 
 def _fit_log_coverage(x, t):
     segments = fit_coverage(
-        CoverageCurve(tuple(zip((int(v) for v in x), t))),
+        tuple(zip((int(v) for v in x), t)),
         breakpoints=((9, 200),),
     )
     return {"k": segments[0].k, "T0": segments[0].T0}
@@ -125,7 +128,7 @@ def test_criterion_1_fit_recovery():
     # 1% multiplicative noise, 100 seeds, medians within 5%
     noisy_cases = [
         (model_id, truth, x, functools.partial(model_eval, model_id),
-         lambda grid, y, model_id=model_id: lm_fit(model_id, list(zip(grid, y))).params)
+         functools.partial(_lm_params, model_id))
         for model_id, truth, x in RECOVERY_CASES
     ] + INTERVAL_CASES
     for model_id, truth, grid, curve, fit in noisy_cases:
@@ -349,16 +352,16 @@ def test_criterion_6_distribution_invariants():
 
         for unit in ("letters", "syllables"):
             dist = length_distribution(lex, unit, table, basis)
-            assert abs(sum(f for _, f in dist.points) - 1.0) <= 1e-9
-            assert all(length >= 0 for length, _ in dist.points)
+            assert abs(sum(f for _, f in dist) - 1.0) <= 1e-9
+            assert all(length >= 0 for length, _ in dist)
 
         if any(count_syllables(form) == 0 for form in entries):
             syllables = length_distribution(lex, "syllables", table, basis)
-            assert syllables.points[0][0] == 0
-            assert syllables.points[0][1] > 0
+            assert syllables[0][0] == 0
+            assert syllables[0][1] > 0
 
         curve = coverage_curve(rank_frequency(lex))
-        values = [t for _, t in curve.points]
+        values = [t for _, t in curve]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert abs(values[-1] - 1.0) <= 1e-9
 

@@ -108,6 +108,17 @@ class TestConfig:
         pytest.param("[fits]\nmodels = ZipfMandelbrot\ninit_ZipfMandelbrot = A=20,b=1,A=30\n",
                      5, id="init-repeated-parameter"),
         pytest.param("[fits]\nzipf_breakpoints = 1:30,100:30\n", 4, id="empty-interval"),
+        # only end leaves an interval open
+        pytest.param("[fits]\nzipf_breakpoints = 10:200,1000:*\n", 4, id="star-bound"),
+        pytest.param("[fits]\nmodels = ZipfMandelbrot\ncoverage_breakpoints = 2000:v\n", 5,
+                     id="v-bound"),
+        # a fit needs every start value, and a finite one
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=20000\n", 4, id="init-partial"),
+        pytest.param("[fits]\ninit_ZipfMandelbrot =\n", 4, id="init-empty"),
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=20000,b=inf,C=4\n", 4, id="init-inf"),
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=nan,b=1.1,C=4\n", 4, id="init-nan"),
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=1e400,b=1.1,C=4\n", 4,
+                     id="init-overflow"),
     ])
     def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
         bad = tmp_path / "run.ini"
@@ -337,7 +348,7 @@ class TestPipeline:
         report = json.loads((out / "fits.json").read_text())
         assert list(report) == ["ZipfMandelbrot"]
 
-    def test_partial_init_reports_missing_parameters(self, fixtures_dir, tmp_path):
+    def test_partial_init_exits_3_before_the_run(self, fixtures_dir, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(
             "[paths]\n"
@@ -348,9 +359,10 @@ class TestPipeline:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "fits.json").read_text())
-        assert report == {"ZipfMandelbrot": {"error": "ZipfMandelbrot: missing parameters ['b', 'C']"}}
+        assert main(["--config", str(cfg), "--out", str(out)]) == 3
+        message = f"{cfg}:5: ZipfMandelbrot: missing parameters ['b', 'C']\n"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_text_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -603,12 +615,16 @@ _bound = st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["end", "", "x"
 _intervals = st.lists(
     st.tuples(_bound, _bound).map(":".join) | st.sampled_from(["5", "1:2:3"]), max_size=3
 ).map(",".join)
+_init_values = ["1", "0.5", "-2", "x", "nan"]
 _inits = {
     f"{config.INIT_PREFIX}{model_id}": st.lists(
         st.tuples(st.sampled_from([*MODELS[model_id].param_names, "Q"]),
-                  st.sampled_from(["1", "0.5", "-2", "x", "nan"])).map("=".join),
+                  st.sampled_from(_init_values)).map("=".join),
         max_size=4,
     ).map(",".join)
+    # every parameter once, so that some drawn inits reach the fits
+    | st.tuples(*(st.sampled_from(_init_values).map(f"{name}={{}}".format)
+                  for name in MODELS[model_id].param_names)).map(",".join)
     for model_id in MODELS
 }
 FUZZ_SECTIONS = {

@@ -197,6 +197,12 @@ class TestFormLengths:
             "syllables": [count_syllables(form, vowels) for form in entries],
         }
 
+    @given(st.text(alphabet=MIXED_ALPHABET + "\u0301²Ⅻ", max_size=12),
+           st.frozensets(st.sampled_from(MIXED_ALPHABET)))
+    def test_counters_match_per_character_loops(self, form, vowels):
+        assert count_letters(form) == sum(1 for ch in form if ch.isalpha())
+        assert count_syllables(form, vowels) == sum(1 for ch in form.casefold() if ch in vowels)
+
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValidationError):
             form_lengths(lex_of({}), G2PRules(()), DEFAULT_UK_VOWELS)
@@ -216,11 +222,11 @@ class TestFormLengths:
 class TestLengthDistribution:
     def test_types_basis(self):
         dist = spectrum({"a": 5, "bb": 5}, "letters", "types")
-        assert dist.points == ((1, 0.5), (2, 0.5))
+        assert dist == ((1, 0.5), (2, 0.5))
 
     def test_tokens_basis_weighting(self):
         dist = spectrum({"a": 9, "bb": 1}, "letters", "tokens")
-        assert dist.points == ((1, 0.9), (2, 0.1))
+        assert dist == ((1, 0.9), (2, 0.1))
 
     def test_matches_brute_force_histogram(self):
         # oracle: independent histogram over 200 synthetic forms
@@ -233,7 +239,7 @@ class TestLengthDistribution:
         for form in entries:
             hist[len(form)] = hist.get(len(form), 0) + 1
         dist = spectrum(entries, "letters", "types")
-        assert dist.points == tuple(
+        assert dist == tuple(
             (length, hist[length] / 200) for length in sorted(hist)
         )
 
@@ -244,29 +250,29 @@ class TestLengthDistribution:
     @given(lexicon_strategy, st.sampled_from(["types", "tokens"]))
     def test_fractions_sum_to_one(self, entries, basis):
         dist = spectrum(entries, "letters", basis)
-        assert abs(sum(f for _, f in dist.points) - 1.0) <= 1e-9
-        lengths = [length for length, _ in dist.points]
+        assert abs(sum(f for _, f in dist) - 1.0) <= 1e-9
+        lengths = [length for length, _ in dist]
         assert lengths == sorted(set(lengths))
-        assert all(f >= 0 for _, f in dist.points)
+        assert all(f >= 0 for _, f in dist)
 
     def test_syllable_mass_at_zero_for_vowelless_forms(self):
         dist = spectrum({"б": 3, "на": 2}, "syllables", "types")
-        assert dist.points[0][0] == 0
-        assert dist.points[0][1] > 0
+        assert dist[0][0] == 0
+        assert dist[0][1] > 0
 
 
 class TestMeanSyllableSeries:
     def test_hand_mean(self):
         series = series_of({"на": 1, "кіт": 1})
-        assert series.points == ((1, 2.5, 2),)
+        assert series == ((1, 2.5, 2),)
 
     def test_single_vowel_form(self):
         series = series_of({"і": 1})
-        assert series.points == ((1, 1.0, 1),)
+        assert series == ((1, 1.0, 1),)
 
     def test_nonsyllabic_forms_excluded(self):
         series = series_of({"б": 5, "ж": 2})
-        assert series.points == ()
+        assert series == ()
 
     def test_matches_group_by_oracle(self):
         # oracle: independent group-by over 50 synthetic forms
@@ -281,14 +287,14 @@ class TestMeanSyllableSeries:
             if s:
                 groups.setdefault(s, []).append(len(form) / s)
         series = series_of(entries, vowels=frozenset("ае"))
-        assert series.points == tuple(
+        assert series == tuple(
             (s, sum(vals) / len(vals), len(vals)) for s, vals in sorted(groups.items())
         )
 
     def test_min_support_filter(self):
         series = series_of({"на": 1, "і": 1, "мала": 1, "тара": 1})
         kept = filter_min_support(series, 2)
-        assert all(support >= 2 for _, _, support in kept.points)
+        assert all(support >= 2 for _, _, support in kept)
 
 
 class TestRankFrequency:
@@ -332,11 +338,11 @@ class TestRankFrequency:
 class TestCoverage:
     def test_two_entry_curve(self):
         curve = coverage_curve(rank_frequency(lex_of({"a": 3, "b": 1})))
-        assert curve.points == ((1, 0.75), (2, 1.0))
+        assert curve == ((1, 0.75), (2, 1.0))
 
     def test_uniform_counts(self):
         curve = coverage_curve(rank_frequency(lex_of({"a": 1, "b": 1, "c": 1, "d": 1})))
-        assert curve.points == ((1, 0.25), (2, 0.5), (3, 0.75), (4, 1.0))
+        assert curve == ((1, 0.25), (2, 0.5), (3, 0.75), (4, 1.0))
 
     def test_matches_prefix_sum_oracle(self):
         rng = random.Random(9)
@@ -347,12 +353,12 @@ class TestCoverage:
         for rank, _, f in rf.rows:
             acc += f
             expected.append((rank, acc / total))
-        assert coverage_curve(rf).points == tuple(expected)
+        assert coverage_curve(rf) == tuple(expected)
 
     @given(lexicon_strategy)
     def test_curve_non_decreasing_and_ends_at_one(self, entries):
         curve = coverage_curve(rank_frequency(lex_of(entries)))
-        values = [t for _, t in curve.points]
+        values = [t for _, t in curve]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert abs(values[-1] - 1.0) <= 1e-9
         # discrete concavity: increments never grow

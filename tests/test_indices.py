@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -183,7 +184,7 @@ def test_word_length_basis_types():
 
 def test_profile_serialization_keys():
     profile = profile_of("a b a")
-    assert list(profile.to_dict()) == [
+    assert list(asdict(profile)) == [
         "N", "F", "V", "variety", "density", "hapax_V1", "excl_vocab", "excl_text",
         "N_at_threshold", "V_at_threshold", "conc_text", "conc_vocab",
         "mean_word_len_letters", "mean_sentence_len_words", "threshold",

@@ -104,6 +104,13 @@ class TestModelEval:
         with pytest.raises(ValidationError, match=r"^ZipfMandelbrot: unknown parameters \['c'\]$"):
             model_eval("ZipfMandelbrot", params, 3.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_named(self, bad):
+        params = {"A": 100.0, "b": 1.1, "C": bad}
+        with pytest.raises(ValidationError) as info:
+            model_eval("ZipfMandelbrot", params, 3.0)
+        assert str(info.value) == f"ZipfMandelbrot: parameter C={bad!r} is not finite"
+
     def test_mean_syllable_exp_shape(self):
         value = model_eval("MeanSyllableExp", {"A": 2.5, "b": -0.4, "c": 0.05}, 2.0)
         assert value == pytest.approx(2.5 * 2.0**-0.4 * math.exp(0.1), rel=1e-12)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from textlaws import RankFrequencyList, CoverageCurve, ValidationError
+from textlaws import RankFrequencyList, ValidationError
 from textlaws.fitting import (
     fit_coverage,
     ols_line,
@@ -86,7 +86,7 @@ class TestSegmentedZipf:
 class TestCoverageFit:
     def test_exact_logarithmic_curve(self):
         points = tuple((r, 0.1 * math.log(r) + 0.2) for r in range(10, 200))
-        segments = fit_coverage(CoverageCurve(points), breakpoints=((9, None),))
+        segments = fit_coverage(points, breakpoints=((9, None),))
         assert segments[0].k == pytest.approx(0.1, rel=1e-12)
         assert segments[0].T0 == pytest.approx(0.2, rel=1e-12)
 
@@ -96,7 +96,7 @@ class TestCoverageFit:
         second = [
             (r, join + 0.08 * (math.log(r) - math.log(200))) for r in range(201, 1001)
         ]
-        curve = CoverageCurve(tuple(first + second))
+        curve = tuple(first + second)
         segments = fit_coverage(curve, breakpoints=((10, 200), (200, 1000)))
         assert abs(segments[0].k - 0.13) <= 1e-6
         assert abs(segments[1].k - 0.08) <= 1e-6
@@ -104,4 +104,4 @@ class TestCoverageFit:
     def test_too_few_points(self):
         points = tuple((r, 0.1 * math.log(r)) for r in (1, 2, 3))
         with pytest.raises(ValidationError):
-            fit_coverage(CoverageCurve(points), breakpoints=((1, 2),))
+            fit_coverage(points, breakpoints=((1, 2),))
