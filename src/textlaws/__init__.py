@@ -47,6 +47,7 @@ from .tokenizer import (
     SentenceSpan,
     Token,
     TokenizerConfig,
+    Tokens,
     split_sentences,
     tokenize,
 )

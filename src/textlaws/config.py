@@ -293,6 +293,12 @@ def load_run_config(path: str | Path) -> RunConfig:
                 line_no = key_lines.get((section, key), 0)
                 raise ResourceFormatError(path, line_no, str(exc)) from None
 
+    models = fields.get("models", DEFAULT_FIT_MODELS)
+    for model_id in inits:
+        if model_id not in models:
+            line_no = key_lines.get(("fits", INIT_PREFIX + model_id), 0)
+            message = f"{model_id} is not in [fits] models, so no fit reads its start values"
+            raise ResourceFormatError(path, line_no, message)
     if fields.get("text_path") is None:
         raise MissingTextError(f"{path}: [paths] text is required")
     fields["output_dir"] = fields.get("output_dir") or base / "out"

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .distributions import count_letters
 from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
-from .tokenizer import SentenceSpan, Token
+from .tokenizer import SentenceSpan, Tokens
 
 # lexicon feeding the hapax and concentration counts
 COUNT_BASES = ("lemmas", "forms")
@@ -42,7 +41,7 @@ class CorpusProfile:
 
 
 def corpus_profile(
-    tokens: list[Token],
+    tokens: Tokens,
     sentences: list[SentenceSpan],
     forms: FormLexicon,
     lemmas: LemmaLexicon | None = None,
@@ -72,7 +71,7 @@ def corpus_profile(
     f = len(forms.entries)
 
     if word_length_basis == "tokens":
-        surfaces = Counter(map(attrgetter("surface"), tokens))
+        surfaces = Counter(tokens.surfaces)
         letters = sum(count_letters(s) * c for s, c in surfaces.items())
         mean_word_len = letters / len(tokens)
     else:

@@ -13,12 +13,11 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ResourceFormatError, ValidationError
-from .tokenizer import Token
+from .tokenizer import Tokens
 
 
 @dataclass
@@ -62,9 +61,9 @@ class LemmaLexicon:
     unmapped_forms: int = 0
 
 
-def build_form_spectrum(tokens: list[Token]) -> FormLexicon:
-    """Count tokens by folded form."""
-    counts = Counter(map(attrgetter("folded"), tokens))
+def build_form_spectrum(tokens: Tokens) -> FormLexicon:
+    """Count tokens by folded form, in order of first occurrence."""
+    counts = Counter(tokens.folded)
     return FormLexicon(dict(counts), len(tokens))
 
 

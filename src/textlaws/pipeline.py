@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distributions as dist
 from .config import RunConfig
-from .errors import MissingTextError, TextlawsError
+from .errors import MissingTextError, TextlawsError, ValidationError
 from .fitting import fit_coverage, lm_fit, model_eval, segmented_loglog_fit
 from .fitting.segmented import LOG_COVERAGE, ZIPF_POWER
 from .indices import corpus_profile
@@ -60,6 +60,9 @@ def run_analysis(cfg: RunConfig) -> None:
         # the bytes are freed once decoded, before the tokenizer's peak
         text = decode_utf8(cfg.text_path, cfg.text_path.read_bytes())
         tokens = tokenize(text, cfg.tokenizer)
+        if not tokens:
+            # no stage after this one has anything to count
+            raise ValidationError(f"{cfg.text_path}: no word tokens")
         sentences = split_sentences(text, cfg.tokenizer, tokens)
 
     with _stage("lexicon"):

@@ -4,7 +4,9 @@ A token is a maximal run of letters, digits and permitted internal
 characters ("60-ий", "§136" and "м’ята" are single tokens); everything
 between tokens is separator material and is never emitted.  Offsets refer
 to the NFC-normalized text, so slicing the normalized text at a token's
-offset recovers its surface exactly.
+offset recovers its surface exactly.  ``tokenize`` returns the stream as
+three columns (surfaces, folded forms, offsets) rather than one object per
+token; a ``Token`` is built only when one is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -58,6 +60,34 @@ class Token:
     surface: str
     folded: str
     char_offset: int
+
+
+@dataclass(frozen=True, slots=True)
+class Tokens(Sequence):
+    """The token stream of one text, one column per field.
+
+    ``surfaces[i]``, ``folded[i]`` and ``offsets[i]`` are the fields of the
+    i-th token; tokens of equal runs of text share their strings.  The
+    columns are handed out, not copied (a copy would raise a large text's
+    peak memory), so callers only read them.  Indexing builds one ``Token``,
+    a slice gives the ``Tokens`` of its range, and iteration builds each
+    ``Token`` in turn.
+    """
+
+    surfaces: list[str]
+    folded: list[str]
+    offsets: list[int]
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Tokens(self.surfaces[index], self.folded[index], self.offsets[index])
+        return Token(self.surfaces[index], self.folded[index], self.offsets[index])
+
+    def __iter__(self):
+        return map(Token, self.surfaces, self.folded, self.offsets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +172,7 @@ def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
     return ((0, *_token_fields(run, cfg)),)
 
 
-def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
+def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
     """Split text into word tokens.
 
     The text is NFC-normalized first.  Word characters are letters (L*)
@@ -156,26 +186,29 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> list[Token]:
     text = unicodedata.normalize("NFC", text)
     token = _patterns(cfg)[0]
     runs: dict[str, tuple] = {}
-    tokens: list[Token] = []
-    append = tokens.append
+    # plain strings and ints: nothing per token for the garbage collector to walk
+    surfaces: list[str] = []
+    folded: list[str] = []
+    offsets: list[int] = []
+    add_surface, add_folded, add_offset = surfaces.append, folded.append, offsets.append
     for match in token.finditer(text):
         run = match[0]
         parts = runs.get(run)
         if parts is None:
             parts = runs[run] = _run_tokens(run, token, cfg)
         start = match.start()
-        for offset, surface, folded in parts:
-            append(Token(surface, folded, start + offset))
-    return tokens
+        for offset, surface, fold in parts:
+            add_surface(surface)
+            add_folded(fold)
+            add_offset(start + offset)
+    return Tokens(surfaces, folded, offsets)
 
 
 def _is_upper(ch: str) -> bool:
     return unicodedata.category(ch) in ("Lu", "Lt")
 
 
-def _boundary_positions(
-    text: str, tokens: list[Token], offsets: list[int], cfg: TokenizerConfig
-) -> list[int]:
+def _boundary_positions(text: str, tokens: Tokens, cfg: TokenizerConfig) -> list[int]:
     """Text positions right after which a sentence ends.
 
     A terminator ends a sentence when, after optional closing quotes, it is
@@ -184,6 +217,7 @@ def _boundary_positions(
     listed abbreviation never splits; the abbreviation is the last token
     that ends at or before the period, compared casefolded.
     """
+    offsets, surfaces = tokens.offsets, tokens.surfaces
     positions = []
     for match in _patterns(cfg)[1].finditer(text):
         follower = match[1]
@@ -192,9 +226,9 @@ def _boundary_positions(
         i = match.start()
         if text[i] == "." and cfg.abbreviations:
             k = bisect_right(offsets, i)
-            if k and offsets[k - 1] + len(tokens[k - 1].surface) > i:
+            if k and offsets[k - 1] + len(surfaces[k - 1]) > i:
                 k -= 1  # that token holds the period itself
-            if k and tokens[k - 1].surface.casefold() in cfg.abbreviations:
+            if k and surfaces[k - 1].casefold() in cfg.abbreviations:
                 continue
         positions.append(i)
     return positions
@@ -203,7 +237,7 @@ def _boundary_positions(
 def split_sentences(
     text: str,
     cfg: TokenizerConfig = DEFAULT_CONFIG,
-    tokens: list[Token] | None = None,
+    tokens: Tokens | None = None,
 ) -> list[SentenceSpan]:
     """Partition the token stream of ``text`` into sentence spans.
 
@@ -216,11 +250,10 @@ def split_sentences(
         tokens = tokenize(text, cfg)
     if not tokens:
         return []
-    offsets = list(map(attrgetter("char_offset"), tokens))
     spans: list[SentenceSpan] = []
     prev_end = 0
-    for pos in _boundary_positions(text, tokens, offsets, cfg):
-        k = bisect_left(offsets, pos)
+    for pos in _boundary_positions(text, tokens, cfg):
+        k = bisect_left(tokens.offsets, pos)
         if k > prev_end:
             spans.append(SentenceSpan(prev_end, k))
             prev_end = k

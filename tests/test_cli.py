@@ -22,6 +22,7 @@ from textlaws import (
     distributions,
     pipeline,
     split_sentences,
+    tokenizer,
 )
 from textlaws.cli import main
 from textlaws.config import load_run_config
@@ -119,6 +120,8 @@ class TestConfig:
         pytest.param("[fits]\ninit_ZipfMandelbrot = A=nan,b=1.1,C=4\n", 4, id="init-nan"),
         pytest.param("[fits]\ninit_ZipfMandelbrot = A=1e400,b=1.1,C=4\n", 4,
                      id="init-overflow"),
+        # MeanSyllableExp is not among the default models, so no fit would read this
+        pytest.param("[fits]\ninit_MeanSyllableExp = A=1,b=1,c=1\n", 4, id="init-unlisted-model"),
     ])
     def test_bad_value_reports_its_line(self, tmp_path, body, line_no):
         bad = tmp_path / "run.ini"
@@ -312,6 +315,19 @@ class TestPipeline:
             assert len(seen) == n_forms, name
             assert set(seen.values()) == {1}, name
 
+    def test_no_token_object_per_word(self, fixture_config, tmp_path, monkeypatch):
+        built = []
+
+        def counting(*args, token=tokenizer.Token):
+            built.append(args)
+            return token(*args)
+
+        monkeypatch.setattr(tokenizer, "Token", counting)
+        out = tmp_path / "out"
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
+        assert json.loads((out / "profile.json").read_text())["N"] == 1000
+        assert built == []
+
     def test_minimal_config_degraded_mode(self, fixtures_dir, tmp_path):
         cfg = tmp_path / "minimal.ini"
         cfg.write_text(
@@ -449,7 +465,27 @@ class TestPipeline:
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[paths]\ntext = {empty}\n", encoding="utf-8")
         assert main(["--config", str(cfg)]) == 1
-        assert "profile" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"analyze: stage ingest: {empty}: no word tokens\n"
+
+    @pytest.mark.parametrize("only", ["profile", "ranks", "lengths"])
+    @pytest.mark.parametrize("overrides", [True, False], ids=["overrides", "no-overrides"])
+    @pytest.mark.parametrize("text", ["", "— ... !!! «» ² ½"], ids=["empty", "punctuation"])
+    def test_text_without_tokens_fails_in_ingest(self, fixtures_dir, tmp_path, capsys,
+                                                 text, overrides, only):
+        for name in ("lemmas.tsv", "merges.tsv", "overrides.tsv"):
+            shutil.copy(fixtures_dir / name, tmp_path)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8")
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[paths]\ntext = corpus.txt\nlemma_map = lemmas.tsv\nmerge_rules = merges.tsv\n"
+            + ("overrides = overrides.tsv\n" if overrides else ""),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out), "--only", only]) == 1
+        assert capsys.readouterr().err == f"analyze: stage ingest: {corpus}: no word tokens\n"
+        assert not out.exists()
 
     def test_invalid_utf8_names_byte_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

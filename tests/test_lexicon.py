@@ -40,7 +40,7 @@ class TestFormSpectrum:
         assert lex.total_tokens == 3
 
     def test_empty_stream(self):
-        lex = build_form_spectrum([])
+        lex = build_form_spectrum(tokenize(""))
         assert lex.entries == {}
         assert lex.total_tokens == 0
 

@@ -14,6 +14,7 @@ from textlaws import (
     SentenceSpan,
     Token,
     TokenizerConfig,
+    Tokens,
     ValidationError,
     split_sentences,
     tokenize,
@@ -38,7 +39,7 @@ def test_alphanumeric_sequences_are_single_tokens(raw):
 
 
 def test_empty_text_yields_no_tokens():
-    assert tokenize("") == []
+    assert list(tokenize("")) == []
 
 
 def test_hand_tokenized_mixed_sentence():
@@ -48,7 +49,7 @@ def test_hand_tokenized_mixed_sentence():
 
 
 def test_punctuation_only_runs_yield_no_token():
-    assert tokenize("— ... !!! «»") == []
+    assert list(tokenize("— ... !!! «»")) == []
 
 
 def test_joiners_need_word_chars_on_both_sides():
@@ -204,7 +205,12 @@ def token_fields(tokens):
 @example("a§ §1 a§§b a§§§b в--в м’ята x²y 1½ Ⅻ-а", DEFAULT_CONFIG)
 @example("x²§ §² ²²a ½§", TokenizerConfig(intra_token_chars=frozenset("²§")))
 def test_tokenize_matches_scanner_oracle(text, cfg):
-    assert token_fields(tokenize(text, cfg)) == token_fields(oracle_tokenize(text, cfg))
+    tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
+    assert token_fields(tokens) == token_fields(expected)
+    # the columns themselves, not only the Tokens built from them
+    assert tokens.surfaces == [t.surface for t in expected]
+    assert tokens.folded == [t.folded for t in expected]
+    assert tokens.offsets == [t.char_offset for t in expected]
 
 
 @settings(max_examples=300)
@@ -220,6 +226,33 @@ def test_tokenize_matches_scanner_oracle(text, cfg):
 )
 def test_split_sentences_matches_scanner_oracle(text, cfg):
     assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
+
+
+def test_tokens_is_a_read_only_sequence_of_columns():
+    tokens = tokenize("Так, так — in die Stadt.")
+    assert isinstance(tokens, Tokens)
+    assert len(tokens) == 5
+    assert tokens.surfaces == ["Так", "так", "in", "die", "Stadt"]
+    assert tokens.folded == ["так", "так", "in", "die", "stadt"]
+    assert tokens.offsets == [0, 5, 11, 14, 18]
+    assert tokens[0] == Token("Так", "так", 0)
+    assert tokens[-1] == Token("Stadt", "stadt", 18)
+    with pytest.raises(IndexError):
+        tokens[5]
+    assert tokens[1:3] == Tokens(["так", "in"], ["так", "in"], [5, 11])
+    assert list(tokens[1:3]) == [Token("так", "так", 5), Token("in", "in", 11)]
+    assert list(tokens) == [tokens[i] for i in range(len(tokens))]
+    assert Token("in", "in", 11) in tokens
+    # the tokens of one surface share its strings
+    again = tokenize("так так")
+    assert again.surfaces[0] is again.surfaces[1] is again.folded[0] is again.folded[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tokens.offsets = []
+    with pytest.raises(TypeError):
+        tokens[0] = Token("а", "а", 0)
+    empty = tokenize("")
+    assert len(empty) == 0 and not empty
+    assert empty == Tokens([], [], [])
 
 
 def test_tokens_and_spans_are_frozen_slotted():
