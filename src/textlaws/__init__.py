@@ -45,6 +45,7 @@ from .lexicon import (
 from .tokenizer import (
     DEFAULT_CONFIG,
     SentenceSpan,
+    Sentences,
     Token,
     TokenizerConfig,
     Tokens,

@@ -20,6 +20,7 @@ comments go on lines of their own)::
 
     [tokenizer]
     intra_token_chars = -'’ʼ§0123456789
+    # no letter or digit
     sentence_terminators = .!?…
     case_folding = true
     abbreviations = comma,separated,forms
@@ -43,7 +44,7 @@ comments go on lines of their own)::
     # lo:hi rank intervals; only end leaves one open to the last rank
     zipf_breakpoints = 10:200,200:1000,1000:end
     coverage_breakpoints = 10:200,200:2000,2000:end
-    # each of the model's parameters once, with a finite value
+    # each of the model's parameters once, with a finite value in its domain
     init_ZipfMandelbrot = A=20000,b=1.1,C=4
 """
 
@@ -54,6 +55,8 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import MissingTextError, ResourceFormatError, ValidationError
@@ -168,7 +171,11 @@ def _inits(model_id: str, raw: str) -> dict[str, float]:
         except ValueError:
             raise ValueError(f"bad init value {assign!r}") from None
     # every parameter, each with a finite value
-    _as_param_array(MODELS[model_id], values)
+    params = _as_param_array(MODELS[model_id], values)
+    # x = 1, the first rank, lies in every model's data domain: start values
+    # that fail here fail whatever the data (a shape <= -1, a rate <= 0, C <= -1)
+    if not MODELS[model_id].params_in_domain(params, np.ones(1)):
+        raise ValueError(f"{model_id}: start values outside the model domain")
     return values
 
 

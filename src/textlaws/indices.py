@@ -7,7 +7,7 @@ recomputes them over word-forms for sensitivity studies.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .distributions import count_letters
@@ -42,7 +42,7 @@ class CorpusProfile:
 
 def corpus_profile(
     tokens: Tokens,
-    sentences: list[SentenceSpan],
+    sentences: Sequence[SentenceSpan],
     forms: FormLexicon,
     lemmas: LemmaLexicon | None = None,
     *,
@@ -71,8 +71,7 @@ def corpus_profile(
     f = len(forms.entries)
 
     if word_length_basis == "tokens":
-        surfaces = Counter(tokens.surfaces)
-        letters = sum(count_letters(s) * c for s, c in surfaces.items())
+        letters = sum(count_letters(s) * c for (s, _), c in tokens.counts.items())
         mean_word_len = letters / len(tokens)
     else:
         mean_word_len = sum(count_letters(form) for form in forms.entries) / f

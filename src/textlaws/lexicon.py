@@ -10,7 +10,6 @@ or by explicit per-form count overrides.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,8 +62,10 @@ class LemmaLexicon:
 
 def build_form_spectrum(tokens: Tokens) -> FormLexicon:
     """Count tokens by folded form, in order of first occurrence."""
-    counts = Counter(tokens.folded)
-    return FormLexicon(dict(counts), len(tokens))
+    counts: dict[str, int] = {}
+    for (_, folded), n in tokens.counts.items():
+        counts[folded] = counts.get(folded, 0) + n
+    return FormLexicon(counts, len(tokens))
 
 
 def _merge_rule_fault(rules: list[MergeRule]) -> tuple[int, str] | None:

@@ -4,18 +4,24 @@ A token is a maximal run of letters, digits and permitted internal
 characters ("60-ий", "§136" and "м’ята" are single tokens); everything
 between tokens is separator material and is never emitted.  Offsets refer
 to the NFC-normalized text, so slicing the normalized text at a token's
-offset recovers its surface exactly.  ``tokenize`` returns the stream as
-three columns (surfaces, folded forms, offsets) rather than one object per
-token; a ``Token`` is built only when one is indexed or iterated.
+offset recovers its surface exactly.
+
+``tokenize`` and ``split_sentences`` count first: a token never crosses
+whitespace, so ``tokenize`` counts the whitespace-separated chunks of the
+text and tokenizes each distinct chunk once, and ``split_sentences`` finds
+its boundaries without token offsets.  The per-token columns (surfaces,
+folded forms, offsets) and the sentence spans are built, by one more scan
+of the text, only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ValidationError
@@ -30,6 +36,20 @@ _CLOSERS = frozenset("»\"'’”)]")
 # Opening punctuation tolerated between the break and the next capital.
 _OPENERS = frozenset("«\"“‘([—–-")
 
+# ``str.split`` and ``\s`` split on the same characters, so a block cut at
+# whitespace splits into the same chunks as the whole text
+_SPACE = re.compile(r"\s")
+# matched up to endpos: the text through the last whitespace before it
+_THROUGH_LAST_SPACE = re.compile(r".*\s", re.DOTALL)
+# characters per block that ``tokenize`` splits at once: only one block's
+# chunk strings are alive at a time
+_BLOCK_CHARS = 1 << 16
+
+
+def _is_word_char(ch: str) -> bool:
+    # letters (general category L*) and decimal digits (Nd)
+    return ch.isalpha() or ch.isdecimal()
+
 
 @dataclass(frozen=True)
 class TokenizerConfig:
@@ -37,6 +57,7 @@ class TokenizerConfig:
 
     Abbreviations are stored casefolded and match the token before a
     period case-insensitively, whether or not ``case_folding`` is on.
+    A terminator must not be a word character: a token could hold it.
     """
 
     intra_token_chars: frozenset[str] = DEFAULT_INTRA_CHARS
@@ -47,6 +68,8 @@ class TokenizerConfig:
     def __post_init__(self):
         if any(ch.isspace() for ch in self.intra_token_chars):
             raise ValidationError("intra_token_chars must not contain whitespace")
+        if any(_is_word_char(ch) for ch in self.sentence_terminators):
+            raise ValidationError("sentence_terminators must not contain letters or digits")
         object.__setattr__(
             self, "abbreviations", frozenset(a.casefold() for a in self.abbreviations)
         )
@@ -62,32 +85,81 @@ class Token:
     char_offset: int
 
 
-@dataclass(frozen=True, slots=True)
+# not slotted: on a slotted frozen dataclass, assigning a name that is not a
+# field (a column) raises TypeError rather than FrozenInstanceError
+@dataclass(frozen=True, init=False, eq=False)
 class Tokens(Sequence):
-    """The token stream of one text, one column per field.
+    """The token stream of one text: its counts, and its columns on demand.
 
-    ``surfaces[i]``, ``folded[i]`` and ``offsets[i]`` are the fields of the
-    i-th token; tokens of equal runs of text share their strings.  The
-    columns are handed out, not copied (a copy would raise a large text's
-    peak memory), so callers only read them.  Indexing builds one ``Token``,
-    a slice gives the ``Tokens`` of its range, and iteration builds each
-    ``Token`` in turn.
+    ``counts`` maps each ``(surface, folded)`` pair to its number of
+    tokens, in order of first occurrence, and ``len`` is the number of
+    tokens.  ``surfaces[i]``, ``folded[i]`` and ``offsets[i]`` are the
+    fields of the i-th token; tokens of equal runs of text share their
+    strings.  A stream from ``tokenize`` builds these three columns by
+    scanning its text again the first time one is read, or the stream is
+    indexed, iterated or compared, and keeps them.  The columns are handed
+    out, not copied (a copy would raise a large text's peak memory), so
+    callers only read them.  ``Tokens(surfaces, folded, offsets)`` wraps
+    given columns.  Indexing builds one ``Token``, a slice gives the
+    ``Tokens`` of its range, and iteration builds each ``Token`` in turn.
     """
 
-    surfaces: list[str]
-    folded: list[str]
-    offsets: list[int]
+    counts: dict[tuple[str, str], int]
+    _length: int
+    # the normalized text and config that the columns are scanned from
+    _source: tuple[str, TokenizerConfig] | None = field(repr=False)
+    _columns: tuple[list[str], list[str], list[int]] | None = field(repr=False)
+
+    def __init__(self, surfaces: list[str], folded: list[str], offsets: list[int]):
+        counts = dict(Counter(zip(surfaces, folded)))
+        self._fill(counts, len(offsets), None, (surfaces, folded, offsets))
+
+    @classmethod
+    def _counted(cls, counts, length: int, text: str, cfg: TokenizerConfig) -> Tokens:
+        tokens = cls.__new__(cls)
+        tokens._fill(counts, length, (text, cfg), None)
+        return tokens
+
+    def _fill(self, counts, length, source, columns) -> None:
+        # the fields of a frozen dataclass are set through object.__setattr__
+        for name, value in zip(
+            ("counts", "_length", "_source", "_columns"), (counts, length, source, columns)
+        ):
+            object.__setattr__(self, name, value)
+
+    def _built(self) -> tuple[list[str], list[str], list[int]]:
+        if self._columns is None:
+            object.__setattr__(self, "_columns", _token_columns(*self._source))
+        return self._columns
+
+    @property
+    def surfaces(self) -> list[str]:
+        return self._built()[0]
+
+    @property
+    def folded(self) -> list[str]:
+        return self._built()[1]
+
+    @property
+    def offsets(self) -> list[int]:
+        return self._built()[2]
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return self._length
 
     def __getitem__(self, index):
+        surfaces, folded, offsets = self._built()
         if isinstance(index, slice):
-            return Tokens(self.surfaces[index], self.folded[index], self.offsets[index])
-        return Token(self.surfaces[index], self.folded[index], self.offsets[index])
+            return Tokens(surfaces[index], folded[index], offsets[index])
+        return Token(surfaces[index], folded[index], offsets[index])
 
     def __iter__(self):
-        return map(Token, self.surfaces, self.folded, self.offsets)
+        return map(Token, *self._built())
+
+    def __eq__(self, other):
+        if not isinstance(other, Tokens):
+            return NotImplemented
+        return self._built() == other._built()
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,9 +168,39 @@ class SentenceSpan:
     end_token: int  # exclusive
 
 
-def _is_word_char(ch: str) -> bool:
-    # letters (general category L*) and decimal digits (Nd)
-    return ch.isalpha() or ch.isdecimal()
+@dataclass(frozen=True, eq=False)
+class Sentences(Sequence):
+    """The sentences of one text: their count, and their spans on demand.
+
+    ``len`` is the number of sentences.  Each ends at a text position in
+    ``_ends`` (its terminator, or the end of the text for the last one).
+    The ``SentenceSpan``s are bisected from the token offsets, which builds
+    the token columns, the first time one is read, and kept.  A
+    ``Sentences`` equals the list of its spans.
+    """
+
+    _ends: list[int]
+    _tokens: Tokens = field(repr=False)
+    _spans: list[SentenceSpan] | None = field(default=None, repr=False)
+
+    def _built(self) -> list[SentenceSpan]:
+        if self._spans is None:
+            object.__setattr__(self, "_spans", _sentence_spans(self._tokens.offsets, self._ends))
+        return self._spans
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Sentences)):
+            return NotImplemented
+        return self._built() == list(other)
 
 
 def _char_class(chars) -> str:
@@ -115,7 +217,9 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
     after a word character, a lone ``E``: a joiner needs a word character
     after it, an extra one on either side.  ``[^\\W_]`` also admits
     numerals outside Nd (``²``, ``Ⅻ``, ``½``); ``_run_tokens`` splits runs
-    that hold one.
+    that hold one.  The pattern never matches whitespace and looks at no
+    character past its match, so it finds the same runs in a chunk as in
+    the whole text.
 
     Boundary: a terminator, then closing quotes, then end of text or
     whitespace; group 1 is the character after the whitespace and opening
@@ -154,7 +258,7 @@ def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str]:
 
 
 def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
-    """``(offset in run, surface, folded)`` of each token in one match.
+    """``(offset in run, (surface, folded))`` of each token in one match.
 
     A numeral outside Nd that is not an intra-token char is no word
     character, so it is blanked and the run matched again.  The characters
@@ -166,10 +270,31 @@ def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
             c if _is_word_char(c) or c in cfg.intra_token_chars else " " for c in run
         )
         if blanked != run:
-            return tuple(
-                (m.start(), *_token_fields(m[0], cfg)) for m in token.finditer(blanked)
-            )
-    return ((0, *_token_fields(run, cfg)),)
+            return tuple((m.start(), _token_fields(m[0], cfg)) for m in token.finditer(blanked))
+    return ((0, _token_fields(run, cfg)),)
+
+
+class _Runs(dict):
+    """``_run_tokens`` of each distinct run under one config, computed once."""
+
+    def __init__(self, cfg: TokenizerConfig):
+        super().__init__()
+        self.cfg = cfg
+        self.token = _patterns(cfg)[0]
+
+    def __missing__(self, run: str) -> tuple:
+        parts = self[run] = _run_tokens(run, self.token, self.cfg)
+        return parts
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces of about ``_BLOCK_CHARS``, each cut at whitespace."""
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, start + _BLOCK_CHARS)
+        end = cut.start() if cut else len(text)
+        yield text[start:end]
+        start = end
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
@@ -182,81 +307,156 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
     flanked by letters/digits on both sides; other permitted marks (section
     sign) need a letter/digit neighbour on one side and may lead a token.
     Runs without any letter or digit yield no token.
+
+    Only the counts are computed here; see ``Tokens`` for the columns.
     """
     text = unicodedata.normalize("NFC", text)
-    token = _patterns(cfg)[0]
-    runs: dict[str, tuple] = {}
+    runs = _Runs(cfg)
+    chunks: Counter[str] = Counter()
+    for block in _blocks(text):
+        chunks.update(block.split())
+    counts: dict[tuple[str, str], int] = {}
+    # chunks and the tokens in each come in order of first occurrence
+    for chunk, n in chunks.items():
+        if chunk.isalpha():
+            # letters only: one run, and one token
+            key = _token_fields(chunk, cfg)
+            counts[key] = counts.get(key, 0) + n
+            continue
+        for run in runs.token.findall(chunk):
+            for _, key in runs[run]:
+                counts[key] = counts.get(key, 0) + n
+    return Tokens._counted(counts, sum(counts.values()), text, cfg)
+
+
+def _token_columns(text: str, cfg: TokenizerConfig) -> tuple[list[str], list[str], list[int]]:
+    """Surface, folded form and offset of every token of the normalized ``text``."""
+    runs = _Runs(cfg)
     # plain strings and ints: nothing per token for the garbage collector to walk
     surfaces: list[str] = []
     folded: list[str] = []
     offsets: list[int] = []
     add_surface, add_folded, add_offset = surfaces.append, folded.append, offsets.append
-    for match in token.finditer(text):
-        run = match[0]
-        parts = runs.get(run)
-        if parts is None:
-            parts = runs[run] = _run_tokens(run, token, cfg)
+    for match in runs.token.finditer(text):
         start = match.start()
-        for offset, surface, fold in parts:
+        for offset, (surface, fold) in runs[match[0]]:
             add_surface(surface)
             add_folded(fold)
             add_offset(start + offset)
-    return Tokens(surfaces, folded, offsets)
+    return surfaces, folded, offsets
 
 
 def _is_upper(ch: str) -> bool:
     return unicodedata.category(ch) in ("Lu", "Lt")
 
 
-def _boundary_positions(text: str, tokens: Tokens, cfg: TokenizerConfig) -> list[int]:
-    """Text positions right after which a sentence ends.
+def _last_surface(text: str, start: int, end: int, runs: _Runs) -> str | None:
+    """Surface of the last token that ends at or before ``end``, scanning from ``start``.
+
+    ``start`` must not fall inside a token.  The scan takes in the
+    character at ``end``, so that a token holding it is seen and passed over.
+    """
+    surface = None
+    for match in runs.token.finditer(text, start, end + 1):
+        for offset, (candidate, _) in runs[match[0]]:
+            if match.start() + offset + len(candidate) <= end:
+                surface = candidate
+    return surface
+
+
+def _boundary_positions(
+    text: str, cfg: TokenizerConfig, runs: _Runs
+) -> Iterator[tuple[int, int]]:
+    """Each position right after which a sentence ends, with where the next token starts.
 
     A terminator ends a sentence when, after optional closing quotes, it is
     followed by whitespace and an uppercase letter (opening quotes or a
-    dash may precede the capital), or by end of text.  A period after a
+    dash may precede the capital), or by end of text.  That capital is the
+    first word character after the terminator, so the next token starts
+    there or at the intra-token mark just before it (``len(text)`` at end
+    of text); no later boundary falls between the two.  A period after a
     listed abbreviation never splits; the abbreviation is the last token
-    that ends at or before the period, compared casefolded.
+    that ends at or before the period, compared casefolded.  It is looked
+    up in the period's chunk, once per distinct chunk, and in the text
+    before the chunk only when the chunk holds none.
     """
-    offsets, surfaces = tokens.offsets, tokens.surfaces
-    positions = []
+    # the chunk through its period -> the abbreviation candidate in it, or None
+    in_chunk: dict[str, str | None] = {}
+    # a chunk start, and the last token that ends at or before it
+    floor, before_floor = 0, None
+    previous = -1
     for match in _patterns(cfg)[1].finditer(text):
-        follower = match[1]
-        if follower and not _is_upper(follower):
-            continue
         i = match.start()
+        # whitespace follows every terminator match, so it lies between the last one and i
+        after, previous = previous + 1, i
+        follower = match[1]
+        if not follower:
+            next_token = len(text)
+        elif _is_upper(follower):
+            next_token = match.start(1)
+        else:
+            continue
         if text[i] == "." and cfg.abbreviations:
-            k = bisect_right(offsets, i)
-            if k and offsets[k - 1] + len(surfaces[k - 1]) > i:
-                k -= 1  # that token holds the period itself
-            if k and surfaces[k - 1].casefold() in cfg.abbreviations:
+            space = _THROUGH_LAST_SPACE.match(text, after, i)
+            start = space.end() if space else after
+            chunk = text[start:i + 1]
+            if chunk not in in_chunk:
+                in_chunk[chunk] = _last_surface(chunk, 0, len(chunk) - 1, runs)
+            surface = in_chunk[chunk]
+            if surface is None:
+                # candidates' chunks only move forward, so each stretch is scanned once
+                surface = _last_surface(text, floor, start, runs) or before_floor
+                floor, before_floor = start, surface
+            if surface is not None and surface.casefold() in cfg.abbreviations:
                 continue
-        positions.append(i)
-    return positions
+        yield i, next_token
+
+
+def _first_token(text: str, runs: _Runs) -> int:
+    """Where the first token of ``text`` starts, or ``len(text)`` if it has none."""
+    for match in runs.token.finditer(text):
+        parts = runs[match[0]]
+        # a run of numerals outside Nd holds no token
+        if parts:
+            return match.start() + parts[0][0]
+    return len(text)
 
 
 def split_sentences(
     text: str,
     cfg: TokenizerConfig = DEFAULT_CONFIG,
     tokens: Tokens | None = None,
-) -> list[SentenceSpan]:
-    """Partition the token stream of ``text`` into sentence spans.
+) -> Sentences:
+    """Partition the token stream of ``text`` into sentences.
 
     ``tokens`` may be passed to reuse an existing ``tokenize(text, cfg)``
     result; otherwise the text is tokenized here.  Spans cover every token
-    with no overlap; text without any terminator is a single sentence.
+    with no overlap; text without any terminator is a single sentence.  A
+    boundary with no token since the last one ends no sentence.  Only the
+    sentence ends are found here; see ``Sentences`` for the spans.
     """
     text = unicodedata.normalize("NFC", text)
     if tokens is None:
         tokens = tokenize(text, cfg)
-    if not tokens:
-        return []
-    spans: list[SentenceSpan] = []
-    prev_end = 0
-    for pos in _boundary_positions(text, tokens, cfg):
-        k = bisect_left(tokens.offsets, pos)
-        if k > prev_end:
-            spans.append(SentenceSpan(prev_end, k))
-            prev_end = k
-    if prev_end < len(tokens):
-        spans.append(SentenceSpan(prev_end, len(tokens)))
+    runs = _Runs(cfg)
+    ends = []
+    # where the first token after the last boundary starts
+    next_token = _first_token(text, runs)
+    for pos, after_pos in _boundary_positions(text, cfg, runs):
+        if next_token < pos:
+            ends.append(pos)
+        next_token = after_pos
+    if next_token < len(text):
+        ends.append(len(text))
+    return Sentences(ends, tokens)
+
+
+def _sentence_spans(offsets: list[int], ends: list[int]) -> list[SentenceSpan]:
+    """The token span of each sentence, from the text position where it ends."""
+    spans = []
+    start = 0
+    for pos in ends:
+        end = bisect_left(offsets, pos)
+        spans.append(SentenceSpan(start, end))
+        start = end
     return spans

@@ -103,6 +103,8 @@ class TestConfig:
         pytest.param("[tokenizer]\nabbreviations = т\ncase_folding =\n", 5,
                      id="case-folding-blank"),
         pytest.param("[tokenizer]\nintra_token_chars = - '\n", 4, id="whitespace-intra-chars"),
+        # a token could hold its own terminator
+        pytest.param("[tokenizer]\nsentence_terminators = .1\n", 4, id="word-char-terminators"),
         # a start value the fit never reads would be ignored without a word
         pytest.param("[fits]\ninit_ZipfMandelbrot = A=20,b=1.1,C=4,Q=7\n", 4,
                      id="init-unknown-parameter"),
@@ -120,6 +122,12 @@ class TestConfig:
         pytest.param("[fits]\ninit_ZipfMandelbrot = A=nan,b=1.1,C=4\n", 4, id="init-nan"),
         pytest.param("[fits]\ninit_ZipfMandelbrot = A=1e400,b=1.1,C=4\n", 4,
                      id="init-overflow"),
+        # start values outside the model domain whatever the data: ranks start at 1
+        pytest.param("[fits]\ninit_ZipfMandelbrot = A=20000,b=1.1,C=-1\n", 4,
+                     id="init-ZipfMandelbrot-domain"),
+        pytest.param("[fits]\ninit_ShiftedMenzerath = d=-3,gamma=1\n", 4,
+                     id="init-ShiftedMenzerath-shape"),
+        pytest.param("[fits]\ninit_PhonemeGamma = b=1,alpha=0\n", 4, id="init-PhonemeGamma-rate"),
         # MeanSyllableExp is not among the default models, so no fit would read this
         pytest.param("[fits]\ninit_MeanSyllableExp = A=1,b=1,c=1\n", 4, id="init-unlisted-model"),
     ])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from textlaws import (
     ValidationError,
     split_sentences,
     tokenize,
+    tokenizer,
 )
 from tokenizer_oracle import (
     split_sentences as oracle_split_sentences,
@@ -206,6 +208,10 @@ def token_fields(tokens):
 @example("x²§ §² ²²a ½§", TokenizerConfig(intra_token_chars=frozenset("²§")))
 def test_tokenize_matches_scanner_oracle(text, cfg):
     tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
+    # the counts, before any column is read
+    expected_counts = Counter((t.surface, t.folded) for t in expected)
+    assert list(tokens.counts.items()) == list(expected_counts.items())
+    assert len(tokens) == len(expected)
     assert token_fields(tokens) == token_fields(expected)
     # the columns themselves, not only the Tokens built from them
     assert tokens.surfaces == [t.surface for t in expected]
@@ -225,7 +231,44 @@ def test_tokenize_matches_scanner_oracle(text, cfg):
     TokenizerConfig(case_folding=False, abbreviations=frozenset({"т"})),
 )
 def test_split_sentences_matches_scanner_oracle(text, cfg):
-    assert split_sentences(text, cfg) == oracle_split_sentences(text, cfg)
+    expected = oracle_split_sentences(text, cfg)
+    # the count, before any span is read
+    assert len(split_sentences(text, cfg)) == len(expected)
+    assert len(split_sentences(text, cfg, tokenize(text, cfg))) == len(expected)
+    assert split_sentences(text, cfg) == expected
+
+
+BLOCK_WORDS = "Він знав, що т. Б прийшов. «Так» — сказав він! М’ята, §136 і 60-ий x²y… "
+
+
+def _cut_between(text, cut, before, after):
+    """``text``, filler words, then ``before`` ending at ``cut`` and ``after`` from it."""
+    need = cut - len(before) - len(text)
+    return text + (BLOCK_WORDS * (need // len(BLOCK_WORDS) + 1))[:need] + before + after
+
+
+def test_counts_across_block_cuts():
+    # tokenize counts the text one block at a time; the oracle texts above
+    # never reach a second block
+    block = tokenizer._BLOCK_CHARS
+    text = _cut_between("", block, "знав т.", " Бо")
+    text = _cut_between(text, 2 * block - 100, "", " " + "«Так»—т.Б-ні," * (block // 12 + 20))
+    run_end = len(text)
+    text = _cut_between(text + " ", run_end + block, " він.", " «Так» — ні.")
+    text = _cut_between(text, run_end + 2 * block, " знав т.", " — Б.")
+    blocks = list(tokenizer._blocks(text))
+    assert blocks[0].endswith(" т.") and blocks[1].startswith(" Бо")
+    # a whitespace-free run longer than a block holds the second cut
+    assert max(map(len, blocks[1].split())) > block
+    assert blocks[2].endswith(" він.") and blocks[3].startswith(" «Так» —")
+    assert blocks[3].endswith(" т.") and blocks[4] == " — Б."
+
+    cfg = TokenizerConfig(abbreviations=frozenset({"т"}))
+    tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
+    expected_counts = Counter((t.surface, t.folded) for t in expected)
+    assert list(tokens.counts.items()) == list(expected_counts.items())
+    assert len(tokens) == len(expected)
+    assert len(split_sentences(text, cfg, tokens)) == len(oracle_split_sentences(text, cfg))
 
 
 def test_tokens_is_a_read_only_sequence_of_columns():
@@ -283,3 +326,10 @@ def test_import_compiles_no_token_pattern():
 def test_config_rejects_whitespace_intra_chars():
     with pytest.raises(ValidationError):
         TokenizerConfig(intra_token_chars=frozenset(" -"))
+
+
+@pytest.mark.parametrize("terminators", [".1", "!a", "Т", "٣"])
+def test_config_rejects_word_char_terminators(terminators):
+    # a token could hold its own terminator: "01" with terminator "1"
+    with pytest.raises(ValidationError):
+        TokenizerConfig(sentence_terminators=frozenset(terminators))
