@@ -14,6 +14,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ResourceFormatError, ValidationError
@@ -164,7 +165,9 @@ def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
     """Items sorted by frequency (descending), ties by item; ranks from 1."""
     if not lex.entries:
         raise ValidationError("cannot rank an empty lexicon")
-    ordered = sorted(lex.entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    # by item, then a stable sort by count keeps that order within each count
+    ordered = sorted(lex.entries.items(), key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
     rows = tuple((rank, item, count) for rank, (item, count) in enumerate(ordered, start=1))
     return RankFrequencyList(rows, sum(lex.entries.values()))
 

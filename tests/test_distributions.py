@@ -321,6 +321,8 @@ class TestRankFrequency:
         assert sorted(f for _, _, f in rf.rows) == sorted(entries.values())
         freqs = [f for _, _, f in rf.rows]
         assert all(a >= b for a, b in zip(freqs, freqs[1:]))
+        expected = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert [(item, f) for _, item, f in rf.rows] == expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
