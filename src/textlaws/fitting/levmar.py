@@ -1,10 +1,17 @@
 """Damped least-squares (Levenberg-Marquardt) curve fitting.
 
 The damping loop only ever accepts a step that lowers the sum of squared
-residuals: a successful step shrinks the damping factor, a rejected one
-grows it, and the normal equations use Marquardt's diagonal scaling so
-parameters of very different magnitudes condition equally.  Derivatives
-come from forward finite differences on the residual vector.  The whole
+residuals, and the normal equations use Marquardt's diagonal scaling so
+parameters of very different magnitudes condition equally.  The damping
+factor follows Nielsen's gain ratio (Madsen, Nielsen & Tingleff, *Methods
+for Non-Linear Least Squares Problems*, IMM DTU 2004): an accepted step
+scales it by how well the linear model predicted the decrease, and each
+rejection in a row grows it twice as fast as the one before.  Derivatives
+are the model's closed-form ``jacobian`` where it has one, taken from the
+model value the residual already holds, and forward finite differences
+otherwise.  A fit has converged when a step no longer moves the parameters
+or when the Gauss-Newton model predicts a further decrease below a fixed
+fraction of the SSE, so the test scales with the data.  The whole
 computation is deterministic: identical inputs reproduce the parameter
 trajectory bit for bit.  The settings of the loop are fixed constants.
 """
@@ -21,12 +28,13 @@ from .models import Model, _as_param_array, get_model
 
 # fixed settings of the damping loop
 _MAX_ITERATIONS = 200
-_GRADIENT_TOL = 1e-8
+# converged once the Gauss-Newton step would lower the SSE by less than this share
+_DECREASE_TOL = 1e-12
 _STEP_TOL = 1e-10
-_JACOBIAN_REL_STEP = 1e-6
+# sqrt(machine epsilon) balances truncation and rounding: a forward difference
+# is then good to about 1e-8, fine enough for the decrease test to fire
+_JACOBIAN_REL_STEP = float(np.finfo(float).eps) ** 0.5
 _INITIAL_LAMBDA = 1e-3
-_LAMBDA_UP = 10.0
-_LAMBDA_DOWN = 0.1
 _MIN_LAMBDA = 1e-12
 # a fit that needs more damping than this has stalled
 _MAX_LAMBDA = 1e14
@@ -45,9 +53,10 @@ class FitResult:
 
 
 def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np.ndarray:
-    """Forward-difference Jacobian of a residual vector w.r.t. parameters.
+    """Forward-difference Jacobian of a vector function w.r.t. parameters.
 
-    ``r0`` is the residual vector at ``p`` when the caller already holds it.
+    One column per parameter.  ``r0`` is the function's value at ``p`` when
+    the caller already holds it.
     """
     r0 = residual_fn(p) if r0 is None else r0
     jac = np.empty((r0.size, p.size))
@@ -95,54 +104,68 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     if not model.params_in_domain(p, x):
         raise DomainError(f"{model.id}: initial parameters outside the model domain")
 
-    def residual(params):
-        return y - model.evaluate(params, x)
+    if model.jacobian is None:
+        def jacobian(p, f):
+            return forward_jacobian(lambda q: model.evaluate(q, x), p, _JACOBIAN_REL_STEP, f).T
+    else:
+        def jacobian(p, f):
+            return model.jacobian(p, x, f)
 
-    r = residual(p)
+    f = model.evaluate(p, x)
+    r = y - f
     if not np.all(np.isfinite(r)):
         raise DomainError(f"{model.id}: model is not finite at the initial parameters")
     sse = float(r @ r)
     trace = [sse]
-    lam = _INITIAL_LAMBDA
+    lam, nu = _INITIAL_LAMBDA, 2.0
     converged = False
     iterations = 0
+    jac = None
 
     for _ in range(_MAX_ITERATIONS):
         iterations += 1
-        jac = forward_jacobian(residual, p, _JACOBIAN_REL_STEP, r)
-        grad = jac.T @ r
-        if np.all(np.isfinite(grad)) and float(np.max(np.abs(grad))) < _GRADIENT_TOL:
-            converged = True
-            break
-        jtj = jac.T @ jac
+        # df/dp, one row per parameter; J^T r is minus half the gradient of the SSE
+        jac = jacobian(p, f)
+        jtr = jac @ r
+        jtj = jac @ jac.T
         diag = np.diag(jtj).copy()
         diag[~(diag > 0)] = 1.0
+        if 0.0 <= _gauss_newton_decrease(jtj, jtr) <= _DECREASE_TOL * sse:
+            converged = True
+            break
         stepped = False
         while lam <= _MAX_LAMBDA:
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
             except np.linalg.LinAlgError:
-                lam *= _LAMBDA_UP
+                lam, nu = lam * nu, 2.0 * nu
                 continue
             p_try = p + delta
             if np.all(np.isfinite(p_try)) and model.params_in_domain(p_try, x):
-                r_try = residual(p_try)
+                f_try = model.evaluate(p_try, x)
+                r_try = y - f_try
                 if np.all(np.isfinite(r_try)):
                     sse_try = float(r_try @ r_try)
                     if sse_try < sse:
-                        p, r, sse = p_try, r_try, sse_try
+                        # actual over predicted decrease; the prediction is positive
+                        gain = (sse - sse_try) / float(delta @ (lam * diag * delta + jtr))
+                        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _MIN_LAMBDA)
+                        nu = 2.0
+                        p, f, r, sse = p_try, f_try, r_try, sse_try
                         trace.append(sse)
-                        lam = max(lam * _LAMBDA_DOWN, _MIN_LAMBDA)
+                        jac = None
                         stepped = True
                         step_norm = float(np.linalg.norm(delta))
                         if step_norm < _STEP_TOL * (float(np.linalg.norm(p)) + _STEP_TOL):
                             converged = True
                         break
-            lam *= _LAMBDA_UP
+            lam, nu = lam * nu, 2.0 * nu
         if not stepped or converged:
             break
 
-    stderr = _standard_errors(model, residual, p, r, sse)
+    if jac is None:
+        jac = jacobian(p, f)
+    stderr = _standard_errors(model.param_names, jac, sse)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(
         params=dict(zip(model.param_names, (float(v) for v in p))),
@@ -156,15 +179,24 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     )
 
 
-def _standard_errors(model, residual, p, r, sse):
-    """Asymptotic per-parameter errors from the final Jacobian."""
-    names = model.param_names
-    dof = r.size - model.n_params
+def _gauss_newton_decrease(jtj, jtr):
+    """r^T J (J^T J)^-1 J^T r, the SSE decrease the undamped step predicts.
+
+    Singular or indefinite normal equations give nan or a negative value.
+    """
+    try:
+        return float(jtr @ np.linalg.solve(jtj, jtr))
+    except np.linalg.LinAlgError:
+        return float("nan")
+
+
+def _standard_errors(names, jac, sse):
+    """Asymptotic per-parameter errors from the Jacobian rows at the fitted parameters."""
+    dof = jac.shape[1] - len(names)
     if dof <= 0:
         return {name: float("nan") for name in names}
-    jac = forward_jacobian(residual, p, _JACOBIAN_REL_STEP, r)
     try:
-        cov = np.linalg.inv(jac.T @ jac) * (sse / dof)
+        cov = np.linalg.inv(jac @ jac.T) * (sse / dof)
     except np.linalg.LinAlgError:
         return {name: float("nan") for name in names}
     with np.errstate(invalid="ignore"):

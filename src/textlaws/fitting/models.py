@@ -3,8 +3,10 @@
 Each model declares its free parameters, a vectorized evaluator, domain
 checks, a default initial guess, and (for the two probability-density
 models) the normalization constant derived from the shape parameters, so
-the fitted curve is always a proper density.  The per-interval rank and
-coverage fits are not models here: they live in ``segmented``.
+the fitted curve is always a proper density.  The three models whose
+derivatives need no special function also give them in closed form.  The
+per-interval rank and coverage fits are not models here: they live in
+``segmented``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class Model:
     params_in_domain: Callable[[np.ndarray, np.ndarray], bool]
     default_init: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derived: Callable[[np.ndarray], dict[str, float]] | None = None
+    # (p, x, f) -> df/dp as one row per parameter, given f = evaluate(p, x)
+    jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -90,6 +94,28 @@ def _eval_zipf_mandelbrot(p, x):
         return amp * np.power(x + offset, -b)
 
 
+def _jac_mean_syllable_power(p, x, f):
+    m_inf, scale, c = p
+    with np.errstate(all="ignore"):
+        xc = np.power(x, c)
+        return np.stack((np.ones_like(x), xc, scale * xc * np.log(x)))
+
+
+def _jac_mean_syllable_exp(p, x, f):
+    amp, b, c = p
+    with np.errstate(all="ignore"):
+        d_amp = f / amp if amp != 0 else np.power(x, b) * np.exp(c * x)
+        return np.stack((d_amp, f * np.log(x), f * x))
+
+
+def _jac_zipf_mandelbrot(p, x, f):
+    amp, b, offset = p
+    t = x + offset
+    with np.errstate(all="ignore"):
+        d_amp = f / amp if amp != 0 else np.power(t, -b)
+        return np.stack((d_amp, -f * np.log(t), -b * f / t))
+
+
 def _init_phoneme_gamma(x, y):
     wsum = y.sum()
     mean_sq = float((y * x * x).sum() / wsum) if wsum > 0 else float((x * x).mean())
@@ -145,6 +171,7 @@ MODELS: dict[str, Model] = {
         x_in_domain=lambda x: bool(np.all(x > 0)),
         params_in_domain=lambda p, x: True,
         default_init=_init_mean_syllable_power,
+        jacobian=_jac_mean_syllable_power,
     ),
     MEAN_SYLLABLE_EXP: Model(
         id=MEAN_SYLLABLE_EXP,
@@ -153,6 +180,7 @@ MODELS: dict[str, Model] = {
         x_in_domain=lambda x: bool(np.all(x > 0)),
         params_in_domain=lambda p, x: True,
         default_init=_init_mean_syllable_exp,
+        jacobian=_jac_mean_syllable_exp,
     ),
     ZIPF_MANDELBROT: Model(
         id=ZIPF_MANDELBROT,
@@ -161,6 +189,7 @@ MODELS: dict[str, Model] = {
         x_in_domain=lambda x: bool(np.all(x > 0)),
         params_in_domain=lambda p, x: bool(np.all(x + p[2] > 0)),
         default_init=_init_zipf_mandelbrot,
+        jacobian=_jac_zipf_mandelbrot,
     ),
 }
 
