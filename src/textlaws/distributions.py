@@ -17,6 +17,8 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
 
@@ -99,10 +101,29 @@ def load_default_g2p() -> G2PRules:
         return read_g2p_rules(path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankFrequencyList:
-    rows: tuple[tuple[int, str, int], ...]      # (rank, item, frequency)
+    """A ranked spectrum as columns, in rank order.
+
+    ``rank_frequency`` gives the ranks 1..n and the counts as int64 arrays.
+    ``from_rows`` builds a list from ``(rank, item, count)`` rows, whose
+    ranks may skip values and whose counts may be floats; the ranks ascend.
+    """
+
+    ranks: np.ndarray
+    items: tuple[str, ...]
+    counts: np.ndarray
     total: int
+
+    @classmethod
+    def from_rows(cls, rows, total) -> RankFrequencyList:
+        ranks, items, counts = zip(*rows) if rows else ((), (), ())
+        return cls(np.array(ranks, dtype=np.int64), items, np.array(counts), total)
+
+    @property
+    def rows(self) -> tuple[tuple[int, str, int], ...]:
+        """The ``(rank, item, count)`` rows, built on each read."""
+        return tuple(zip(self.ranks.tolist(), self.items, self.counts.tolist()))
 
 
 def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dict[str, list[int]]:
@@ -168,22 +189,26 @@ def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
     # by item, then a stable sort by count keeps that order within each count
     ordered = sorted(lex.entries.items(), key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    rows = tuple((rank, item, count) for rank, (item, count) in enumerate(ordered, start=1))
-    return RankFrequencyList(rows, sum(lex.entries.values()))
+    n = len(ordered)
+    counts = np.fromiter(map(itemgetter(1), ordered), dtype=np.int64, count=n)
+    items = tuple(map(itemgetter(0), ordered))
+    return RankFrequencyList(np.arange(1, n + 1, dtype=np.int64), items, counts, int(counts.sum()))
 
 
-def coverage_curve(rf: RankFrequencyList) -> tuple[tuple[int, float], ...]:
-    """Cumulative fraction of the ranked token mass up to each rank, as (rank, fraction)."""
-    points = []
-    acc = 0
-    for rank, _, count in rf.rows:
-        acc += count
-        points.append((rank, acc / rf.total))
-    return tuple(points)
+def coverage_curve(rf: RankFrequencyList) -> np.ndarray:
+    """Cumulative fraction of the ranked token mass up to each rank, one per rank.
+
+    Each fraction is the same double as Python's ``acc / total`` while the
+    cumulative counts stay below 2**53.
+    """
+    return np.cumsum(rf.counts) / rf.total
 
 
 def top_k(rf: RankFrequencyList, k: int) -> list[tuple[int, str, float]]:
     """First k ranked items with their relative frequency in per cent."""
-    if not 1 <= k <= len(rf.rows):
-        raise ValidationError(f"k={k} outside 1..{len(rf.rows)}")
-    return [(rank, item, 100.0 * count / rf.total) for rank, item, count in rf.rows[:k]]
+    if not 1 <= k <= len(rf.items):
+        raise ValidationError(f"k={k} outside 1..{len(rf.items)}")
+    return [
+        (rank, item, 100.0 * count / rf.total)
+        for rank, item, count in zip(rf.ranks[:k].tolist(), rf.items[:k], rf.counts[:k].tolist())
+    ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ValidationError
 from ..distributions import RankFrequencyList
 
@@ -61,23 +63,26 @@ def ols_line(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     return slope, intercept, r_squared
 
 
-def _interval_lines(points, breakpoints, transform):
+def _interval_lines(ranks, values, breakpoints, transform):
     """OLS line of ``transform(v)`` on ln r inside each rank interval.
 
-    Yields ``(lo, top, slope, intercept, r_squared, n_points)``, where ``top``
-    is the resolved upper bound.
+    ``ranks`` ascend and ``values`` hold one value per rank.  Yields
+    ``(lo, top, slope, intercept, r_squared, n_points)``, where ``top`` is the
+    resolved upper bound.
     """
-    last = points[-1][0] if points else 0
+    last = int(ranks[-1]) if len(ranks) else 0
     for lo, hi in breakpoints:
         top = last if hi is None else hi
-        inside = [(r, v) for r, v in points if lo < r <= top]
-        if len(inside) < 3:
+        start, stop = np.searchsorted(ranks, (lo, top), side="right").tolist()
+        if stop - start < 3:
             raise ValidationError(
-                f"rank interval ({lo}, {top}] holds {len(inside)} points; need >= 3"
+                f"rank interval ({lo}, {top}] holds {stop - start} points; need >= 3"
             )
-        log_r = [math.log(r) for r, _ in inside]
-        slope, intercept, r2 = ols_line(log_r, [transform(v) for _, v in inside])
-        yield lo, top, slope, intercept, r2, len(inside)
+        # math.log per point: numpy's log rounds differently per SIMD level
+        log_r = [math.log(r) for r in ranks[start:stop].tolist()]
+        ys = [transform(v) for v in values[start:stop].tolist()]
+        slope, intercept, r2 = ols_line(log_r, ys)
+        yield lo, top, slope, intercept, r2, stop - start
 
 
 def segmented_loglog_fit(
@@ -85,16 +90,18 @@ def segmented_loglog_fit(
     breakpoints=DEFAULT_ZIPF_BREAKPOINTS,
 ) -> list[PowerLawSegment]:
     """Power-law exponent per rank domain from log-log linear regression."""
-    pairs = [(rank, count) for rank, _, count in rf.rows]
     return [
         PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, n)
-        for lo, top, slope, intercept, r2, n in _interval_lines(pairs, breakpoints, math.log)
+        for lo, top, slope, intercept, r2, n
+        in _interval_lines(rf.ranks, rf.counts, breakpoints, math.log)
     ]
 
 
-def fit_coverage(curve, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[CoverageSegment]:
+def fit_coverage(ranks, coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[CoverageSegment]:
     """Logarithmic growth slope of text coverage per rank domain.
 
-    ``curve`` holds (rank, covered fraction) points, as ``coverage_curve`` gives.
+    ``coverage`` holds the covered fraction at each of the ascending
+    ``ranks``, as ``coverage_curve`` gives it for a ranked list's ranks.
     """
-    return [CoverageSegment(*line) for line in _interval_lines(curve, breakpoints, lambda v: v)]
+    lines = _interval_lines(np.asarray(ranks), np.asarray(coverage), breakpoints, lambda v: v)
+    return [CoverageSegment(*line) for line in lines]

@@ -133,9 +133,9 @@ def run_analysis(cfg: RunConfig) -> None:
             rf = dist.rank_frequency(rank_lex)
             curve = dist.coverage_curve(rf)
             if "ranks" in cfg.stages:
-                emit_plot_data([(r, f) for r, _, f in rf.rows], out / "rank_freq.dat")
-                emit_plot_data(curve, out / "coverage.dat")
-                k = min(cfg.top_k, len(rf.rows))
+                emit_plot_data(np.column_stack((rf.ranks, rf.counts)), out / "rank_freq.dat")
+                emit_plot_data(np.column_stack((rf.ranks, curve)), out / "coverage.dat")
+                k = min(cfg.top_k, len(rf.items))
                 write_topk(dist.top_k(rf, k), out / "topk.tsv")
 
     if "fits" in cfg.stages:
@@ -164,12 +164,12 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
         "ShiftedMenzerath": lengths["syllables"],
         "MeanSyllablePower": mean_syllables,
         "MeanSyllableExp": mean_syllables,
-        "ZipfMandelbrot": [(r, f) for r, _, f in rf.rows],
+        "ZipfMandelbrot": np.column_stack((rf.ranks, rf.counts)),
     }
     # each call looks its fit up in this module, where the benchmark's tracer wraps it
     interval_fits = {
         ZIPF_POWER: lambda: segmented_loglog_fit(rf, cfg.zipf_breakpoints),
-        LOG_COVERAGE: lambda: fit_coverage(curve, cfg.coverage_breakpoints),
+        LOG_COVERAGE: lambda: fit_coverage(rf.ranks, curve, cfg.coverage_breakpoints),
     }
     report: dict[str, dict] = {}
     for model_id in cfg.models:
@@ -190,11 +190,12 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
 
 
 def _emit_fit_curve(model_id, result, data, out) -> None:
-    xs = [x for x, _ in data]
+    path = out / f"fitcurve_{model_id}.dat"
+    xs = np.asarray(data, dtype=float)[:, 0]
     try:
-        ys = model_eval(model_id, result.params, np.array(xs, dtype=float))
+        ys = model_eval(model_id, result.params, xs)
     except TextlawsError as exc:
         # a diverged fit may leave parameters the model cannot evaluate
         log.info("fitted curve for %s not sampled: %s", model_id, exc)
         return
-    emit_plot_data(zip(xs, ys.tolist()), out / f"fitcurve_{model_id}.dat")
+    emit_plot_data(np.column_stack((xs, ys)), path)

@@ -11,20 +11,24 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
 from .indices import CorpusProfile
 
 
-def _g6(value) -> str:
-    return f"{value:.6g}"
-
-
 def emit_plot_data(series, path: str | Path) -> None:
-    """Write an ``x y`` file, one point per line, no header."""
-    lines = [f"{_g6(x)} {_g6(y)}" for x, y in series]
-    if not lines:
+    """Write an ``x y`` file, one point per line, no header.
+
+    ``series`` is a sequence of (x, y) pairs or an (n, 2) array.  One ``%``
+    template formats every value as ``f"{v:.6g}"`` would: ints format
+    through ``float`` either way.
+    """
+    points = np.asarray(series, dtype=float)
+    if not points.size:
         raise ValidationError(f"refusing to write an empty plot file: {path}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = ("%.6g %.6g\n" * len(points)) % tuple(points.ravel().tolist())
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _scalar_str(value, float_format) -> str:

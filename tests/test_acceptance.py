@@ -85,15 +85,14 @@ def _lm_params(model_id, x, y):
 
 def _fit_zipf_power(x, f):
     rows = tuple((int(r), f"w{int(r)}", v) for r, v in zip(x, f))
-    segments = segmented_loglog_fit(RankFrequencyList(rows, sum(f)), breakpoints=((0, 200),))
+    segments = segmented_loglog_fit(
+        RankFrequencyList.from_rows(rows, sum(f)), breakpoints=((0, 200),)
+    )
     return {"A": segments[0].A, "z": segments[0].z}
 
 
 def _fit_log_coverage(x, t):
-    segments = fit_coverage(
-        tuple(zip((int(v) for v in x), t)),
-        breakpoints=((9, 200),),
-    )
+    segments = fit_coverage(x.astype(int), t, breakpoints=((9, 200),))
     return {"k": segments[0].k, "T0": segments[0].T0}
 
 
@@ -317,7 +316,7 @@ def test_criterion_5_three_regime_recovery():
         for r in range(prev, hi + 1):
             pairs.append((r, amp * r ** (-z)))
         prev = hi + 1
-    rf = RankFrequencyList(
+    rf = RankFrequencyList.from_rows(
         tuple((r, f"w{r}", f) for r, f in pairs), sum(f for _, f in pairs)
     )
     segments = segmented_loglog_fit(
@@ -360,8 +359,7 @@ def test_criterion_6_distribution_invariants():
             assert syllables[0][0] == 0
             assert syllables[0][1] > 0
 
-        curve = coverage_curve(rank_frequency(lex))
-        values = [t for _, t in curve]
+        values = coverage_curve(rank_frequency(lex)).tolist()
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert abs(values[-1] - 1.0) <= 1e-9
 

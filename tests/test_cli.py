@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -53,6 +54,19 @@ class TestEmitPlotData:
         path = tmp_path / "series.dat"
         emit_plot_data([(3, 0.12345678)], path)
         assert path.read_text() == "3 0.123457\n"
+
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.integers(-10**12, 10**12),
+        st.floats(),
+        st.floats(-1e-300, 1e-300),
+        st.integers(-2**63, 2**63 - 1).map(lambda v: np.array([v], dtype=np.int64).tolist()[0]),
+    )] * 2), min_size=1, max_size=20))
+    def test_template_matches_per_value_format(self, series):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.dat"
+            emit_plot_data(series, path)
+            expected = "".join(f"{x:.6g} {y:.6g}\n" for x, y in series)
+            assert path.read_text(encoding="utf-8") == expected
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

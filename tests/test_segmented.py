@@ -13,7 +13,12 @@ from textlaws.fitting import (
 def rank_list(pairs):
     rows = tuple((r, f"w{r}", f) for r, f in pairs)
     total = sum(f for _, f in pairs)
-    return RankFrequencyList(rows, total)
+    return RankFrequencyList.from_rows(rows, total)
+
+
+def coverage_fit(points, breakpoints):
+    ranks, values = zip(*points)
+    return fit_coverage(ranks, values, breakpoints=breakpoints)
 
 
 def continuous_piecewise(slopes, uppers, amp0):
@@ -86,7 +91,7 @@ class TestSegmentedZipf:
 class TestCoverageFit:
     def test_exact_logarithmic_curve(self):
         points = tuple((r, 0.1 * math.log(r) + 0.2) for r in range(10, 200))
-        segments = fit_coverage(points, breakpoints=((9, None),))
+        segments = coverage_fit(points, breakpoints=((9, None),))
         assert segments[0].k == pytest.approx(0.1, rel=1e-12)
         assert segments[0].T0 == pytest.approx(0.2, rel=1e-12)
 
@@ -97,11 +102,11 @@ class TestCoverageFit:
             (r, join + 0.08 * (math.log(r) - math.log(200))) for r in range(201, 1001)
         ]
         curve = tuple(first + second)
-        segments = fit_coverage(curve, breakpoints=((10, 200), (200, 1000)))
+        segments = coverage_fit(curve, breakpoints=((10, 200), (200, 1000)))
         assert abs(segments[0].k - 0.13) <= 1e-6
         assert abs(segments[1].k - 0.08) <= 1e-6
 
     def test_too_few_points(self):
         points = tuple((r, 0.1 * math.log(r)) for r in (1, 2, 3))
         with pytest.raises(ValidationError):
-            fit_coverage(points, breakpoints=((1, 2),))
+            coverage_fit(points, breakpoints=((1, 2),))
