@@ -121,6 +121,8 @@ def run_analysis(cfg: RunConfig) -> None:
                     )
                 else:
                     log.info("no syllabic word-forms: mean_syllable.dat not written")
+                    # one left by an earlier run would pass for this run's series
+                    (out / "mean_syllable.dat").unlink(missing_ok=True)
 
     if {"ranks", "fits"} & set(cfg.stages):
         with _stage("ranks"):
@@ -186,6 +188,8 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
         except TextlawsError as exc:
             log.info("fit %s skipped: %s", model_id, exc)
             report[model_id] = {"error": str(exc)}
+            # one left by an earlier run would pass for this run's fit
+            (out / f"fitcurve_{model_id}.dat").unlink(missing_ok=True)
     return report
 
 
@@ -197,5 +201,6 @@ def _emit_fit_curve(model_id, result, data, out) -> None:
     except TextlawsError as exc:
         # a diverged fit may leave parameters the model cannot evaluate
         log.info("fitted curve for %s not sampled: %s", model_id, exc)
+        path.unlink(missing_ok=True)
         return
     emit_plot_data(np.column_stack((xs, ys)), path)

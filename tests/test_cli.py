@@ -466,6 +466,26 @@ class TestPipeline:
         assert main(["--config", str(cfg), "--out", str(out), "--only", "profile"]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["profile.json", "profile.tsv"]
 
+    def test_rerun_with_a_failing_fit_leaves_no_earlier_curve(self, fixture_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
+        earlier = ("fitcurve_MeanSyllablePower.dat", "mean_syllable.dat")
+        assert all((out / name).is_file() for name in earlier)
+        # no form has a vowel: no mean-syllable series, so its fit has no points
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("бв гдж кл мн бв. " * 20 + "пр ст бв кл.", encoding="utf-8")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[paths]\ntext = {corpus}\n[fits]\nmodels = MeanSyllablePower,ZipfMandelbrot\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        assert "error" in fits["MeanSyllablePower"]
+        assert "params" in fits["ZipfMandelbrot"]
+        assert not any((out / name).exists() for name in earlier)
+        assert (out / "fitcurve_ZipfMandelbrot.dat").is_file()
+
     def test_unselected_ranks_stage_does_not_run(self, fixtures_dir, tmp_path):
         lemmas = tmp_path / "lemmas.tsv"
         lemmas.write_text("жодна-форма\tлема\n", encoding="utf-8")
