@@ -11,9 +11,19 @@ are the model's closed-form ``jacobian`` where it has one, taken from the
 model value the residual already holds, and forward finite differences
 otherwise.  A fit has converged when a step no longer moves the parameters
 or when the Gauss-Newton model predicts a further decrease below a fixed
-fraction of the SSE, so the test scales with the data.  The whole
-computation is deterministic: identical inputs reproduce the parameter
-trajectory bit for bit.  The settings of the loop are fixed constants.
+fraction of the SSE, so the test scales with the data.
+
+A model with an ``amplitude``, a parameter its value is proportional to,
+is fitted by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
+(1973) 413-432; Kaufman, BIT 15 (1975) 49-57).  For the other parameters
+the best amplitude is g^T y / g^T g, with g the model at unit amplitude, so
+the loop steps those parameters alone: it fills the amplitude in at each
+trial and takes Kaufman's Jacobian, the other parameters' rows projected
+off g.  The standard errors still come from the full Jacobian.
+
+The whole computation is deterministic: identical inputs reproduce the
+parameter trajectory bit for bit.  The settings of the loop are fixed
+constants.
 """
 
 from __future__ import annotations
@@ -81,7 +91,9 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
 
     ``init`` maps the model's parameter names, and no others, to finite
     starting values; without it the model's documented default guess is
-    used.  A non-finite data point is a validation error.
+    used.  The start value of a model's ``amplitude`` is replaced by its
+    closed form at the other start values.  A non-finite data point is a
+    validation error.
     Singular normal equations at every damping level yield a result with
     ``converged=False`` rather than an exception; a non-finite model value
     at the accepted parameters is a domain error.
@@ -111,21 +123,41 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         def jacobian(p, f):
             return model.jacobian(p, x, f)
 
-    f = model.evaluate(p, x)
-    r = y - f
-    if not np.all(np.isfinite(r)):
+    # the loop steps q: every parameter, or all but the amplitude k
+    k = None if model.amplitude is None else model.param_names.index(model.amplitude)
+
+    def trial(q):
+        """Full parameters and model value at q; None outside the domain or for a zero model."""
+        p = q if k is None else np.insert(q, k, 1.0)
+        if not model.params_in_domain(p, x):
+            return None
+        f = model.evaluate(p, x)
+        if k is None:
+            return p, f
+        gg = float(f @ f)
+        if not 0.0 < gg < np.inf:
+            return None
+        p[k] = float(f @ y) / gg
+        return p, p[k] * f
+
+    q = p if k is None else np.delete(p, k)
+    start = trial(q)
+    if start is None or not np.all(np.isfinite(y - start[1])):
         raise DomainError(f"{model.id}: model is not finite at the initial parameters")
+    p, f = start
+    r = y - f
     sse = float(r @ r)
     trace = [sse]
     lam, nu = _INITIAL_LAMBDA, 2.0
     converged = False
     iterations = 0
-    jac = None
+    full = None
 
     for _ in range(_MAX_ITERATIONS):
         iterations += 1
         # df/dp, one row per parameter; J^T r is minus half the gradient of the SSE
-        jac = jacobian(p, f)
+        full = jacobian(p, f)
+        jac = full if k is None else _projected(full, k)
         jtr = jac @ r
         jtj = jac @ jac.T
         diag = np.diag(jtj).copy()
@@ -140,9 +172,9 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
             except np.linalg.LinAlgError:
                 lam, nu = lam * nu, 2.0 * nu
                 continue
-            p_try = p + delta
-            if np.all(np.isfinite(p_try)) and model.params_in_domain(p_try, x):
-                f_try = model.evaluate(p_try, x)
+            q_try = q + delta
+            if np.all(np.isfinite(q_try)) and (stepped_to := trial(q_try)) is not None:
+                p_try, f_try = stepped_to
                 r_try = y - f_try
                 if np.all(np.isfinite(r_try)):
                     sse_try = float(r_try @ r_try)
@@ -151,20 +183,19 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
                         gain = (sse - sse_try) / float(delta @ (lam * diag * delta + jtr))
                         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _MIN_LAMBDA)
                         nu = 2.0
-                        p, f, r, sse = p_try, f_try, r_try, sse_try
+                        q, p, f, r, sse = q_try, p_try, f_try, r_try, sse_try
                         trace.append(sse)
-                        jac = None
+                        full = None
                         stepped = True
                         step_norm = float(np.linalg.norm(delta))
-                        if step_norm < _STEP_TOL * (float(np.linalg.norm(p)) + _STEP_TOL):
+                        if step_norm < _STEP_TOL * (float(np.linalg.norm(q)) + _STEP_TOL):
                             converged = True
                         break
             lam, nu = lam * nu, 2.0 * nu
         if not stepped or converged:
             break
 
-    if jac is None:
-        jac = jacobian(p, f)
+    jac = jacobian(p, f) if full is None else full
     stderr = _standard_errors(model.param_names, jac, sse)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(
@@ -177,6 +208,16 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         final_lambda=lam,
         sse_trace=tuple(trace),
     )
+
+
+def _projected(jac, k):
+    """Kaufman's Jacobian: the rows of all parameters but k, projected off row k.
+
+    Row k is the model at unit amplitude, up to a factor.
+    """
+    g = jac[k]
+    rows = np.delete(jac, k, axis=0)
+    return rows - np.outer(rows @ g / (g @ g), g)
 
 
 def _gauss_newton_decrease(jtj, jtr):

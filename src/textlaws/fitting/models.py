@@ -37,6 +37,9 @@ class Model:
     derived: Callable[[np.ndarray], dict[str, float]] | None = None
     # (p, x, f) -> df/dp as one row per parameter, given f = evaluate(p, x)
     jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    # a parameter the model value is proportional to: lm_fit solves it in
+    # closed form at each step and iterates on the others alone
+    amplitude: str | None = None
 
     @property
     def n_params(self) -> int:
@@ -190,6 +193,7 @@ MODELS: dict[str, Model] = {
         params_in_domain=lambda p, x: bool(np.all(x + p[2] > 0)),
         default_init=_init_zipf_mandelbrot,
         jacobian=_jac_zipf_mandelbrot,
+        amplitude="A",
     ),
 }
 

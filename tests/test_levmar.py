@@ -224,12 +224,21 @@ def test_noisy_large_frequencies_converge():
     ],
 )
 def test_zero_amplitude_start_fits(model_id, init):
-    # the closed-form dF/dA = F/A is 0/0 there; the derivative is still defined
+    # the closed-form dF/dA = F/A is 0/0 there; the derivative is still defined.
+    # ZipfMandelbrot's fit replaces the start amplitude by its closed form, so
+    # its Jacobian at A = 0 is checked against forward differences directly
     ranges, x = WELL_POSED[model_id]
     truth = {name: (lo + hi) / 2 for name, (lo, hi) in ranges.items()}
     result = lm_fit(model_id, synthetic(model_id, truth, x), init=init)
     assert result.converged
     assert result.params == pytest.approx(truth, rel=1e-6)
+    model = get_model(model_id)
+    p = np.array([init[name] for name in model.param_names])
+    f = model.evaluate(p, x)
+    closed = model.jacobian(p, x, f)
+    forward = forward_jacobian(lambda q: model.evaluate(q, x), p, levmar._JACOBIAN_REL_STEP, f)
+    assert np.all(closed[0] > 0)
+    assert closed[0] == pytest.approx(forward[:, 0], rel=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,6 +279,26 @@ def test_fits_match_scipy_least_squares(data):
     cov = np.linalg.inv(theirs.jac.T @ theirs.jac) * (sse / (x.size - model.n_params))
     stderr = [ours.stderr[name] for name in model.param_names]
     assert stderr == pytest.approx(np.sqrt(np.diag(cov)), rel=1e-4)
+
+
+def test_far_zipf_mandelbrot_optimum_converges_from_the_default_guess():
+    # a steep spectrum, b = 7.4 and C = 47, far from the guess b = C = 1: a
+    # loop over (A, b, C) together ran all three off and stopped unconverged
+    x = np.arange(1.0, 2001.0)
+    y = np.round(3000.0 * 48.0 ** 7.4 * (x + 47.0) ** -7.4)
+    result = lm_fit("ZipfMandelbrot", np.column_stack((x, y)))
+    assert result.converged
+    assert result.iterations <= levmar._MAX_ITERATIONS // 4
+    amp, b, offset = (result.params[name] for name in ("A", "b", "C"))
+    assert b == pytest.approx(7.4, abs=0.1) and offset == pytest.approx(47.0, abs=1.0)
+    g = np.power(x + offset, -b)
+    assert amp == pytest.approx(float(g @ y) / float(g @ g), rel=1e-12)
+    if least_squares is None:
+        pytest.skip("scipy is not installed")
+    theirs = least_squares(
+        lambda p: y - p[0] * np.power(x + p[2], -p[1]), [amp, b, offset], method="lm"
+    )
+    assert result.sse <= float(theirs.fun @ theirs.fun) * (1 + 1e-9)
 
 
 def test_exact_recovery_can_reach_zero_sse():
