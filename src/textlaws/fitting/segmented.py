@@ -46,19 +46,21 @@ class CoverageSegment:
     n_points: int
 
 
-def ols_line(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+def ols_line(xs, ys) -> tuple[float, float, float]:
     """Slope, intercept and r-squared of an ordinary least-squares line."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = float(np.sum(xs)) / n
+    mean_y = float(np.sum(ys)) / n
+    dx, dy = xs - mean_x, ys - mean_y
+    sxx = float(np.sum(dx * dx))
     if sxx == 0:
         raise ValidationError("degenerate abscissae: all x values equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    slope = float(np.sum(dx * dy)) / sxx
     intercept = mean_y - slope * mean_x
-    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    res = ys - slope * xs - intercept
+    ss_res = float(np.sum(res * res))
+    ss_tot = float(np.sum(dy * dy))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r_squared
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -35,7 +36,28 @@ def continuous_piecewise(slopes, uppers, amp0):
     return pairs
 
 
+def python_ols(xs, ys):
+    """The line by sums in Python, one point at a time."""
+    n = len(xs)
+    mean_x, mean_y = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    return slope, intercept, 1.0 - ss_res / ss_tot
+
+
 class TestOlsLine:
+    @pytest.mark.parametrize("n", [3, 10, 1000, 20000])
+    def test_matches_python_sums(self, n):
+        # numpy sums pairwise, Python in order: n * eps bounds the difference
+        rng = random.Random(n)
+        xs = [math.log(r) for r in range(1, n + 1)]
+        ys = [8.0 - 1.1 * x + rng.gauss(0.0, 0.3) for x in xs]
+        assert ols_line(xs, ys) == pytest.approx(python_ols(xs, ys), rel=1e-10)
+
+
     def test_exact_line(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         ys = [2.0 * x + 0.5 for x in xs]
