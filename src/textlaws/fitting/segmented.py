@@ -81,8 +81,8 @@ def _interval_lines(ranks, values, breakpoints, transform):
                 f"rank interval ({lo}, {top}] holds {stop - start} points; need >= 3"
             )
         # math.log per point: numpy's log rounds differently per SIMD level
-        log_r = [math.log(r) for r in ranks[start:stop].tolist()]
-        ys = [transform(v) for v in values[start:stop].tolist()]
+        log_r = list(map(math.log, ranks[start:stop].tolist()))
+        ys = list(map(transform, values[start:stop].tolist()))
         slope, intercept, r2 = ols_line(log_r, ys)
         yield lo, top, slope, intercept, r2, stop - start
 
@@ -105,5 +105,5 @@ def fit_coverage(ranks, coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> l
     ``coverage`` holds the covered fraction at each of the ascending
     ``ranks``, as ``coverage_curve`` gives it for a ranked list's ranks.
     """
-    lines = _interval_lines(np.asarray(ranks), np.asarray(coverage), breakpoints, lambda v: v)
+    lines = _interval_lines(np.asarray(ranks), np.asarray(coverage), breakpoints, float)
     return [CoverageSegment(*line) for line in lines]

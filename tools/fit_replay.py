@@ -130,7 +130,7 @@ def compare(path_a: Path, path_b: Path) -> tuple[list[str], list[str]]:
     if a.keys() != b.keys():
         only = sorted(a.keys() ^ b.keys())
         raise ValueError(f"the replays hold different fits, first {only[0]}")
-    totals = defaultdict(lambda: defaultdict(int))
+    totals = defaultdict(lambda: defaultdict(int))  # "best" and "worst" start at 0
     flags = []
     for key in a:
         fa, fb = a[key], b[key]
@@ -143,6 +143,10 @@ def compare(path_a: Path, path_b: Path) -> tuple[list[str], list[str]]:
         if math.isfinite(fa["sse"]) and math.isfinite(fb["sse"]):
             total["lower" if fb["sse"] < fa["sse"] else
                   "higher" if fb["sse"] > fa["sse"] else "equal"] += 1
+            if fa["sse"] > 0:
+                change = fb["sse"] / fa["sse"] - 1
+                total["worst"] = max(total["worst"], change)
+                total["best"] = min(total["best"], change)
         name = "/".join(map(str, key))
         if fa["points"] != fb["points"]:
             flags.append(f"FLAG {name}: {fa['points']} points in A, {fb['points']} in B")
@@ -150,12 +154,14 @@ def compare(path_a: Path, path_b: Path) -> tuple[list[str], list[str]]:
             flags.append(f"FLAG {name}: SSE {fa['sse']!r} -> {fb['sse']!r}")
         if fa["converged"] and not fb["converged"]:
             flags.append(f"FLAG {name}: converged in A, not in B")
-    lines = ["model\tfits\titerations\taccepted\tevaluations\tconverged\tsse lower/equal/higher in B"]
+    lines = ["model\tfits\titerations\taccepted\tevaluations\tconverged"
+             "\tsse lower/equal/higher in B\tsse B/A - 1 from .. to"]
     for model in sorted(totals):
         t = totals[model]
         cells = [f"{t[f'{n}_a']:,} -> {t[f'{n}_b']:,}" for n in (*COUNTS, "converged")]
         lines.append("\t".join([model, str(t["fits"]), *cells,
-                                f"{t['lower']}/{t['equal']}/{t['higher']}"]))
+                                f"{t['lower']}/{t['equal']}/{t['higher']}",
+                                f"{t['best']:.2g} .. {t['worst']:.2g}"]))
     return lines, flags
 
 
