@@ -99,7 +99,9 @@ def segmented_loglog_fit(
     ]
 
 
-def fit_coverage(ranks, coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[CoverageSegment]:
+def fit_coverage(
+    ranks, coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS
+) -> list[CoverageSegment]:
     """Logarithmic growth slope of text coverage per rank domain.
 
     ``coverage`` holds the covered fraction at each of the ascending
