@@ -72,6 +72,8 @@ def _interval_lines(ranks, values, breakpoints, transform):
     ``(lo, top, slope, intercept, r_squared, n_points)``, where ``top`` is the
     resolved upper bound.
     """
+    if np.any(ranks[1:] <= ranks[:-1]):
+        raise ValidationError("ranks must ascend")
     last = int(ranks[-1]) if len(ranks) else 0
     for lo, hi in breakpoints:
         top = last if hi is None else hi

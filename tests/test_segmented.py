@@ -128,6 +128,14 @@ class TestCoverageFit:
         assert abs(segments[0].k - 0.13) <= 1e-6
         assert abs(segments[1].k - 0.08) <= 1e-6
 
+    def test_ranks_out_of_order_rejected(self):
+        # the intervals are found by bisection, which needs ascending ranks
+        points = [(r, 0.1 * math.log(r)) for r in (5, 3, 4, 6, 7)]
+        with pytest.raises(ValidationError, match="ranks must ascend"):
+            coverage_fit(points, breakpoints=((1, 7),))
+        with pytest.raises(ValidationError, match="ranks must ascend"):
+            segmented_loglog_fit(rank_list([(1, 5.0), (1, 4.0), (2, 3.0)]), ((0, 2),))
+
     def test_too_few_points(self):
         points = tuple((r, 0.1 * math.log(r)) for r in (1, 2, 3))
         with pytest.raises(ValidationError):
