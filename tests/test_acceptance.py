@@ -185,25 +185,21 @@ def test_criterion_3_gamma_identities():
 ORACLE_TOKEN_RE = re.compile(r"§?\w+(?:[-'’]\w+)*")
 
 
-def _oracle_profile(fixtures_dir, threshold):
-    """Brute-force recount of every profile field, sharing no library code."""
-    text = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8")
-    tokens = ORACLE_TOKEN_RE.findall(text)
-    folded = [t.casefold() for t in tokens]
-    n = len(folded)
+def oracle_lexicon(counts, merges="", lemmas="", overrides=""):
+    """Merge and lemmatize folded-form ``counts`` by hand, from the three TSV texts.
 
-    counts = {}
-    for w in folded:
-        counts[w] = counts.get(w, 0) + 1
-
-    for line in (fixtures_dir / "merges.tsv").read_text(encoding="utf-8").splitlines():
+    ``counts`` is changed in place into the merged form counts; the lemma
+    counts are returned.  A lemma map row with a share is one of a form's
+    several rows.
+    """
+    for line in merges.splitlines():
         canonical, variants = line.split("\t")
         for variant in variants.split(","):
             if variant != canonical and variant in counts:
                 counts[canonical] = counts.get(canonical, 0) + counts.pop(variant)
 
     rows, ambiguous = {}, {}
-    for line in (fixtures_dir / "lemmas.tsv").read_text(encoding="utf-8").splitlines():
+    for line in lemmas.splitlines():
         fields = line.split("\t")
         if len(fields) == 2:
             rows[fields[0]] = fields[1]
@@ -211,19 +207,16 @@ def _oracle_profile(fixtures_dir, threshold):
             ambiguous.setdefault(fields[0], []).append((fields[1], float(fields[2])))
 
     pinned = {}
-    for line in (fixtures_dir / "overrides.tsv").read_text(encoding="utf-8").splitlines():
+    for line in overrides.splitlines():
         form, lemma, count = line.split("\t")
         pinned.setdefault(form, []).append((lemma, int(count)))
 
     lemma_counts = {}
-    unmapped = 0
     for form, count in counts.items():
         if form in pinned:
-            assigned = 0
             for lemma, c in pinned[form]:
-                lemma_counts[lemma] = lemma_counts.get(lemma, 0) + c
-                assigned += c
-            unmapped += count - assigned
+                if c:
+                    lemma_counts[lemma] = lemma_counts.get(lemma, 0) + c
         elif form in rows:
             lemma = rows[form]
             lemma_counts[lemma] = lemma_counts.get(lemma, 0) + count
@@ -239,8 +232,23 @@ def _oracle_profile(fixtures_dir, threshold):
             for lemma, part in parts.items():
                 if part:
                     lemma_counts[lemma] = lemma_counts.get(lemma, 0) + part
-        else:
-            unmapped += count
+    return lemma_counts
+
+
+def _oracle_profile(fixtures_dir, threshold):
+    """Brute-force recount of every profile field, sharing no library code."""
+    text = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8")
+    tokens = ORACLE_TOKEN_RE.findall(text)
+    folded = [t.casefold() for t in tokens]
+    n = len(folded)
+
+    counts = {}
+    for w in folded:
+        counts[w] = counts.get(w, 0) + 1
+    lemma_counts = oracle_lexicon(counts, *(
+        (fixtures_dir / name).read_text(encoding="utf-8")
+        for name in ("merges.tsv", "lemmas.tsv", "overrides.tsv")
+    ))
 
     v = len(lemma_counts)
     hapax = sum(1 for c in lemma_counts.values() if c == 1)

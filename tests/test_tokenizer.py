@@ -22,6 +22,7 @@ from textlaws import (
     tokenizer,
 )
 from tokenizer_oracle import (
+    ORACLE_ALPHABET,
     split_sentences as oracle_split_sentences,
     tokenize as oracle_tokenize,
 )
@@ -180,13 +181,6 @@ def test_numerals_outside_nd_separate_tokens():
     assert surfaces("x² Ⅻ ½") == ["x"]
     assert surfaces("x²y 1½ Ⅻ-а") == ["x", "y", "1", "а"]
 
-
-# letters of three scripts (ǅ is titlecase), joiners, the section sign,
-# digits, numerals outside Nd, a combining acute, a byte order mark,
-# terminators, closers and openers
-ORACLE_ALPHABET = (
-    "абТтAbßλǅ" "-‐‑'’ʼ`" "§" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
-)
 
 tokenizer_configs = st.builds(
     TokenizerConfig,

@@ -19,6 +19,14 @@ from textlaws.tokenizer import (
     TokenizerConfig,
 )
 
+# The alphabet the library is tested over against this oracle: letters of
+# three scripts (ǅ is titlecase), joiners, the section sign, digits,
+# numerals outside Nd, a combining acute, a byte order mark, terminators,
+# closers and openers
+ORACLE_ALPHABET = (
+    "абТтAbßλǅ" "-‐‑'’ʼ`" "§" "019" "²Ⅻ½" "\u0301\ufeff" ".!?…" "»\"”)]" "«“‘([—–" " \n"
+)
+
 # General categories of word characters: letters (L*) and decimal digits.
 _WORD_CATEGORIES = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nd"})
 # Characters that join two word characters (never lead or trail a token).
