@@ -44,9 +44,6 @@ from .lexicon import (
 )
 from .tokenizer import (
     DEFAULT_CONFIG,
-    SentenceSpan,
-    Sentences,
-    Token,
     TokenizerConfig,
     Tokens,
     split_sentences,

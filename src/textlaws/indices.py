@@ -1,19 +1,19 @@
 """Scalar corpus statistics: size, richness, exclusiveness, concentration.
 
-All indices derive from one token stream and the lexicons built from it.
+All indices derive from one text's token counts, its sentence count and
+the lexicons built from them.
 Hapax and concentration counts default to the lemma lexicon; a basis flag
 recomputes them over word-forms for sensitivity studies.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .distributions import count_letters
 from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
-from .tokenizer import SentenceSpan, Tokens
+from .tokenizer import Tokens
 
 # lexicon feeding the hapax and concentration counts
 COUNT_BASES = ("lemmas", "forms")
@@ -42,7 +42,7 @@ class CorpusProfile:
 
 def corpus_profile(
     tokens: Tokens,
-    sentences: Sequence[SentenceSpan],
+    sentences: int,
     forms: FormLexicon,
     lemmas: LemmaLexicon | None = None,
     *,
@@ -52,6 +52,7 @@ def corpus_profile(
 ) -> CorpusProfile:
     """Compute every scalar index from one corpus.
 
+    ``sentences`` is the number of sentences, ``len(split_sentences(text))``.
     ``count_basis`` selects the lexicon feeding hapax and concentration
     counts ("lemmas" or "forms"); vocabulary size and its ratios always come
     from the lemma lexicon and are left unset when it is unavailable.
@@ -76,7 +77,7 @@ def corpus_profile(
     else:
         mean_word_len = sum(count_letters(form) for form in forms.entries) / f
 
-    mean_sentence_len = n / len(sentences) if sentences else None
+    mean_sentence_len = n / sentences if sentences else None
 
     v = variety = density = None
     if lemmas is not None:

@@ -63,7 +63,7 @@ def run_analysis(cfg: RunConfig) -> None:
         if not tokens:
             # no stage after this one has anything to count
             raise ValidationError(f"{cfg.text_path}: no word tokens")
-        sentences = split_sentences(text, cfg.tokenizer, tokens)
+        sentences = split_sentences(text, cfg.tokenizer)
 
     with _stage("lexicon"):
         forms = build_form_spectrum(tokens)
@@ -93,7 +93,7 @@ def run_analysis(cfg: RunConfig) -> None:
     if "profile" in cfg.stages:
         with _stage("profile"):
             profile = corpus_profile(
-                tokens, sentences, forms, lemmas,
+                tokens, len(sentences), forms, lemmas,
                 threshold=cfg.threshold,
                 count_basis=cfg.count_basis,
                 word_length_basis=cfg.word_length_basis,

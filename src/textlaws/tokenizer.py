@@ -1,27 +1,23 @@
-"""Tokenization of running text into word tokens and sentence spans.
+"""Tokenization of running text into word-token counts and sentence ends.
 
 A token is a maximal run of letters, digits and permitted internal
 characters ("60-ий", "§136" and "м’ята" are single tokens); everything
-between tokens is separator material and is never emitted.  Offsets refer
-to the NFC-normalized text, so slicing the normalized text at a token's
-offset recovers its surface exactly.
+between tokens is separator material and is never counted.
 
-``tokenize`` and ``split_sentences`` count first: a token never crosses
+Only counts leave this module: the corpus profile and the fits need no
+token's offset and no sentence's tokens.  A token never crosses
 whitespace, so ``tokenize`` counts the whitespace-separated chunks of the
 text and tokenizes each distinct chunk once, and ``split_sentences`` finds
-its boundaries without token offsets.  The per-token columns (surfaces,
-folded forms, offsets) and the sentence spans are built, by one more scan
-of the text, only when a caller reads them.
+where each sentence ends without locating the tokens.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ValidationError
@@ -79,128 +75,19 @@ DEFAULT_CONFIG = TokenizerConfig()
 
 
 @dataclass(frozen=True, slots=True)
-class Token:
-    surface: str
-    folded: str
-    char_offset: int
-
-
-# not slotted: on a slotted frozen dataclass, assigning a name that is not a
-# field (a column) raises TypeError rather than FrozenInstanceError
-@dataclass(frozen=True, init=False, eq=False)
-class Tokens(Sequence):
-    """The token stream of one text: its counts, and its columns on demand.
+class Tokens:
+    """The token counts of one text.
 
     ``counts`` maps each ``(surface, folded)`` pair to its number of
-    tokens, in order of first occurrence, and ``len`` is the number of
-    tokens.  ``surfaces[i]``, ``folded[i]`` and ``offsets[i]`` are the
-    fields of the i-th token; tokens of equal runs of text share their
-    strings.  A stream from ``tokenize`` builds these three columns by
-    scanning its text again the first time one is read, or the stream is
-    indexed, iterated or compared, and keeps them.  The columns are handed
-    out, not copied (a copy would raise a large text's peak memory), so
-    callers only read them.  ``Tokens(surfaces, folded, offsets)`` wraps
-    given columns.  Indexing builds one ``Token``, a slice gives the
-    ``Tokens`` of its range, and iteration builds each ``Token`` in turn.
+    tokens, in order of first occurrence.  ``n`` is the number of tokens,
+    which ``len`` gives too.
     """
 
     counts: dict[tuple[str, str], int]
-    _length: int
-    # the normalized text and config that the columns are scanned from
-    _source: tuple[str, TokenizerConfig] | None = field(repr=False)
-    _columns: tuple[list[str], list[str], list[int]] | None = field(repr=False)
-
-    def __init__(self, surfaces: list[str], folded: list[str], offsets: list[int]):
-        counts = dict(Counter(zip(surfaces, folded)))
-        self._fill(counts, len(offsets), None, (surfaces, folded, offsets))
-
-    @classmethod
-    def _counted(cls, counts, length: int, text: str, cfg: TokenizerConfig) -> Tokens:
-        tokens = cls.__new__(cls)
-        tokens._fill(counts, length, (text, cfg), None)
-        return tokens
-
-    def _fill(self, counts, length, source, columns) -> None:
-        # the fields of a frozen dataclass are set through object.__setattr__
-        for name, value in zip(
-            ("counts", "_length", "_source", "_columns"), (counts, length, source, columns)
-        ):
-            object.__setattr__(self, name, value)
-
-    def _built(self) -> tuple[list[str], list[str], list[int]]:
-        if self._columns is None:
-            object.__setattr__(self, "_columns", _token_columns(*self._source))
-        return self._columns
-
-    @property
-    def surfaces(self) -> list[str]:
-        return self._built()[0]
-
-    @property
-    def folded(self) -> list[str]:
-        return self._built()[1]
-
-    @property
-    def offsets(self) -> list[int]:
-        return self._built()[2]
+    n: int
 
     def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        surfaces, folded, offsets = self._built()
-        if isinstance(index, slice):
-            return Tokens(surfaces[index], folded[index], offsets[index])
-        return Token(surfaces[index], folded[index], offsets[index])
-
-    def __iter__(self):
-        return map(Token, *self._built())
-
-    def __eq__(self, other):
-        if not isinstance(other, Tokens):
-            return NotImplemented
-        return self._built() == other._built()
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceSpan:
-    start_token: int
-    end_token: int  # exclusive
-
-
-@dataclass(frozen=True, eq=False)
-class Sentences(Sequence):
-    """The sentences of one text: their count, and their spans on demand.
-
-    ``len`` is the number of sentences.  Each ends at a text position in
-    ``_ends`` (its terminator, or the end of the text for the last one).
-    The ``SentenceSpan``s are bisected from the token offsets, which builds
-    the token columns, the first time one is read, and kept.  A
-    ``Sentences`` equals the list of its spans.
-    """
-
-    _ends: list[int]
-    _tokens: Tokens = field(repr=False)
-    _spans: list[SentenceSpan] | None = field(default=None, repr=False)
-
-    def _built(self) -> list[SentenceSpan]:
-        if self._spans is None:
-            object.__setattr__(self, "_spans", _sentence_spans(self._tokens.offsets, self._ends))
-        return self._spans
-
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, Sentences)):
-            return NotImplemented
-        return self._built() == list(other)
+        return self.n
 
 
 def _char_class(chars) -> str:
@@ -253,7 +140,7 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
 
 def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str]:
     folded = surface.casefold() if cfg.case_folding else surface
-    # equal strings share one object across every token of the form
+    # a form that folding leaves unchanged keeps one string for both fields
     return surface, surface if folded == surface else folded
 
 
@@ -298,17 +185,15 @@ def _blocks(text: str) -> Iterator[str]:
 
 
 def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
-    """Split text into word tokens.
+    """Count the word tokens of ``text``.
 
     The text is NFC-normalized first.  Word characters are letters (L*)
     and decimal digits (Nd); other numerals such as ``²``, ``Ⅻ`` or ``½``
-    separate tokens like punctuation, so ``tokenize("x² Ⅻ ½")`` gives only
+    separate tokens like punctuation, so ``tokenize("x² Ⅻ ½")`` counts only
     ``x``.  A joiner (hyphen, apostrophe) stays inside a token only when
     flanked by letters/digits on both sides; other permitted marks (section
     sign) need a letter/digit neighbour on one side and may lead a token.
     Runs without any letter or digit yield no token.
-
-    Only the counts are computed here; see ``Tokens`` for the columns.
     """
     text = unicodedata.normalize("NFC", text)
     runs = _Runs(cfg)
@@ -326,24 +211,7 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
         for run in runs.token.findall(chunk):
             for _, key in runs[run]:
                 counts[key] = counts.get(key, 0) + n
-    return Tokens._counted(counts, sum(counts.values()), text, cfg)
-
-
-def _token_columns(text: str, cfg: TokenizerConfig) -> tuple[list[str], list[str], list[int]]:
-    """Surface, folded form and offset of every token of the normalized ``text``."""
-    runs = _Runs(cfg)
-    # plain strings and ints: nothing per token for the garbage collector to walk
-    surfaces: list[str] = []
-    folded: list[str] = []
-    offsets: list[int] = []
-    add_surface, add_folded, add_offset = surfaces.append, folded.append, offsets.append
-    for match in runs.token.finditer(text):
-        start = match.start()
-        for offset, (surface, fold) in runs[match[0]]:
-            add_surface(surface)
-            add_folded(fold)
-            add_offset(start + offset)
-    return surfaces, folded, offsets
+    return Tokens(counts, sum(counts.values()))
 
 
 def _is_upper(ch: str) -> bool:
@@ -433,18 +301,17 @@ def split_sentences(
     text: str,
     cfg: TokenizerConfig = DEFAULT_CONFIG,
     tokens: Tokens | None = None,
-) -> Sentences:
-    """Partition the token stream of ``text`` into sentences.
+) -> list[int]:
+    """Where each sentence of ``text`` ends: its ``len`` is the sentence count.
 
-    ``tokens`` may be passed to reuse an existing ``tokenize(text, cfg)``
-    result; otherwise the text is tokenized here.  Spans cover every token
-    with no overlap; text without any terminator is a single sentence.  A
-    boundary with no token since the last one ends no sentence.  Only the
-    sentence ends are found here; see ``Sentences`` for the spans.
+    Each end is the position of the sentence's terminator in the
+    NFC-normalized text, or the text's length for a last sentence without
+    one.  Text without any terminator is a single sentence, and text
+    without a token has none.  A boundary with no token since the last one ends no
+    sentence.  ``tokens`` is not read; it stays for callers that pass a
+    ``tokenize`` result by position.
     """
     text = unicodedata.normalize("NFC", text)
-    if tokens is None:
-        tokens = tokenize(text, cfg)
     runs = _Runs(cfg)
     ends = []
     # where the first token after the last boundary starts
@@ -455,15 +322,4 @@ def split_sentences(
         next_token = after_pos
     if next_token < len(text):
         ends.append(len(text))
-    return Sentences(ends, tokens)
-
-
-def _sentence_spans(offsets: list[int], ends: list[int]) -> list[SentenceSpan]:
-    """The token span of each sentence, from the text position where it ends."""
-    spans = []
-    start = 0
-    for pos in ends:
-        end = bisect_left(offsets, pos)
-        spans.append(SentenceSpan(start, end))
-        start = end
-    return spans
+    return ends

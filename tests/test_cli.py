@@ -23,7 +23,6 @@ from textlaws import (
     distributions,
     pipeline,
     split_sentences,
-    tokenizer,
 )
 from textlaws.cli import main
 from textlaws.config import load_run_config
@@ -336,19 +335,6 @@ class TestPipeline:
         for name, seen in calls.items():
             assert len(seen) == n_forms, name
             assert set(seen.values()) == {1}, name
-
-    def test_no_token_object_per_word(self, fixture_config, tmp_path, monkeypatch):
-        built = []
-
-        def counting(*args, token=tokenizer.Token):
-            built.append(args)
-            return token(*args)
-
-        monkeypatch.setattr(tokenizer, "Token", counting)
-        out = tmp_path / "out"
-        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
-        assert json.loads((out / "profile.json").read_text())["N"] == 1000
-        assert built == []
 
     def test_minimal_config_degraded_mode(self, fixtures_dir, tmp_path):
         cfg = tmp_path / "minimal.ini"

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from textlaws import tokenizer
 from textlaws.cli import main
 
 TESTS = Path(__file__).parent
@@ -71,16 +70,6 @@ def test_fixture_bundle_matches_golden_digests(tmp_path):
     assert not diffs, (
         f"golden digests differ ({header}; running {_versions()}):\n" + "\n".join(diffs)
     )
-
-
-def test_pipeline_reads_only_counts(tmp_path, monkeypatch):
-    # the bundle needs the token and sentence counts, never a column or a span
-    def refuse(*args):
-        raise AssertionError("the pipeline built per-token columns or sentence spans")
-
-    monkeypatch.setattr(tokenizer, "_token_columns", refuse)
-    monkeypatch.setattr(tokenizer, "_sentence_spans", refuse)
-    assert current_digests(tmp_path / "out") == read_golden()[1]
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ def identity_lemmas(forms):
 
 def profile_of(text, threshold=10):
     tokens = tokenize(text)
-    sentences = split_sentences(text, tokens=tokens)
+    sentences = len(split_sentences(text))
     forms = build_form_spectrum(tokens)
     return corpus_profile(
         tokens, sentences, forms, identity_lemmas(forms), threshold=threshold,
@@ -85,7 +85,7 @@ def test_count_basis_forms_flag():
     tokens = tokenize("стежка стежки стежка")
     forms = build_form_spectrum(tokens)
     lemmas = lemmatize(forms, LemmaMap(rows={"стежка": "стежка", "стежки": "стежка"}))
-    sentences = split_sentences("стежка стежки стежка", tokens=tokens)
+    sentences = len(split_sentences("стежка стежки стежка"))
     on_lemmas, on_forms = (
         corpus_profile(tokens, sentences, forms, lemmas, threshold=10,
                        count_basis=basis, word_length_basis="tokens")
@@ -99,7 +99,7 @@ def test_missing_lemmas_leaves_lemma_fields_unset():
     tokens = tokenize("a b a")
     forms = build_form_spectrum(tokens)
     profile = corpus_profile(
-        tokens, split_sentences("a b a", tokens=tokens), forms, None,
+        tokens, len(split_sentences("a b a")), forms, None,
         threshold=10, count_basis="lemmas", word_length_basis="tokens",
     )
     assert profile.V is None
@@ -116,7 +116,7 @@ def test_profile_matches_brute_force_recount():
     vocab = [f"слово{i}" for i in range(80)] + ["б", "ж", "1848"]
     weights = [1.0 / (i + 1) for i in range(len(vocab))]
     stream = rng.choices(vocab, weights=weights, k=500)
-    sentences_src = []
+    sentences_src, words = [], []
     i = 0
     while i < len(stream):
         size = min(rng.randint(4, 9), len(stream) - i)
@@ -124,6 +124,7 @@ def test_profile_matches_brute_force_recount():
         i += size
         if not chunk[0][0].isalpha():
             chunk[0] = "слово0"
+        words += chunk
         sentences_src.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
     text = "\n".join(sentences_src) + "\n"
 
@@ -131,13 +132,14 @@ def test_profile_matches_brute_force_recount():
     tokens = tokenize(text)
     forms = build_form_spectrum(tokens)
     lemmas = lemmatize(forms, LemmaMap(rows=dict(lemma_of)))
-    spans = split_sentences(text, tokens=tokens)
+    sentences = len(split_sentences(text))
     threshold = 10
-    profile = corpus_profile(tokens, spans, forms, lemmas, threshold=threshold,
+    profile = corpus_profile(tokens, sentences, forms, lemmas, threshold=threshold,
                              count_basis="lemmas", word_length_basis="tokens")
 
     # --- independent recount ---------------------------------------------
-    folded = [t.folded for t in tokens]
+    # the sentences hold each word once, the first one capitalized
+    folded = [w.casefold() for w in words]
     n = len(folded)
     form_counts = {}
     for w in folded:
@@ -150,7 +152,7 @@ def test_profile_matches_brute_force_recount():
     hapax = sum(1 for c in lemma_counts.values() if c == 1)
     n_at = sum(c for c in lemma_counts.values() if c >= threshold)
     v_at = sum(1 for c in lemma_counts.values() if c >= threshold)
-    letters = sum(sum(ch.isalpha() for ch in t.surface) for t in tokens)
+    letters = sum(sum(ch.isalpha() for ch in w) for w in words)
 
     assert profile.N == n
     assert profile.F == len(form_counts)
@@ -172,9 +174,9 @@ def test_word_length_basis_types():
     text = "аа аа б"
     tokens = tokenize(text)
     forms = build_form_spectrum(tokens)
-    spans = split_sentences(text, tokens=tokens)
+    sentences = len(split_sentences(text))
     by_tokens, by_types = (
-        corpus_profile(tokens, spans, forms, identity_lemmas(forms), threshold=10,
+        corpus_profile(tokens, sentences, forms, identity_lemmas(forms), threshold=10,
                        count_basis="lemmas", word_length_basis=basis)
         for basis in ("tokens", "types")
     )

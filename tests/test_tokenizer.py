@@ -2,7 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
-import unicodedata
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -12,8 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 import textlaws
 from textlaws import (
     DEFAULT_CONFIG,
-    SentenceSpan,
-    Token,
     TokenizerConfig,
     Tokens,
     ValidationError,
@@ -31,98 +29,78 @@ from tokenizer_oracle import (
 TEXT_ALPHABET = "абвгіїєщьюя ABCdef 0159-'’§.,!?…«»—\n\t"
 
 
-def surfaces(text, cfg=None):
-    return [t.surface for t in (tokenize(text, cfg) if cfg else tokenize(text))]
+def surface_counts(text, cfg=DEFAULT_CONFIG):
+    """The token count of each surface of ``text``, in order of first occurrence."""
+    return {surface: n for (surface, _), n in tokenize(text, cfg).counts.items()}
+
+
+def sentence_lengths(text, cfg=DEFAULT_CONFIG):
+    """The token count of each sentence: its end bisected into the oracle's token offsets."""
+    offsets = [t.char_offset for t in oracle_tokenize(text, cfg)]
+    lengths, start = [], 0
+    for pos in split_sentences(text, cfg):
+        end = bisect_left(offsets, pos)
+        lengths.append(end - start)
+        start = end
+    return lengths
 
 
 @pytest.mark.parametrize("raw", ["1848", "60-ий", "§136"])
 def test_alphanumeric_sequences_are_single_tokens(raw):
-    tokens = tokenize(raw)
-    assert [t.surface for t in tokens] == [raw]
+    assert surface_counts(raw) == {raw: 1}
 
 
 def test_empty_text_yields_no_tokens():
-    assert list(tokenize("")) == []
+    tokens = tokenize("")
+    assert tokens.counts == {} and len(tokens) == 0
 
 
 def test_hand_tokenized_mixed_sentence():
     # oracle: hand tokenization of the sentence
-    tokens = tokenize("Так, так — in die Stadt.")
-    assert [t.surface for t in tokens] == ["Так", "так", "in", "die", "Stadt"]
+    counts = surface_counts("Так, так — in die Stadt.")
+    assert list(counts.items()) == [("Так", 1), ("так", 1), ("in", 1), ("die", 1), ("Stadt", 1)]
 
 
 def test_punctuation_only_runs_yield_no_token():
-    assert list(tokenize("— ... !!! «»")) == []
+    assert surface_counts("— ... !!! «»") == {}
 
 
 def test_joiners_need_word_chars_on_both_sides():
-    assert surfaces("в--в") == ["в", "в"]
-    assert surfaces("слово- і -друге") == ["слово", "і", "друге"]
-    assert surfaces("'quoted'") == ["quoted"]
-    assert surfaces("м’ята") == ["м’ята"]
+    assert surface_counts("в--в") == {"в": 2}
+    assert surface_counts("слово- і -друге") == {"слово": 1, "і": 1, "друге": 1}
+    assert surface_counts("'quoted'") == {"quoted": 1}
+    assert surface_counts("м’ята") == {"м’ята": 1}
 
 
 def test_attached_punctuation_is_stripped():
-    assert surfaces("стежки, поля.") == ["стежки", "поля"]
+    assert surface_counts("стежки, поля.") == {"стежки": 1, "поля": 1}
 
 
 def test_case_folding_key():
-    token = tokenize("Стежки")[0]
-    assert token.folded == "стежки"
-    raw = tokenize("Стежки", TokenizerConfig(case_folding=False))[0]
-    assert raw.folded == "Стежки"
-
-
-def test_offsets_slice_back_to_surfaces():
-    text = "Так, так — in die Stadt. §136 і 60-ий."
-    norm = unicodedata.normalize("NFC", text)
-    for t in tokenize(text):
-        assert norm[t.char_offset:t.char_offset + len(t.surface)] == t.surface
-
-
-@given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
-def test_round_trip_reconstruction(text):
-    norm = unicodedata.normalize("NFC", text)
-    tokens = tokenize(text)
-    rebuilt = []
-    pos = 0
-    for t in tokens:
-        assert t.char_offset >= pos
-        rebuilt.append(norm[pos:t.char_offset])
-        rebuilt.append(t.surface)
-        pos = t.char_offset + len(t.surface)
-    rebuilt.append(norm[pos:])
-    assert "".join(rebuilt) == norm
-    assert sum(len(t.surface) for t in tokens) <= len(norm)
-
-
-@given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
-def test_offsets_strictly_monotone(text):
-    offsets = [t.char_offset for t in tokenize(text)]
-    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert tokenize("Стежки стежки").counts == {("Стежки", "стежки"): 1, ("стежки", "стежки"): 1}
+    raw = tokenize("Стежки", TokenizerConfig(case_folding=False))
+    assert raw.counts == {("Стежки", "Стежки"): 1}
 
 
 @given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
 def test_tokenize_detokenized_is_idempotent(text):
-    first = [t.surface for t in tokenize(text)]
-    again = [t.surface for t in tokenize(" ".join(first))]
-    assert again == first
+    first = tokenize(text).counts
+    again = tokenize(" ".join(s for (s, _), n in first.items() for _ in range(n))).counts
+    assert list(again.items()) == list(first.items())
 
 
 @given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
 def test_every_token_has_letter_or_digit(text):
-    for t in tokenize(text):
-        assert any(ch.isalpha() or ch.isdigit() for ch in t.surface)
+    for surface, _ in tokenize(text).counts:
+        assert any(ch.isalpha() or ch.isdigit() for ch in surface)
 
 
 class TestSentences:
     def test_two_terminated_clauses(self):
-        spans = split_sentences("A b. C d!")
-        assert [(s.start_token, s.end_token) for s in spans] == [(0, 2), (2, 4)]
+        assert sentence_lengths("A b. C d!") == [2, 2]
 
     def test_no_terminator_single_span(self):
-        spans = split_sentences("просто слова без крапки")
-        assert [(s.start_token, s.end_token) for s in spans] == [(0, 4)]
+        assert sentence_lengths("просто слова без крапки") == [4]
 
     def test_empty_text_no_spans(self):
         assert split_sentences("") == []
@@ -135,12 +113,8 @@ class TestSentences:
             "Хто там?", "Стежка вела в поле.", "Вони не знали.", "Кінець настав.",
         ]
         text = " ".join(parts)
-        tokens = tokenize(text)
-        spans = split_sentences(text, tokens=tokens)
-        assert len(spans) == 10
-        lengths = [s.end_token - s.start_token for s in spans]
-        assert lengths == [2, 3, 4, 2, 5, 3, 2, 4, 3, 2]
-        assert len(tokens) / len(spans) == 3.0
+        assert sentence_lengths(text) == [2, 3, 4, 2, 5, 3, 2, 4, 3, 2]
+        assert len(tokenize(text)) / len(split_sentences(text)) == 3.0
 
     def test_abbreviation_suppresses_split(self):
         cfg = TokenizerConfig(abbreviations=frozenset({"м"}))
@@ -166,20 +140,15 @@ class TestSentences:
 
     @given(st.text(alphabet=TEXT_ALPHABET, max_size=120))
     def test_spans_partition_tokens(self, text):
-        tokens = tokenize(text)
-        spans = split_sentences(text, tokens=tokens)
-        covered = 0
-        for span in spans:
-            assert span.start_token == covered
-            assert span.end_token > span.start_token
-            covered = span.end_token
-        assert covered == len(tokens)
+        lengths = sentence_lengths(text)
+        assert all(lengths)
+        assert sum(lengths) == len(tokenize(text))
 
 
 def test_numerals_outside_nd_separate_tokens():
     # ², Ⅻ and ½ are numerals (No, Nl) but not decimal digits (Nd)
-    assert surfaces("x² Ⅻ ½") == ["x"]
-    assert surfaces("x²y 1½ Ⅻ-а") == ["x", "y", "1", "а"]
+    assert surface_counts("x² Ⅻ ½") == {"x": 1}
+    assert surface_counts("x²y 1½ Ⅻ-а") == {"x": 1, "y": 1, "1": 1, "а": 1}
 
 
 tokenizer_configs = st.builds(
@@ -192,25 +161,15 @@ tokenizer_configs = st.builds(
 )
 
 
-def token_fields(tokens):
-    return [(t.surface, t.folded, t.char_offset) for t in tokens]
-
-
 @settings(max_examples=300)
 @given(st.text(alphabet=ORACLE_ALPHABET, max_size=60), tokenizer_configs)
 @example("a§ §1 a§§b a§§§b в--в м’ята x²y 1½ Ⅻ-а", DEFAULT_CONFIG)
 @example("x²§ §² ²²a ½§", TokenizerConfig(intra_token_chars=frozenset("²§")))
 def test_tokenize_matches_scanner_oracle(text, cfg):
     tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
-    # the counts, before any column is read
     expected_counts = Counter((t.surface, t.folded) for t in expected)
     assert list(tokens.counts.items()) == list(expected_counts.items())
     assert len(tokens) == len(expected)
-    assert token_fields(tokens) == token_fields(expected)
-    # the columns themselves, not only the Tokens built from them
-    assert tokens.surfaces == [t.surface for t in expected]
-    assert tokens.folded == [t.folded for t in expected]
-    assert tokens.offsets == [t.char_offset for t in expected]
 
 
 @settings(max_examples=300)
@@ -226,10 +185,10 @@ def test_tokenize_matches_scanner_oracle(text, cfg):
 )
 def test_split_sentences_matches_scanner_oracle(text, cfg):
     expected = oracle_split_sentences(text, cfg)
-    # the count, before any span is read
-    assert len(split_sentences(text, cfg)) == len(expected)
-    assert len(split_sentences(text, cfg, tokenize(text, cfg))) == len(expected)
-    assert split_sentences(text, cfg) == expected
+    # as many sentences, each with as many tokens
+    assert sentence_lengths(text, cfg) == [s.end_token - s.start_token for s in expected]
+    # a tokenize result passed by position is not read
+    assert split_sentences(text, cfg, tokenize(text, cfg)) == split_sentences(text, cfg)
 
 
 BLOCK_WORDS = "Він знав, що т. Б прийшов. «Так» — сказав він! М’ята, §136 і 60-ий x²y… "
@@ -262,45 +221,29 @@ def test_counts_across_block_cuts():
     expected_counts = Counter((t.surface, t.folded) for t in expected)
     assert list(tokens.counts.items()) == list(expected_counts.items())
     assert len(tokens) == len(expected)
-    assert len(split_sentences(text, cfg, tokens)) == len(oracle_split_sentences(text, cfg))
+    assert len(split_sentences(text, cfg)) == len(oracle_split_sentences(text, cfg))
 
 
-def test_tokens_is_a_read_only_sequence_of_columns():
-    tokens = tokenize("Так, так — in die Stadt.")
+def test_tokens_holds_the_counts_and_their_sum():
+    tokens = tokenize("Так, так — in die Так.")
     assert isinstance(tokens, Tokens)
-    assert len(tokens) == 5
-    assert tokens.surfaces == ["Так", "так", "in", "die", "Stadt"]
-    assert tokens.folded == ["так", "так", "in", "die", "stadt"]
-    assert tokens.offsets == [0, 5, 11, 14, 18]
-    assert tokens[0] == Token("Так", "так", 0)
-    assert tokens[-1] == Token("Stadt", "stadt", 18)
-    with pytest.raises(IndexError):
-        tokens[5]
-    assert tokens[1:3] == Tokens(["так", "in"], ["так", "in"], [5, 11])
-    assert list(tokens[1:3]) == [Token("так", "так", 5), Token("in", "in", 11)]
-    assert list(tokens) == [tokens[i] for i in range(len(tokens))]
-    assert Token("in", "in", 11) in tokens
-    # the tokens of one surface share its strings
-    again = tokenize("так так")
-    assert again.surfaces[0] is again.surfaces[1] is again.folded[0] is again.folded[1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        tokens.offsets = []
-    with pytest.raises(TypeError):
-        tokens[0] = Token("а", "а", 0)
+    assert list(tokens.counts.items()) == [
+        (("Так", "так"), 2), (("так", "так"), 1), (("in", "in"), 1), (("die", "die"), 1),
+    ]
+    assert len(tokens) == tokens.n == 5
+    # a form that folding leaves unchanged keeps one string for both fields
+    [(surface, folded)] = tokenize("так так").counts
+    assert surface is folded
     empty = tokenize("")
     assert len(empty) == 0 and not empty
-    assert empty == Tokens([], [], [])
+    assert empty == Tokens({}, 0)
 
 
-def test_tokens_and_spans_are_frozen_slotted():
-    records = [
-        (Token("а", "а", 0), "char_offset"),
-        (SentenceSpan(0, 1), "end_token"),
-    ]
-    for record, field in records:
-        assert not hasattr(record, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, field, 2)
+def test_tokens_is_frozen_slotted():
+    tokens = tokenize("а")
+    assert not hasattr(tokens, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tokens.n = 2
 
 
 def test_import_compiles_no_token_pattern():

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import unicodedata
 from bisect import bisect_left
+from dataclasses import dataclass
 
-from textlaws.tokenizer import (
-    DEFAULT_CONFIG,
-    SentenceSpan,
-    Token,
-    TokenizerConfig,
-)
+from textlaws.tokenizer import DEFAULT_CONFIG, TokenizerConfig
 
 # The alphabet the library is tested over against this oracle: letters of
 # three scripts (ǅ is titlecase), joiners, the section sign, digits,
@@ -35,6 +31,19 @@ _JOINER_CHARS = frozenset("-‐‑'’ʼ`")
 _CLOSERS = frozenset("»\"'’”)]")
 # Opening punctuation tolerated between the break and the next capital.
 _OPENERS = frozenset("«\"“‘([—–-")
+
+
+@dataclass(frozen=True)
+class Token:
+    surface: str
+    folded: str
+    char_offset: int
+
+
+@dataclass(frozen=True)
+class SentenceSpan:
+    start_token: int
+    end_token: int  # exclusive
 
 
 def _is_word_char(ch: str) -> bool:

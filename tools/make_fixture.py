@@ -179,7 +179,7 @@ def main() -> int:
     lex = build_form_spectrum(tokens)
     assert lex.total_tokens == TOTAL_TOKENS, lex.total_tokens
     assert lex.entries == dict(spectrum), "re-tokenized spectrum differs"
-    assert len(split_sentences(text, tokens=tokens)) == len(lines)
+    assert len(split_sentences(text)) == len(lines)
     print(f"fixture: {TOTAL_TOKENS} tokens, {len(spectrum)} forms, {len(lines)} sentences")
     return 0
 
