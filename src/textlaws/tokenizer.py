@@ -307,9 +307,9 @@ def split_sentences(
     Each end is the position of the sentence's terminator in the
     NFC-normalized text, or the text's length for a last sentence without
     one.  Text without any terminator is a single sentence, and text
-    without a token has none.  A boundary with no token since the last one ends no
-    sentence.  ``tokens`` is not read; it stays for callers that pass a
-    ``tokenize`` result by position.
+    without a token has none.  A boundary with no token since the last one
+    ends no sentence.  ``tokens`` is not read; it stays for callers that
+    pass a ``tokenize`` result by position.
     """
     text = unicodedata.normalize("NFC", text)
     runs = _Runs(cfg)

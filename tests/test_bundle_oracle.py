@@ -17,9 +17,9 @@ from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
-from textlaws import TokenizerConfig
 from textlaws.cli import main
 from test_acceptance import oracle_lexicon
+from test_tokenizer import tokenizer_configs
 from tokenizer_oracle import (
     ORACLE_ALPHABET,
     split_sentences as oracle_split_sentences,
@@ -35,12 +35,6 @@ LEMMAS = ("x", "y", "z")
 # floats as in exact fractions (a share set such as 0.5, 2, 0.5 is not)
 SHARES = ("0", "1", "2", "3")
 
-tokenizer_sections = st.fixed_dictionaries({
-    "intra_token_chars": st.frozensets(st.sampled_from("-‐'’`§._²Ⅻ09а")),
-    "sentence_terminators": st.frozensets(st.sampled_from(".!?…§»«")),
-    "case_folding": st.booleans(),
-    "abbreviations": st.frozensets(st.sampled_from(["т", "Т", "ab", "AB", "ß", "ss"])),
-})
 analysis_sections = st.fixed_dictionaries({
     "basis": st.sampled_from(["types", "tokens"]),
     "rank_basis": st.sampled_from(["lemmas", "forms"]),
@@ -116,13 +110,12 @@ def _read_plot(path):
 @given(
     words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=12),
     tail=st.text(alphabet=ORACLE_ALPHABET, max_size=120),
-    tokenizer=tokenizer_sections,
+    tok_cfg=tokenizer_configs,
     analysis=analysis_sections,
     resources=resources,
 )
-def test_bundle_matches_an_independent_recount(words, tail, tokenizer, analysis, resources):
+def test_bundle_matches_an_independent_recount(words, tail, tok_cfg, analysis, resources):
     text = " ".join([*words, tail])
-    tok_cfg = TokenizerConfig(**tokenizer)
     tokens = oracle_tokenize(text, tok_cfg)
     sentences = oracle_split_sentences(text, tok_cfg, tokens)
     n = len(tokens)
@@ -149,7 +142,7 @@ def test_bundle_matches_an_independent_recount(words, tail, tokenizer, analysis,
         "intra_token_chars": "".join(sorted(tok_cfg.intra_token_chars)),
         "sentence_terminators": "".join(sorted(tok_cfg.sentence_terminators)),
         "case_folding": str(tok_cfg.case_folding).lower(),
-        "abbreviations": ",".join(sorted(tokenizer["abbreviations"])),
+        "abbreviations": ",".join(sorted(tok_cfg.abbreviations)),
     })
     body += _section("analysis", analysis)
     with tempfile.TemporaryDirectory() as tmp:
