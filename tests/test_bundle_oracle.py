@@ -2,10 +2,10 @@
 
 Texts are drawn over the tokenizer oracle's alphabet, after a few words,
 some of which end sentences and some of which the lemma map, the merge
-rules and the overrides name; configs and resources
-are drawn valid only, so every run must exit 0.  Tokens and sentences are
-recounted by ``tokenizer_oracle``, forms and lemmas by the lexicon recount of
-the acceptance suite.
+rules and the overrides name.  Configs and resources are drawn valid only,
+so every run must exit 0.  Tokens and sentences are recounted by
+``tokenizer_oracle``, forms and lemmas by the lexicon recount of the
+acceptance suite.
 """
 
 import contextlib
