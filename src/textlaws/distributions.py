@@ -103,27 +103,28 @@ def load_default_g2p() -> G2PRules:
 
 @dataclass(frozen=True, eq=False)
 class RankFrequencyList:
-    """A ranked spectrum as columns, in rank order.
+    """A ranked spectrum as columns in rank order: the item at index i has rank i + 1.
 
-    ``rank_frequency`` gives the ranks 1..n and the counts as int64 arrays.
-    ``from_rows`` builds a list from ``(rank, item, count)`` rows, whose
-    ranks may skip values and whose counts may be floats; the ranks ascend.
+    ``counts`` is an int64 array; ``ranks`` and ``total`` follow from it.
     """
 
-    ranks: np.ndarray
     items: tuple[str, ...]
     counts: np.ndarray
-    total: int
 
-    @classmethod
-    def from_rows(cls, rows, total) -> RankFrequencyList:
-        ranks, items, counts = zip(*rows) if rows else ((), (), ())
-        return cls(np.array(ranks, dtype=np.int64), items, np.array(counts), total)
+    @property
+    def ranks(self) -> np.ndarray:
+        """The ranks 1..n as an int64 array."""
+        return np.arange(1, len(self.counts) + 1, dtype=np.int64)
+
+    @property
+    def total(self) -> int:
+        """The ranked token mass."""
+        return int(self.counts.sum())
 
     @property
     def rows(self) -> tuple[tuple[int, str, int], ...]:
         """The ``(rank, item, count)`` rows, built on each read."""
-        return tuple(zip(self.ranks.tolist(), self.items, self.counts.tolist()))
+        return tuple(zip(range(1, len(self.items) + 1), self.items, self.counts.tolist()))
 
 
 def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dict[str, list[int]]:
@@ -189,10 +190,8 @@ def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
     # by item, then a stable sort by count keeps that order within each count
     ordered = sorted(lex.entries.items(), key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    n = len(ordered)
-    counts = np.fromiter(map(itemgetter(1), ordered), dtype=np.int64, count=n)
-    items = tuple(map(itemgetter(0), ordered))
-    return RankFrequencyList(np.arange(1, n + 1, dtype=np.int64), items, counts, int(counts.sum()))
+    counts = np.fromiter(map(itemgetter(1), ordered), dtype=np.int64, count=len(ordered))
+    return RankFrequencyList(tuple(map(itemgetter(0), ordered)), counts)
 
 
 def coverage_curve(rf: RankFrequencyList) -> np.ndarray:
@@ -208,7 +207,8 @@ def top_k(rf: RankFrequencyList, k: int) -> list[tuple[int, str, float]]:
     """First k ranked items with their relative frequency in per cent."""
     if not 1 <= k <= len(rf.items):
         raise ValidationError(f"k={k} outside 1..{len(rf.items)}")
+    total = rf.total
     return [
-        (rank, item, 100.0 * count / rf.total)
-        for rank, item, count in zip(rf.ranks[:k].tolist(), rf.items[:k], rf.counts[:k].tolist())
+        (rank, item, 100.0 * count / total)
+        for rank, item, count in zip(range(1, k + 1), rf.items, rf.counts[:k].tolist())
     ]

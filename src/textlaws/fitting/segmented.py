@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..distributions import RankFrequencyList
 
 ZIPF_POWER = "ZipfPower"          # segmented_loglog_fit
 LOG_COVERAGE = "LogCoverage"      # fit_coverage
@@ -65,49 +64,46 @@ def ols_line(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, r_squared
 
 
-def _interval_lines(ranks, values, breakpoints, transform):
+def _interval_lines(values, breakpoints, transform):
     """OLS line of ``transform(v)`` on ln r inside each rank interval.
 
-    ``ranks`` ascend and ``values`` hold one value per rank.  Yields
-    ``(lo, top, slope, intercept, r_squared, n_points)``, where ``top`` is the
-    resolved upper bound.
+    ``values[i]`` belongs to rank i + 1.  Yields ``(lo, top, slope,
+    intercept, r_squared, n_points)``, where ``top`` is the resolved upper
+    bound.
     """
-    if np.any(ranks[1:] <= ranks[:-1]):
-        raise ValidationError("ranks must ascend")
-    last = int(ranks[-1]) if len(ranks) else 0
+    n = len(values)
     for lo, hi in breakpoints:
-        top = last if hi is None else hi
-        start, stop = np.searchsorted(ranks, (lo, top), side="right").tolist()
+        top = n if hi is None else hi
+        # ranks lo + 1..top sit at indices lo..top - 1
+        start, stop = min(max(lo, 0), n), min(max(top, 0), n)
         if stop - start < 3:
             raise ValidationError(
                 f"rank interval ({lo}, {top}] holds {stop - start} points; need >= 3"
             )
         # math.log per point: numpy's log rounds differently per SIMD level
-        log_r = list(map(math.log, ranks[start:stop].tolist()))
+        log_r = list(map(math.log, range(start + 1, stop + 1)))
         ys = list(map(transform, values[start:stop].tolist()))
         slope, intercept, r2 = ols_line(log_r, ys)
         yield lo, top, slope, intercept, r2, stop - start
 
 
-def segmented_loglog_fit(
-    rf: RankFrequencyList,
-    breakpoints=DEFAULT_ZIPF_BREAKPOINTS,
-) -> list[PowerLawSegment]:
-    """Power-law exponent per rank domain from log-log linear regression."""
+def segmented_loglog_fit(counts, breakpoints=DEFAULT_ZIPF_BREAKPOINTS) -> list[PowerLawSegment]:
+    """Power-law exponent per rank domain from log-log linear regression.
+
+    ``counts[i]`` is the frequency at rank i + 1.
+    """
     return [
         PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, n)
         for lo, top, slope, intercept, r2, n
-        in _interval_lines(rf.ranks, rf.counts, breakpoints, math.log)
+        in _interval_lines(np.asarray(counts), breakpoints, math.log)
     ]
 
 
-def fit_coverage(
-    ranks, coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS
-) -> list[CoverageSegment]:
+def fit_coverage(coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[CoverageSegment]:
     """Logarithmic growth slope of text coverage per rank domain.
 
-    ``coverage`` holds the covered fraction at each of the ascending
-    ``ranks``, as ``coverage_curve`` gives it for a ranked list's ranks.
+    ``coverage[i]`` is the covered fraction at rank i + 1, as
+    ``coverage_curve`` gives it.
     """
-    lines = _interval_lines(np.asarray(ranks), np.asarray(coverage), breakpoints, float)
+    lines = _interval_lines(np.asarray(coverage), breakpoints, float)
     return [CoverageSegment(*line) for line in lines]

@@ -170,8 +170,8 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
     }
     # each call looks its fit up in this module, where the benchmark's tracer wraps it
     interval_fits = {
-        ZIPF_POWER: lambda: segmented_loglog_fit(rf, cfg.zipf_breakpoints),
-        LOG_COVERAGE: lambda: fit_coverage(rf.ranks, curve, cfg.coverage_breakpoints),
+        ZIPF_POWER: lambda: segmented_loglog_fit(rf.counts, cfg.zipf_breakpoints),
+        LOG_COVERAGE: lambda: fit_coverage(curve, cfg.coverage_breakpoints),
     }
     report: dict[str, dict] = {}
     for model_id in cfg.models:

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 
 from textlaws import (
     FormLexicon,
-    RankFrequencyList,
     apply_merge_rules,
     build_form_spectrum,
     corpus_profile,
@@ -83,16 +82,18 @@ def _lm_params(model_id, x, y):
     return lm_fit(model_id, list(zip(x, y))).params
 
 
+def _rank_column(x, y):
+    """``y`` at the ranks ``x`` (consecutive), padded with NaN at the ranks below."""
+    return np.concatenate((np.full(int(x[0]) - 1, np.nan), y))
+
+
 def _fit_zipf_power(x, f):
-    rows = tuple((int(r), f"w{int(r)}", v) for r, v in zip(x, f))
-    segments = segmented_loglog_fit(
-        RankFrequencyList.from_rows(rows, sum(f)), breakpoints=((0, 200),)
-    )
+    segments = segmented_loglog_fit(_rank_column(x, f), breakpoints=((0, 200),))
     return {"A": segments[0].A, "z": segments[0].z}
 
 
 def _fit_log_coverage(x, t):
-    segments = fit_coverage(x.astype(int), t, breakpoints=((9, 200),))
+    segments = fit_coverage(_rank_column(x, t), breakpoints=((9, 200),))
     return {"k": segments[0].k, "T0": segments[0].T0}
 
 
@@ -315,20 +316,17 @@ def test_criterion_4_fixture_matches_recount(fixtures_dir):
 def test_criterion_5_three_regime_recovery():
     slopes = (0.999, 1.05, 1.20)
     uppers = (200, 1000, 2000)
-    pairs = []
+    counts = []
     amp = 100000.0
     prev = 1
     for z, hi in zip(slopes, uppers):
-        if pairs:
-            amp = pairs[-1][1] * prev ** z
+        if counts:
+            amp = counts[-1] * prev ** z
         for r in range(prev, hi + 1):
-            pairs.append((r, amp * r ** (-z)))
+            counts.append(amp * r ** (-z))
         prev = hi + 1
-    rf = RankFrequencyList.from_rows(
-        tuple((r, f"w{r}", f) for r, f in pairs), sum(f for _, f in pairs)
-    )
     segments = segmented_loglog_fit(
-        rf, breakpoints=((10, 200), (200, 1000), (1000, None))
+        counts, breakpoints=((10, 200), (200, 1000), (1000, None))
     )
     for segment, z in zip(segments, slopes):
         assert abs(segment.z - z) <= 1e-3, (segment.lo, segment.z, z)

@@ -316,6 +316,14 @@ class TestRankFrequency:
         assert [r for r, _, _ in rf.rows] == list(range(1, 41))
 
     @given(lexicon_strategy)
+    def test_ranks_are_positions(self, entries):
+        rf = rank_frequency(lex_of(entries))
+        assert rf.ranks.dtype == rf.counts.dtype == "int64"
+        assert rf.ranks.tolist() == list(range(1, len(entries) + 1))
+        assert type(rf.total) is int and rf.total == sum(entries.values())
+        assert rf.rows == tuple(zip(rf.ranks.tolist(), rf.items, rf.counts.tolist()))
+
+    @given(lexicon_strategy)
     def test_rank_list_is_a_permutation(self, entries):
         rf = rank_frequency(lex_of(entries))
         assert sorted(f for _, _, f in rf.rows) == sorted(entries.values())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from textlaws import RankFrequencyList, ValidationError
+from textlaws import ValidationError
 from textlaws.fitting import (
     fit_coverage,
     ols_line,
@@ -11,29 +11,27 @@ from textlaws.fitting import (
 )
 
 
-def rank_list(pairs):
-    rows = tuple((r, f"w{r}", f) for r, f in pairs)
-    total = sum(f for _, f in pairs)
-    return RankFrequencyList.from_rows(rows, total)
+def column(law, first, last):
+    """``law(r)`` at ranks first..last, padded with NaN at the ranks below.
 
-
-def coverage_fit(points, breakpoints):
-    ranks, values = zip(*points)
-    return fit_coverage(ranks, values, breakpoints=breakpoints)
+    The value at index i belongs to rank i + 1; the padding lies at or below
+    every interval's lower bound, where no fit reads.
+    """
+    return [math.nan] * (first - 1) + [law(r) for r in range(first, last + 1)]
 
 
 def continuous_piecewise(slopes, uppers, amp0):
-    """Rank data following one power law per block, continuous at the joins."""
-    pairs = []
+    """Frequencies at ranks 1, 2, ... following one power law per block, continuous at the joins."""
+    counts = []
     amp = amp0
     prev = 1
     for z, hi in zip(slopes, uppers):
-        if pairs:
-            amp = pairs[-1][1] * prev ** z
+        if counts:
+            amp = counts[-1] * prev ** z
         for r in range(prev, hi + 1):
-            pairs.append((r, amp * r ** (-z)))
+            counts.append(amp * r ** (-z))
         prev = hi + 1
-    return pairs
+    return counts
 
 
 def python_ols(xs, ys):
@@ -73,8 +71,8 @@ class TestOlsLine:
 
 class TestSegmentedZipf:
     def test_exact_power_law_unit_slope(self):
-        pairs = [(r, 1000.0 / r) for r in range(10, 201)]
-        segments = segmented_loglog_fit(rank_list(pairs), breakpoints=((9, 200),))
+        counts = column(lambda r: 1000.0 / r, 10, 200)
+        segments = segmented_loglog_fit(counts, breakpoints=((9, 200),))
         seg = segments[0]
         assert seg.z == pytest.approx(1.0, abs=1e-9)
         assert seg.A == pytest.approx(1000.0, rel=1e-9)
@@ -83,60 +81,49 @@ class TestSegmentedZipf:
 
     @pytest.mark.parametrize("slopes", [(0.999, 1.05, 1.20), (0.9, 1.1, 1.3)])
     def test_three_regime_constructed_slopes(self, slopes):
-        pairs = continuous_piecewise(slopes, (200, 1000, 2000), 100000.0)
+        counts = continuous_piecewise(slopes, (200, 1000, 2000), 100000.0)
         segments = segmented_loglog_fit(
-            rank_list(pairs), breakpoints=((10, 200), (200, 1000), (1000, None))
+            counts, breakpoints=((10, 200), (200, 1000), (1000, None))
         )
         for seg, z in zip(segments, slopes):
             assert abs(seg.z - z) <= 1e-3
 
     def test_open_upper_bound_runs_to_last_rank(self):
-        pairs = [(r, 500.0 / r) for r in range(1, 51)]
-        segments = segmented_loglog_fit(rank_list(pairs), breakpoints=((10, None),))
+        counts = column(lambda r: 500.0 / r, 1, 50)
+        segments = segmented_loglog_fit(counts, breakpoints=((10, None),))
         assert segments[0].hi == 50
 
     def test_interval_with_too_few_points(self):
-        pairs = [(r, 10.0 / r) for r in range(1, 6)]
+        counts = column(lambda r: 10.0 / r, 1, 5)
         with pytest.raises(ValidationError, match="need >= 3"):
-            segmented_loglog_fit(rank_list(pairs), breakpoints=((3, 5),))
+            segmented_loglog_fit(counts, breakpoints=((3, 5),))
 
     def test_scale_equivariance_of_exponent(self):
         # a constant factor only shifts ln A; the slope moves by ulps at most
-        pairs = [(r, 1234.0 * r ** -1.07) for r in range(5, 120)]
-        scaled = [(r, 1000.0 * f) for r, f in pairs]
-        raw = segmented_loglog_fit(rank_list(pairs), breakpoints=((4, None),))[0]
-        big = segmented_loglog_fit(rank_list(scaled), breakpoints=((4, None),))[0]
+        counts = column(lambda r: 1234.0 * r ** -1.07, 5, 119)
+        scaled = [1000.0 * f for f in counts]
+        raw = segmented_loglog_fit(counts, breakpoints=((4, None),))[0]
+        big = segmented_loglog_fit(scaled, breakpoints=((4, None),))[0]
         assert big.z == pytest.approx(raw.z, rel=1e-13)
         assert big.A == pytest.approx(1000.0 * raw.A, rel=1e-10)
 
 
 class TestCoverageFit:
     def test_exact_logarithmic_curve(self):
-        points = tuple((r, 0.1 * math.log(r) + 0.2) for r in range(10, 200))
-        segments = coverage_fit(points, breakpoints=((9, None),))
+        coverage = column(lambda r: 0.1 * math.log(r) + 0.2, 10, 199)
+        segments = fit_coverage(coverage, breakpoints=((9, None),))
         assert segments[0].k == pytest.approx(0.1, rel=1e-12)
         assert segments[0].T0 == pytest.approx(0.2, rel=1e-12)
 
     def test_two_regime_concatenated_curve(self):
-        first = [(r, 0.13 * math.log(r) + 0.1) for r in range(10, 201)]
-        join = first[-1][1]
-        second = [
-            (r, join + 0.08 * (math.log(r) - math.log(200))) for r in range(201, 1001)
-        ]
-        curve = tuple(first + second)
-        segments = coverage_fit(curve, breakpoints=((10, 200), (200, 1000)))
+        first = column(lambda r: 0.13 * math.log(r) + 0.1, 10, 200)
+        join = first[-1]
+        second = [join + 0.08 * (math.log(r) - math.log(200)) for r in range(201, 1001)]
+        segments = fit_coverage(first + second, breakpoints=((10, 200), (200, 1000)))
         assert abs(segments[0].k - 0.13) <= 1e-6
         assert abs(segments[1].k - 0.08) <= 1e-6
 
-    def test_ranks_out_of_order_rejected(self):
-        # the intervals are found by bisection, which needs ascending ranks
-        points = [(r, 0.1 * math.log(r)) for r in (5, 3, 4, 6, 7)]
-        with pytest.raises(ValidationError, match="ranks must ascend"):
-            coverage_fit(points, breakpoints=((1, 7),))
-        with pytest.raises(ValidationError, match="ranks must ascend"):
-            segmented_loglog_fit(rank_list([(1, 5.0), (1, 4.0), (2, 3.0)]), ((0, 2),))
-
     def test_too_few_points(self):
-        points = tuple((r, 0.1 * math.log(r)) for r in (1, 2, 3))
+        coverage = column(lambda r: 0.1 * math.log(r), 1, 3)
         with pytest.raises(ValidationError):
-            coverage_fit(points, breakpoints=((1, 2),))
+            fit_coverage(coverage, breakpoints=((1, 2),))
