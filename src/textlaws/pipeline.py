@@ -142,20 +142,11 @@ def run_analysis(cfg: RunConfig) -> None:
 
     if "fits" in cfg.stages:
         with _stage("fits"):
+            # curves left by an earlier run would pass for this run's fits
+            for stale in out.glob("fitcurve_*.dat"):
+                stale.unlink()
             report = _run_fits(cfg, lengths, syllable_series, rf, curve, out)
             write_fits(report, out)
-
-
-def _lm_report(result) -> dict:
-    return {
-        "params": result.params,
-        "stderr": result.stderr,
-        "derived": result.derived,
-        "sse": result.sse,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_lambda": result.final_lambda,
-    }
 
 
 def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
@@ -181,26 +172,24 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
             else:
                 data = datasets[model_id]
                 result = lm_fit(model_id, data, init=cfg.inits.get(model_id))
-                report[model_id] = _lm_report(result)
+                report[model_id] = {
+                    k: v for k, v in asdict(result).items() if k != "sse_trace"
+                }
                 if not result.converged:
                     log.info("fit %s did not converge", model_id)
                 _emit_fit_curve(model_id, result, data, out)
         except TextlawsError as exc:
             log.info("fit %s skipped: %s", model_id, exc)
             report[model_id] = {"error": str(exc)}
-            # one left by an earlier run would pass for this run's fit
-            (out / f"fitcurve_{model_id}.dat").unlink(missing_ok=True)
     return report
 
 
 def _emit_fit_curve(model_id, result, data, out) -> None:
-    path = out / f"fitcurve_{model_id}.dat"
     xs = np.asarray(data, dtype=float)[:, 0]
     try:
         ys = model_eval(model_id, result.params, xs)
     except TextlawsError as exc:
         # a diverged fit may leave parameters the model cannot evaluate
         log.info("fitted curve for %s not sampled: %s", model_id, exc)
-        path.unlink(missing_ok=True)
         return
-    emit_plot_data(np.column_stack((xs, ys)), path)
+    emit_plot_data(np.column_stack((xs, ys)), out / f"fitcurve_{model_id}.dat")

@@ -43,6 +43,17 @@ def fixture_config(fixtures_dir):
     return fixtures_dir / "run.ini"
 
 
+def config_with_models(fixture_config, tmp_path, models):
+    """A copy of the fixture run in ``tmp_path`` whose ``[fits] models`` are ``models``."""
+    for name in ("corpus.txt", "lemmas.tsv", "merges.tsv", "overrides.tsv"):
+        shutil.copy(fixture_config.parent / name, tmp_path)
+    ini = tmp_path / "run.ini"
+    text = fixture_config.read_text(encoding="utf-8")
+    ini.write_text(re.sub(r"(?m)^models = .*$", "models = " + ",".join(models), text),
+                   encoding="utf-8")
+    return ini
+
+
 class TestEmitPlotData:
     def test_bit_exact_format(self, tmp_path):
         path = tmp_path / "series.dat"
@@ -275,12 +286,7 @@ class TestPipeline:
         # the five least-squares models and the two per-interval fits, shuffled
         models = ["LogCoverage", "MeanSyllableExp", "ZipfMandelbrot", "PhonemeGamma",
                   "ZipfPower", "MeanSyllablePower", "ShiftedMenzerath"]
-        for name in ("corpus.txt", "lemmas.tsv", "merges.tsv", "overrides.tsv"):
-            shutil.copy(fixture_config.parent / name, tmp_path)
-        ini = tmp_path / "run.ini"
-        text = fixture_config.read_text(encoding="utf-8")
-        ini.write_text(re.sub(r"(?m)^models = .*$", "models = " + ",".join(models), text),
-                       encoding="utf-8")
+        ini = config_with_models(fixture_config, tmp_path, models)
         out = tmp_path / "out"
         assert main(["--config", str(ini), "--out", str(out)]) == 0
         fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
@@ -471,6 +477,17 @@ class TestPipeline:
         assert "params" in fits["ZipfMandelbrot"]
         assert not any((out / name).exists() for name in earlier)
         assert (out / "fitcurve_ZipfMandelbrot.dat").is_file()
+
+    def test_rerun_with_fewer_models_leaves_no_earlier_curve(self, fixture_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
+        assert len(list(out.glob("fitcurve_*.dat"))) == 4
+        ini = config_with_models(fixture_config, tmp_path, ["ZipfMandelbrot"])
+        assert main(["--config", str(ini), "--out", str(out)]) == 0
+        fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        assert list(fits) == ["ZipfMandelbrot"]
+        curves = [path.name for path in out.glob("fitcurve_*.dat")]
+        assert curves == ["fitcurve_ZipfMandelbrot.dat"]
 
     def test_unselected_ranks_stage_does_not_run(self, fixtures_dir, tmp_path):
         lemmas = tmp_path / "lemmas.tsv"
