@@ -246,11 +246,9 @@ def _boundary_positions(
     listed abbreviation never splits; the abbreviation is the last token
     that ends at or before the period, compared casefolded.  When the
     chunk is letters and then the period, those letters are that token;
-    otherwise it is looked up in the period's chunk, once per distinct
-    chunk, and in the text before the chunk only when the chunk holds none.
+    otherwise it is looked up in the period's chunk, and in the text before
+    the chunk only when the chunk holds none.
     """
-    # the chunk through its period -> the abbreviation candidate in it, or None
-    in_chunk: dict[str, str | None] = {}
     plain_period = "." not in cfg.intra_token_chars
     # a chunk start, and the last token that ends at or before it
     floor, before_floor = 0, None
@@ -274,10 +272,7 @@ def _boundary_positions(
                 # letters then a period that no token takes in: the letters are the token
                 surface = word
             else:
-                chunk = text[start:i + 1]
-                if chunk not in in_chunk:
-                    in_chunk[chunk] = _last_surface(chunk, 0, len(chunk) - 1, runs)
-                surface = in_chunk[chunk]
+                surface = _last_surface(text[start:i + 1], 0, i - start, runs)
             if surface is None:
                 # candidates' chunks only move forward, so each stretch is scanned once
                 surface = _last_surface(text, floor, start, runs) or before_floor
