@@ -88,10 +88,7 @@ def _interval_lines(values, breakpoints, transform):
 
 
 def segmented_loglog_fit(counts, breakpoints=DEFAULT_ZIPF_BREAKPOINTS) -> list[PowerLawSegment]:
-    """Power-law exponent per rank domain from log-log linear regression.
-
-    ``counts[i]`` is the frequency at rank i + 1.
-    """
+    """Power-law exponent per rank domain; ``counts[i]`` is the frequency at rank i + 1."""
     return [
         PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, n)
         for lo, top, slope, intercept, r2, n

@@ -172,9 +172,7 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
             else:
                 data = datasets[model_id]
                 result = lm_fit(model_id, data, init=cfg.inits.get(model_id))
-                report[model_id] = {
-                    k: v for k, v in asdict(result).items() if k != "sse_trace"
-                }
+                report[model_id] = {k: v for k, v in asdict(result).items() if k != "sse_trace"}
                 if not result.converged:
                     log.info("fit %s did not converge", model_id)
                 _emit_fit_curve(model_id, result, data, out)
