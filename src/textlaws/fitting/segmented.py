@@ -71,6 +71,7 @@ def _interval_lines(values, breakpoints, transform):
     intercept, r_squared, n_points)``, where ``top`` is the resolved upper
     bound.
     """
+    values = np.asarray(values)
     n = len(values)
     for lo, hi in breakpoints:
         top = n if hi is None else hi
@@ -92,7 +93,7 @@ def segmented_loglog_fit(counts, breakpoints=DEFAULT_ZIPF_BREAKPOINTS) -> list[P
     return [
         PowerLawSegment(lo, top, -slope, math.exp(intercept), r2, n)
         for lo, top, slope, intercept, r2, n
-        in _interval_lines(np.asarray(counts), breakpoints, math.log)
+        in _interval_lines(counts, breakpoints, math.log)
     ]
 
 
@@ -102,5 +103,4 @@ def fit_coverage(coverage, breakpoints=DEFAULT_COVERAGE_BREAKPOINTS) -> list[Cov
     ``coverage[i]`` is the covered fraction at rank i + 1, as
     ``coverage_curve`` gives it.
     """
-    lines = _interval_lines(np.asarray(coverage), breakpoints, float)
-    return [CoverageSegment(*line) for line in lines]
+    return [CoverageSegment(*line) for line in _interval_lines(coverage, breakpoints, float)]
