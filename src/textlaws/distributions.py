@@ -23,13 +23,16 @@ from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
 
 DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
+# forms per joined pass of form_lengths; one pass over a whole wide lexicon
+# raises the peak memory of a run
+_SLICE_FORMS = 2048
 # what a length spectrum weighs: each word-form once, or by its token count
 LENGTH_BASES = ("types", "tokens")
 
 
 def count_letters(form: str) -> int:
     """Number of alphabetic characters; digits and marks do not count."""
-    return sum(map(str.isalpha, form))
+    return len(form) if form.isalpha() else sum(map(str.isalpha, form))
 
 
 def count_syllables(form: str, vowels: frozenset[str] = DEFAULT_UK_VOWELS) -> int:
@@ -43,7 +46,7 @@ class G2PRules:
 
     At each position the longest matching grapheme wins (first rule listed
     on ties); a character no rule covers counts one phoneme.  Graphemes
-    must be non-empty and deltas non-negative.
+    must be non-empty and hold no newline, and deltas must be non-negative.
     """
 
     rules: tuple[tuple[str, int], ...]
@@ -59,6 +62,9 @@ class G2PRules:
                 raise ValidationError(
                     f"rule {(grapheme, delta)!r}: empty grapheme or negative delta"
                 )
+            if "\n" in grapheme:
+                # form_lengths matches over newline-joined forms
+                raise ValidationError(f"rule {(grapheme, delta)!r}: grapheme holds a newline")
             deltas.setdefault(grapheme, delta)
         alternation = "|".join(map(re.escape, sorted(deltas, key=len, reverse=True)))
         object.__setattr__(self, "pattern", re.compile(alternation or "(?!)"))
@@ -128,13 +134,44 @@ class RankFrequencyList:
 
 
 def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dict[str, list[int]]:
-    """Each form's letters, phonemes and syllables: one column per unit, in entry order."""
+    """Each form's letters, phonemes and syllables: one column per unit, in entry order.
+
+    The phonemes and syllables are counted over slices of the forms, each
+    casefolded as one string of newline-ended forms and read as code points
+    (``str.casefold`` maps each code point on its own, so the slice folds
+    as its forms do).  A vowel or rule match belongs to the form whose
+    newline comes next; no match runs past a newline, as no grapheme holds
+    one.  The counts equal ``count_phonemes`` and ``count_syllables`` of each
+    form.  A form holding a newline is rejected.
+    """
     if not lex.entries:
         raise ValidationError("cannot build a length distribution from an empty lexicon")
+    forms = list(lex.entries)
+    vowel_points = [ord(v) for v in vowels if len(v) == 1 and v != "\n"]
+    phonemes: list[int] = []
+    syllables: list[int] = []
+    for start in range(0, len(forms), _SLICE_FORMS):
+        part = forms[start:start + _SLICE_FORMS]
+        folded = "\n".join(part).casefold() + "\n"
+        points = np.frombuffer(folded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        ends = np.flatnonzero(points == 10)
+        if ends.size != len(part):
+            form = next(form for form in part if "\n" in form)
+            raise ValidationError(f"word-form {form!r} holds a newline")
+        at_vowel = np.flatnonzero(np.isin(points, vowel_points))
+        syllables += np.bincount(np.searchsorted(ends, at_vowel), minlength=len(part)).tolist()
+        # each form's folded length, then each match's delta in place of its characters
+        counts = np.diff(ends, prepend=-1) - 1
+        matches = [(m.start(), m.group()) for m in g2p.pattern.finditer(folded)]
+        if matches:
+            at, graphemes = zip(*matches)
+            np.add.at(counts, np.searchsorted(ends, at),
+                      [g2p.deltas[g] - len(g) for g in graphemes])
+        phonemes += counts.tolist()
     return {
-        "letters": [count_letters(form) for form in lex.entries],
-        "phonemes": [count_phonemes(form, g2p) for form in lex.entries],
-        "syllables": [count_syllables(form, vowels) for form in lex.entries],
+        "letters": [count_letters(form) for form in forms],
+        "phonemes": phonemes,
+        "syllables": syllables,
     }
 
 

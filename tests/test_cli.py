@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -328,19 +327,24 @@ class TestPipeline:
         )
 
     def test_each_form_length_counted_once(self, fixture_config, tmp_path, monkeypatch):
-        counters = ("count_letters", "count_phonemes", "count_syllables")
-        calls = {name: Counter() for name in counters}
-        for name, seen in calls.items():
-            def counting(form, *args, count=getattr(distributions, name), seen=seen):
-                seen[form] += 1
-                return count(form, *args)
-            monkeypatch.setattr(distributions, name, counting)
+        calls = []
+
+        def recording(lex, g2p, vowels, lengths=distributions.form_lengths):
+            table = lengths(lex, g2p, vowels)
+            calls.append((lex, g2p, vowels, table))
+            return table
+
+        monkeypatch.setattr(distributions, "form_lengths", recording)
         out = tmp_path / "out"
         assert main(["--config", str(fixture_config), "--out", str(out)]) == 0
-        n_forms = json.loads((out / "profile.json").read_text())["F"]
-        for name, seen in calls.items():
-            assert len(seen) == n_forms, name
-            assert set(seen.values()) == {1}, name
+        assert len(calls) == 1
+        lex, g2p, vowels, table = calls[0]
+        assert len(lex.entries) == json.loads((out / "profile.json").read_text())["F"]
+        assert table == {
+            "letters": [distributions.count_letters(form) for form in lex.entries],
+            "phonemes": [distributions.count_phonemes(form, g2p) for form in lex.entries],
+            "syllables": [distributions.count_syllables(form, vowels) for form in lex.entries],
+        }
 
     def test_minimal_config_degraded_mode(self, fixtures_dir, tmp_path):
         cfg = tmp_path / "minimal.ini"

@@ -21,7 +21,7 @@ from textlaws import (
     read_g2p_rules,
     top_k,
 )
-from textlaws.distributions import DEFAULT_UK_VOWELS
+from textlaws.distributions import _SLICE_FORMS, DEFAULT_UK_VOWELS
 from g2p_oracle import oracle_count_phonemes
 
 lexicon_strategy = st.dictionaries(
@@ -123,6 +123,11 @@ class TestPhonemes:
         with pytest.raises(ValidationError, match="empty grapheme or negative delta"):
             G2PRules((("б", 1), rule))
 
+    def test_rules_reject_a_newline_in_a_grapheme(self):
+        # a match over form_lengths' joined forms would run into the next form
+        with pytest.raises(ValidationError, match="holds a newline"):
+            G2PRules((("б", 1), ("а\nб", 0)))
+
     def test_counts_the_whole_casefolded_form(self):
         # casefolding makes ß two characters and İ two (i + combining dot)
         assert count_phonemes("ßb", G2PRules((("ss", 1),))) == 2
@@ -178,8 +183,23 @@ mixed_rule_sets = st.builds(
 )
 
 
+# More forms than one joined pass of form_lengths takes.  Each form ends in a
+# stem that casefolding expands or that a rule matches whole, and the forms
+# on either side of each slice edge end in ß, İ and дж.
+EDGE_STEMS = ("ß", "İ", "дж", "сд", "жs", "ssİ")
+EDGE_LEXICON = {
+    f"{i}{EDGE_STEMS[i % len(EDGE_STEMS)]}": 1 for i in range(2 * _SLICE_FORMS + 3)
+}
+assert list(EDGE_LEXICON)[_SLICE_FORMS - 2:_SLICE_FORMS + 1] == ["2046ß", "2047İ", "2048дж"]
+
+
 class TestFormLengths:
     @settings(max_examples=300)
+    @example(
+        EDGE_LEXICON,
+        frozenset("isі\u0307"),
+        G2PRules((("дж", 1), ("ss", 2), ("i\u0307", 0), ("сдж", 3), ("s", 3))),
+    )
     @given(
         st.dictionaries(
             st.text(alphabet=MIXED_ALPHABET, min_size=1, max_size=10),
@@ -202,6 +222,10 @@ class TestFormLengths:
     def test_counters_match_per_character_loops(self, form, vowels):
         assert count_letters(form) == sum(1 for ch in form if ch.isalpha())
         assert count_syllables(form, vowels) == sum(1 for ch in form.casefold() if ch in vowels)
+
+    def test_form_holding_a_newline_rejected(self):
+        with pytest.raises(ValidationError, match="holds a newline"):
+            form_lengths(lex_of({"на": 1, "к\nіт": 2}), G2PRules(()), DEFAULT_UK_VOWELS)
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValidationError):
