@@ -109,20 +109,26 @@ def apply_merge_rules(lex: FormLexicon, rules: list[MergeRule]) -> FormLexicon:
 def _largest_remainder(total: int, shares: tuple[tuple[str, float], ...]) -> list[tuple[str, int]]:
     """Split an integer total across lemmas proportionally to their shares.
 
-    Floors the quotas (share / sum * total, divided first so none overflows),
-    then hands the leftover units to the largest fractional remainders (ties
-    broken by lemma order) so the parts always sum back to the total.
+    Floors the quotas (share / sum * total), then hands the leftover units
+    to the largest fractional remainders (ties broken by lemma order) so
+    the parts always sum back to the total.  The quotas are exact: each
+    float share is an integer over a power of two, so over the largest of
+    those denominators all shares are integers.
     """
-    weight_sum = sum(w for _, w in shares)
-    if not 0 < weight_sum < math.inf:
+    if not 0 < sum(w for _, w in shares) < math.inf:
         raise ValidationError("ambiguous-form shares must have a positive finite sum")
-    quotas = [(lemma, w / weight_sum * total) for lemma, w in shares]
-    parts = {lemma: math.floor(q) for lemma, q in quotas}
+    ratios = [w.as_integer_ratio() for _, w in shares]
+    scale = max(d for _, d in ratios)
+    weights = [n * (scale // d) for n, d in ratios]
+    weight_sum = sum(weights)
+    # (lemma, floor of the quota, remainder in units of 1 / weight_sum)
+    quotas = [(lemma, *divmod(w * total, weight_sum)) for (lemma, _), w in zip(shares, weights)]
+    parts = {lemma: whole for lemma, whole, _ in quotas}
     leftover = total - sum(parts.values())
-    by_remainder = sorted(quotas, key=lambda lq: (-(lq[1] - math.floor(lq[1])), lq[0]))
-    for lemma, _ in by_remainder[:leftover]:
+    by_remainder = sorted(quotas, key=lambda q: (-q[2], q[0]))
+    for lemma, _, _ in by_remainder[:leftover]:
         parts[lemma] += 1
-    return [(lemma, parts[lemma]) for lemma, _ in quotas]
+    return [(lemma, parts[lemma]) for lemma, _, _ in quotas]
 
 
 def lemmatize(

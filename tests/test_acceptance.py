@@ -12,6 +12,7 @@ import os
 import random
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def oracle_lexicon(counts, merges="", lemmas="", overrides=""):
         if len(fields) == 2:
             rows[fields[0]] = fields[1]
         else:
-            ambiguous.setdefault(fields[0], []).append((fields[1], float(fields[2])))
+            ambiguous.setdefault(fields[0], []).append((fields[1], Fraction(float(fields[2]))))
 
     pinned = {}
     for line in overrides.splitlines():

@@ -31,9 +31,9 @@ FORMS = ("т", "b", "аб", "ss")
 # words that end a sentence, or not (after the abbreviation т), before a capital
 WORDS = FORMS + ("Т.", "т.", "Ab!", "«Т", "ß…")
 LEMMAS = ("x", "y", "z")
-# integer shares: the lemma split of a drawn share set is then the same in
-# floats as in exact fractions (a share set such as 0.5, 2, 0.5 is not)
-SHARES = ("0", "1", "2", "3")
+# shares whose splits tie exactly (0.5, 2, 0.5 over a count of 4) or only
+# nearly (0.1 and 0.3 are not exact in binary)
+SHARES = ("0", "0.1", "0.3", "0.5", "1", "2", "2.5", "3")
 
 analysis_sections = st.fixed_dictionaries({
     "basis": st.sampled_from(["types", "tokens"]),

@@ -1,8 +1,10 @@
+import math
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from textlaws import (
     FormLexicon,
@@ -122,6 +124,29 @@ class TestLemmatize:
         lemma_map = LemmaMap(ambiguous={"як": (("як_a", 0.7), ("як_b", 0.3))})
         result = lemmatize(lex_of({"як": 10}), lemma_map)
         assert result.entries == {"як_a": 7, "як_b": 3}
+
+    def test_remainder_ties_go_by_lemma_order(self):
+        # exact quotas 2/3, 8/3 and 2/3 leave three equal remainders of 2/3
+        lemma_map = LemmaMap(ambiguous={"x": (("x", 0.5), ("y", 2.0), ("z", 0.5))})
+        assert lemmatize(lex_of({"x": 4}), lemma_map).entries == {"x": 1, "y": 3}
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.lists(
+            st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 1e-300, 1e300]),
+            min_size=2, max_size=4,
+        ).filter(lambda shares: any(shares)),
+    )
+    def test_split_matches_exact_fractions(self, count, shares):
+        rows = tuple(zip("abcd", shares))
+        weight_sum = sum(Fraction(w) for _, w in rows)
+        quotas = [(lemma, Fraction(w) * count / weight_sum) for lemma, w in rows]
+        parts = {lemma: math.floor(q) for lemma, q in quotas}
+        by_remainder = sorted(quotas, key=lambda lq: (-(lq[1] - math.floor(lq[1])), lq[0]))
+        for lemma, _ in by_remainder[:count - sum(parts.values())]:
+            parts[lemma] += 1
+        assert lexicon._largest_remainder(count, rows) == list(parts.items())
 
     def test_rounding_preserves_totals_for_all_counts(self):
         # oracle: enumerate counts 1..100, the parts must always resum
