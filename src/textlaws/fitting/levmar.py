@@ -21,9 +21,15 @@ the loop steps those parameters alone: it fills the amplitude in at each
 trial and takes Kaufman's Jacobian, the other parameters' rows projected
 off g.  The standard errors still come from the full Jacobian.
 
-The whole computation is deterministic: identical inputs reproduce the
-parameter trajectory bit for bit.  The settings of the loop are fixed
-constants.
+The loop makes no BLAS or LAPACK call, so its bytes depend on neither the
+BLAS kernel nor its thread count.  Each product over the data points (the
+sums of squares, J r and J J^T) is one ``np.add.reduce`` over the
+elementwise products of contiguous rows, numpy's pairwise sum.  The damped
+step, the decrease test and the standard errors solve systems of two or
+three unknowns by Gaussian elimination with partial pivoting over Python
+floats; a zero or non-finite pivot counts as singular.  So identical inputs
+reproduce the parameter trajectory bit for bit.  The settings of the loop
+are fixed constants.
 """
 
 from __future__ import annotations
@@ -118,7 +124,8 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
 
     if model.jacobian is None:
         def jacobian(p, f):
-            return forward_jacobian(lambda q: model.evaluate(q, x), p, _JACOBIAN_REL_STEP, f).T
+            columns = forward_jacobian(lambda q: model.evaluate(q, x), p, _JACOBIAN_REL_STEP, f)
+            return np.ascontiguousarray(columns.T)
     else:
         def jacobian(p, f):
             return model.jacobian(p, x, f)
@@ -134,10 +141,10 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         f = model.evaluate(p, x)
         if k is None:
             return p, f
-        gg = float(f @ f)
+        gg = _dot(f, f)
         if not 0.0 < gg < np.inf:
             return None
-        p[k] = float(f @ y) / gg
+        p[k] = _dot(f, y) / gg
         return p, p[k] * f
 
     q = p if k is None else np.delete(p, k)
@@ -146,7 +153,7 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         raise DomainError(f"{model.id}: model is not finite at the initial parameters")
     p, f = start
     r = y - f
-    sse = float(r @ r)
+    sse = _dot(r, r)
     trace = [sse]
     lam, nu = _INITIAL_LAMBDA, 2.0
     converged = False
@@ -158,18 +165,16 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         # df/dp, one row per parameter; J^T r is minus half the gradient of the SSE
         full = jacobian(p, f)
         jac = full if k is None else _projected(full, k)
-        jtr = jac @ r
-        jtj = jac @ jac.T
-        diag = np.diag(jtj).copy()
-        diag[~(diag > 0)] = 1.0
+        jtr = np.add.reduce(jac * r, axis=1)
+        jtj = _gram(jac)
+        diag = np.array([row[i] if row[i] > 0 else 1.0 for i, row in enumerate(jtj)])
         if 0.0 <= _gauss_newton_decrease(jtj, jtr) <= _DECREASE_TOL * sse:
             converged = True
             break
         stepped = False
         while lam <= _MAX_LAMBDA:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), jtr)
-            except np.linalg.LinAlgError:
+            delta = _solve(jtj, jtr, lam * diag)
+            if delta is None:
                 lam, nu = lam * nu, 2.0 * nu
                 continue
             q_try = q + delta
@@ -177,18 +182,18 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
                 p_try, f_try = stepped_to
                 r_try = y - f_try
                 if np.all(np.isfinite(r_try)):
-                    sse_try = float(r_try @ r_try)
+                    sse_try = _dot(r_try, r_try)
                     if sse_try < sse:
                         # actual over predicted decrease; the prediction is positive
-                        gain = (sse - sse_try) / float(delta @ (lam * diag * delta + jtr))
+                        gain = (sse - sse_try) / _dot(delta, lam * diag * delta + jtr)
                         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _MIN_LAMBDA)
                         nu = 2.0
                         q, p, f, r, sse = q_try, p_try, f_try, r_try, sse_try
                         trace.append(sse)
                         full = None
                         stepped = True
-                        step_norm = float(np.linalg.norm(delta))
-                        if step_norm < _STEP_TOL * (float(np.linalg.norm(q)) + _STEP_TOL):
+                        step_norm = float(np.sqrt(_dot(delta, delta)))
+                        if step_norm < _STEP_TOL * (float(np.sqrt(_dot(q, q))) + _STEP_TOL):
                             converged = True
                         break
             lam, nu = lam * nu, 2.0 * nu
@@ -210,14 +215,69 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     )
 
 
+def _dot(a, b) -> float:
+    """a . b as one pairwise sum of the elementwise products."""
+    return float(np.add.reduce(a * b))
+
+
+def _gram(jac) -> list[list[float]]:
+    """J J^T of the Jacobian rows as lists of Python floats.
+
+    Each entry is one pairwise sum of a row product; products commute, so
+    the matrix is exactly symmetric.
+    """
+    return [np.add.reduce(jac * row, axis=1).tolist() for row in jac]
+
+
+def _solve(a, b, shift=None) -> np.ndarray | None:
+    """x with (a + diag(shift)) x = b for a small system; None when it is singular.
+
+    ``a`` is a list of rows, ``b`` and ``shift`` are vectors.  Gaussian
+    elimination with partial pivoting over Python floats; a zero or
+    non-finite pivot counts as singular.
+    """
+    rows = [row + [v] for row, v in zip(a, np.asarray(b).tolist())]
+    n = len(rows)
+    if shift is not None:
+        for i, s in enumerate(np.asarray(shift).tolist()):
+            rows[i][i] += s
+    for col in range(n):
+        top = col
+        for i in range(col + 1, n):
+            if abs(rows[i][col]) > abs(rows[top][col]):
+                top = i
+        head = rows[top]
+        rows[top] = rows[col]
+        rows[col] = head
+        pivot = head[col]
+        if not 0.0 < abs(pivot) < np.inf:
+            return None
+        for row in rows[col + 1:]:
+            factor = row[col] / pivot
+            for j in range(col + 1, n + 1):
+                row[j] -= factor * head[j]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return np.array(x)
+
+
 def _projected(jac, k):
     """Kaufman's Jacobian: the rows of all parameters but k, projected off row k.
 
     Row k is the model at unit amplitude, up to a factor.
     """
     g = jac[k]
+    gg = _dot(g, g)
     rows = np.delete(jac, k, axis=0)
-    return rows - np.outer(rows @ g / (g @ g), g)
+    # one row at a time, so no temporary is larger than a row
+    for row in rows:
+        row -= _dot(row, g) / gg * g
+    return rows
 
 
 def _gauss_newton_decrease(jtj, jtr):
@@ -225,21 +285,23 @@ def _gauss_newton_decrease(jtj, jtr):
 
     Singular or indefinite normal equations give nan or a negative value.
     """
-    try:
-        return float(jtr @ np.linalg.solve(jtj, jtr))
-    except np.linalg.LinAlgError:
-        return float("nan")
+    step = _solve(jtj, jtr)
+    return float("nan") if step is None else _dot(jtr, step)
 
 
 def _standard_errors(names, jac, sse):
-    """Asymptotic per-parameter errors from the Jacobian rows at the fitted parameters."""
+    """Asymptotic per-parameter errors from the Jacobian rows at the fitted parameters.
+
+    Each variance is a diagonal entry of (J J^T)^-1, solved for column by column.
+    """
     dof = jac.shape[1] - len(names)
     if dof <= 0:
         return {name: float("nan") for name in names}
-    try:
-        cov = np.linalg.inv(jac @ jac.T) * (sse / dof)
-    except np.linalg.LinAlgError:
+    gram = _gram(jac)
+    columns = [_solve(gram, unit) for unit in np.eye(len(names)).tolist()]
+    if any(column is None for column in columns):
         return {name: float("nan") for name in names}
+    variances = np.array([column[i] for i, column in enumerate(columns)]) * (sse / dof)
     with np.errstate(invalid="ignore"):
-        errs = np.sqrt(np.diag(cov))
+        errs = np.sqrt(variances)
     return dict(zip(names, (float(e) for e in errs)))

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -384,3 +388,51 @@ def test_stderr_reported_for_noisy_fit():
     result = lm_fit(POWER, list(zip(x, y)))
     assert result.stderr["A"] > 0
     assert result.stderr["z"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solver_matches_numpy_on_well_conditioned_systems(n):
+    rng = np.random.default_rng(n)
+    checked = 0
+    while checked < 200:
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        if np.linalg.cond(a) > 100:
+            continue
+        b = rng.standard_normal(n)
+        shift = rng.uniform(0, 1, n)
+        for x, expected in (
+            (levmar._solve(a.tolist(), b.tolist()), np.linalg.solve(a, b)),
+            (levmar._solve(a.tolist(), b.tolist(), shift.tolist()),
+             np.linalg.solve(a + np.diag(shift), b)),
+        ):
+            assert np.max(np.abs(np.array(x) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        checked += 1
+
+
+def test_solver_pivots_and_reports_singular_systems():
+    # a zero leading entry needs a row swap
+    assert levmar._solve([[0.0, 2.0], [4.0, 0.0]], [2.0, 8.0]).tolist() == [2.0, 1.0]
+    assert levmar._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert levmar._solve([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [1.0] * 3) is None
+    assert levmar._solve([[float("nan"), 1.0], [1.0, 1.0]], [1.0, 1.0]) is None
+    assert levmar._solve([[1.0, 1.0], [1.0, float("inf")]], [1.0, 1.0]) is None
+
+
+def test_singular_normal_equations_at_every_damping_level_do_not_raise():
+    # a Jacobian of nan makes every pivot nan, as no damping can repair
+    broken = dataclasses.replace(
+        POWER, id="Broken", jacobian=lambda p, x, f: np.full((2, x.size), np.nan)
+    )
+    x = np.arange(1.0, 20.0)
+    result = lm_fit(broken, list(zip(x, 50.0 / x)))
+    assert result.converged is False
+    assert result.final_lambda > levmar._MAX_LAMBDA
+    assert result.sse_trace == (result.sse,)
+    assert all(np.isnan(e) for e in result.stderr.values())
+
+
+def test_fit_loop_calls_no_blas():
+    # BLAS products and LAPACK solves round per kernel and thread count
+    source = Path(levmar.__file__).read_text(encoding="utf-8")
+    code = [line.split("#")[0] for line in source.splitlines()]
+    assert not [line for line in code if re.search(r"\s@\s|np\.dot|np\.linalg|\.dot\(", line)]
