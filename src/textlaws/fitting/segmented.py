@@ -82,8 +82,8 @@ def _interval_lines(values, breakpoints, transform):
                 f"rank interval ({lo}, {top}] holds {stop - start} points; need >= 3"
             )
         # math.log per point: numpy's log rounds differently per SIMD level
-        log_r = list(map(math.log, range(start + 1, stop + 1)))
-        ys = list(map(transform, values[start:stop].tolist()))
+        log_r = np.fromiter(map(math.log, range(start + 1, stop + 1)), float, stop - start)
+        ys = np.fromiter(map(transform, values[start:stop].tolist()), float, stop - start)
         slope, intercept, r2 = ols_line(log_r, ys)
         yield lo, top, slope, intercept, r2, stop - start
 

@@ -10,7 +10,7 @@ or by explicit per-form count overrides.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -188,6 +188,10 @@ def lemmatize(
 # resources are TSV; blank lines and lines starting with '#' are skipped.
 # ---------------------------------------------------------------------------
 
+# characters per block that ``data_rows`` splits into lines at once: a list
+# of every line of a wide lemma map would raise a run's peak memory
+_BLOCK_CHARS = 1 << 16
+
 def decode_utf8(path: str | Path, data: bytes) -> str:
     r"""A file's bytes as text, with text-mode ``open()``'s line ends.
 
@@ -206,15 +210,26 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def data_rows(path: str | Path, shape: str, data: bytes | None = None):
+def _lines(text: str) -> Iterator[str]:
+    """``text.split("\n")``, split one block of about ``_BLOCK_CHARS`` at a time."""
+    start = 0
+    while (cut := text.find("\n", start + _BLOCK_CHARS)) >= 0:
+        yield from text[start:cut].split("\n")
+        start = cut + 1
+    yield from text[start:].split("\n")
+
+
+def data_rows(path: str | Path, shape: str, text: str | None = None):
     """Yield ``(line number, fields)`` for each data line of a TSV resource.
 
     ``shape`` names the fields, a bracketed tail optional: ``"a<TAB>b[<TAB>c]"``.
-    A line with too few or too many fails; ``data`` defaults to the file's bytes.
+    A line with too few or too many fails; ``text`` defaults to the file's
+    decoded bytes.
     """
-    data = Path(path).read_bytes() if data is None else data
+    if text is None:
+        text = decode_utf8(path, Path(path).read_bytes())
     least, most = shape.partition("[")[0].count("<TAB>") + 1, shape.count("<TAB>") + 1
-    for line_no, line in enumerate(decode_utf8(path, data).split("\n"), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         stripped = line.lstrip()
         if stripped and stripped[0] != "#":
             fields = line.split("\t")
@@ -262,20 +277,25 @@ def read_lemma_map(path: str | Path) -> LemmaMap:
     if _last_lemma_map is not None and _last_lemma_map[0] == digest:
         return _last_lemma_map[1]
     _last_lemma_map = None
-    lemma_map = _parse_lemma_map(path, data)
+    text = decode_utf8(path, data)
+    # the bytes are freed before the parser's peak
+    del data
+    lemma_map = _parse_lemma_map(path, text)
     _last_lemma_map = digest, lemma_map
     return lemma_map
 
 
-def _parse_lemma_map(path: str | Path, data: bytes) -> LemmaMap:
+def _parse_lemma_map(path: str | Path, text: str) -> LemmaMap:
+    lemmas: dict[str, str] = {}          # one string per distinct lemma
     rows: dict[str, str] = {}            # the first row of each form
     shares: dict[str, float] = {}        # its share, where the row gives one
     more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
     last_line: dict[str, int] = {}       # the line of a form's last later row
-    for line_no, fields in data_rows(path, "form<TAB>lemma[<TAB>share]", data):
+    for line_no, fields in data_rows(path, "form<TAB>lemma[<TAB>share]", text):
         form, lemma = fields[0].strip(), fields[1].strip()
         if not form or not lemma:
             raise ResourceFormatError(path, line_no, "empty form or lemma")
+        lemma = lemmas.setdefault(lemma, lemma)
         share = 1.0
         if len(fields) == 3:
             try:

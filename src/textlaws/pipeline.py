@@ -33,7 +33,7 @@ from .lexicon import (
     read_overrides,
 )
 from .reports import emit_plot_data, write_fits, write_profile, write_topk
-from .tokenizer import split_sentences, tokenize
+from .tokenizer import Tokens, split_sentences, tokenize
 
 log = logging.getLogger("textlaws")
 
@@ -52,18 +52,23 @@ def _stage(name: str):
         raise StageFailure(name, exc) from exc
 
 
+def _ingest(cfg: RunConfig) -> tuple[Tokens, int]:
+    """The text's token counts and its sentence count; the text is freed on return."""
+    # the bytes are freed once decoded, before the tokenizer's peak
+    text = decode_utf8(cfg.text_path, cfg.text_path.read_bytes())
+    tokens = tokenize(text, cfg.tokenizer)
+    if not tokens:
+        # no stage after this one has anything to count
+        raise ValidationError(f"{cfg.text_path}: no word tokens")
+    return tokens, len(split_sentences(text, cfg.tokenizer))
+
+
 def run_analysis(cfg: RunConfig) -> None:
     """Write the bundle of ``cfg``'s stages; a missing text or failed stage raises."""
     if not cfg.text_path.is_file():
         raise MissingTextError(f"text file not found: {cfg.text_path}")
     with _stage("ingest"):
-        # the bytes are freed once decoded, before the tokenizer's peak
-        text = decode_utf8(cfg.text_path, cfg.text_path.read_bytes())
-        tokens = tokenize(text, cfg.tokenizer)
-        if not tokens:
-            # no stage after this one has anything to count
-            raise ValidationError(f"{cfg.text_path}: no word tokens")
-        sentences = split_sentences(text, cfg.tokenizer)
+        tokens, sentences = _ingest(cfg)
 
     with _stage("lexicon"):
         forms = build_form_spectrum(tokens)
@@ -93,12 +98,14 @@ def run_analysis(cfg: RunConfig) -> None:
     if "profile" in cfg.stages:
         with _stage("profile"):
             profile = corpus_profile(
-                tokens, len(sentences), forms, lemmas,
+                tokens, sentences, forms, lemmas,
                 threshold=cfg.threshold,
                 count_basis=cfg.count_basis,
                 word_length_basis=cfg.word_length_basis,
             )
             write_profile(profile, out)
+    # the token counts have had their last reader; the later stages' peaks come without them
+    del tokens
 
     if {"lengths", "fits"} & set(cfg.stages):
         with _stage("lengths"):
@@ -134,8 +141,10 @@ def run_analysis(cfg: RunConfig) -> None:
                     log.info("rank basis falls back to word-forms (no lemma lexicon)")
             rf = dist.rank_frequency(rank_lex)
             curve = dist.coverage_curve(rf)
+            # the one float copy of the rank columns, for the plot file and the fit
+            rank_points = np.stack((rf.ranks, rf.counts), axis=1, dtype=float)
             if "ranks" in cfg.stages:
-                emit_plot_data(np.column_stack((rf.ranks, rf.counts)), out / "rank_freq.dat")
+                emit_plot_data(rank_points, out / "rank_freq.dat")
                 emit_plot_data(np.column_stack((rf.ranks, curve)), out / "coverage.dat")
                 k = min(cfg.top_k, len(rf.items))
                 write_topk(dist.top_k(rf, k), out / "topk.tsv")
@@ -145,11 +154,11 @@ def run_analysis(cfg: RunConfig) -> None:
             # curves left by an earlier run would pass for this run's fits
             for stale in out.glob("fitcurve_*.dat"):
                 stale.unlink()
-            report = _run_fits(cfg, lengths, syllable_series, rf, curve, out)
+            report = _run_fits(cfg, lengths, syllable_series, rf, rank_points, curve, out)
             write_fits(report, out)
 
 
-def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
+def _run_fits(cfg, lengths, syllable_series, rf, rank_points, curve, out) -> dict[str, dict]:
     supported = dist.filter_min_support(syllable_series, cfg.min_support)
     mean_syllables = [(s, m) for s, m, _ in supported]
     datasets = {
@@ -157,7 +166,7 @@ def _run_fits(cfg, lengths, syllable_series, rf, curve, out) -> dict[str, dict]:
         "ShiftedMenzerath": lengths["syllables"],
         "MeanSyllablePower": mean_syllables,
         "MeanSyllableExp": mean_syllables,
-        "ZipfMandelbrot": np.column_stack((rf.ranks, rf.counts)),
+        "ZipfMandelbrot": rank_points,
     }
     # each call looks its fit up in this module, where the benchmark's tracer wraps it
     interval_fits = {

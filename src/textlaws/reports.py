@@ -16,19 +16,26 @@ import numpy as np
 from .errors import ValidationError
 from .indices import CorpusProfile
 
+# rows per formatted slice of a plot file: one text of a whole wide rank
+# spectrum would raise a run's peak memory
+_PLOT_ROWS = 4096
+
 
 def emit_plot_data(series, path: str | Path) -> None:
     """Write an ``x y`` file, one point per line, no header.
 
     ``series`` is a sequence of (x, y) pairs or an (n, 2) array.  One ``%``
     template formats every value as ``f"{v:.6g}"`` would: ints format
-    through ``float`` either way.
+    through ``float`` either way.  The rows are formatted and written
+    ``_PLOT_ROWS`` at a time.
     """
     points = np.asarray(series, dtype=float)
     if not points.size:
         raise ValidationError(f"refusing to write an empty plot file: {path}")
-    text = ("%.6g %.6g\n" * len(points)) % tuple(points.ravel().tolist())
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        for start in range(0, len(points), _PLOT_ROWS):
+            part = points[start:start + _PLOT_ROWS]
+            out.write(("%.6g %.6g\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def _scalar_str(value, float_format) -> str:

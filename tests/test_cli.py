@@ -21,6 +21,7 @@ from textlaws import (
     config,
     distributions,
     pipeline,
+    reports,
     split_sentences,
 )
 from textlaws.cli import main
@@ -76,6 +77,17 @@ class TestEmitPlotData:
             emit_plot_data(series, path)
             expected = "".join(f"{x:.6g} {y:.6g}\n" for x, y in series)
             assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
+    def test_series_over_several_slices_matches_per_value_format(self, tmp_path, extra):
+        rng = np.random.default_rng(extra + 2)
+        n = 2 * reports._PLOT_ROWS + extra
+        ranks = np.arange(1, n + 1, dtype=np.int64)
+        values = rng.lognormal(0.0, 4.0, n)
+        path = tmp_path / "series.dat"
+        emit_plot_data(np.column_stack((ranks, values)), path)
+        expected = "".join(f"{x:.6g} {y:.6g}\n" for x, y in zip(ranks.tolist(), values.tolist()))
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -254,6 +254,41 @@ class TestResourceFiles:
         assert lemma_map.rows == {"стежки": "стежка"}
         assert lemma_map.ambiguous == {"що": (("що_спол", 0.7), ("що_займ", 0.3))}
 
+    def test_lemma_map_keeps_one_string_per_lemma(self, tmp_path):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text(
+            "стежки\tстежка\nстежку\tстежка \nщо\tстежка\t1\nщо\tщо_займ\t1\n",
+            encoding="utf-8",
+        )
+        lemma_map = read_lemma_map(path)
+        assert lemma_map.rows["стежки"] is lemma_map.rows["стежку"]
+        assert lemma_map.ambiguous["що"][0][0] is lemma_map.rows["стежки"]
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+    def test_malformed_row_near_a_block_cut_keeps_its_line_number(self, tmp_path, shift):
+        # data_rows splits the text into lines one block at a time: the first
+        # cut is the first line end at or past the block size
+        rows = [f"ф{k:06d}\tлема\n" for k in range(10**4)]
+        width = len(rows[0])
+        rows_to_cut = -(-(lexicon._BLOCK_CHARS + 1) // width)
+        bad = rows_to_cut + 1 + shift
+        rows[bad - 1] = "x" * (width - 1) + "\n"
+        text = "".join(rows[:bad + 3])
+        assert text.find("\n", lexicon._BLOCK_CHARS) == width * rows_to_cut - 1
+        path = tmp_path / "lemmas.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ResourceFormatError) as err:
+            read_lemma_map(path)
+        assert str(err.value) == f"{path}:{bad}: expected form<TAB>lemma[<TAB>share]"
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "a\tb", "a\tb\n", "\n\na\tb\n\n", "# x\n" * 5 + "a\tb",
+    ])
+    def test_block_lines_match_one_split(self, monkeypatch, text):
+        for block in (1, 2, 3, 1 << 16):
+            monkeypatch.setattr(lexicon, "_BLOCK_CHARS", block)
+            assert list(lexicon._lines(text)) == text.split("\n")
+
     def test_lemma_map_bad_share(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
         path.write_text("що\tщо\tx\n", encoding="utf-8")
