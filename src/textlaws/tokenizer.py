@@ -138,6 +138,18 @@ def _patterns(cfg: TokenizerConfig) -> tuple[re.Pattern, re.Pattern]:
     return re.compile(token), boundary
 
 
+@lru_cache(maxsize=64)
+def _edge_chars(cfg: TokenizerConfig) -> str:
+    """The punctuation ``tokenize`` strips off a chunk's edges before its letters-only test.
+
+    Closers, openers, terminators and ``,;:``, but no intra-token char: no
+    character left here is a word character or can be part of a token, so
+    a chunk whose stripped core is letters only holds that one token.
+    """
+    marks = _CLOSERS | _OPENERS | cfg.sentence_terminators | frozenset(",;:")
+    return "".join(sorted(marks - cfg.intra_token_chars))
+
+
 def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str]:
     folded = surface.casefold() if cfg.case_folding else surface
     # a form that folding leaves unchanged keeps one string for both fields
@@ -197,15 +209,17 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
     """
     text = unicodedata.normalize("NFC", text)
     runs = _Runs(cfg)
+    edges = _edge_chars(cfg)
     chunks: Counter[str] = Counter()
     for block in _blocks(text):
         chunks.update(block.split())
     counts: dict[tuple[str, str], int] = {}
     # chunks and the tokens in each come in order of first occurrence
     for chunk, n in chunks.items():
-        if chunk.isalpha():
-            # letters only: one run, and one token
-            key = _token_fields(chunk, cfg)
+        word = chunk.strip(edges)
+        if word.isalpha():
+            # letters only, once edge punctuation is stripped: one run, and one token
+            key = _token_fields(word, cfg)
             counts[key] = counts.get(key, 0) + n
             continue
         for run in runs.token.findall(chunk):

@@ -224,6 +224,31 @@ def test_counts_across_block_cuts():
     assert len(split_sentences(text, cfg)) == len(oracle_split_sentences(text, cfg))
 
 
+EDGE_TEXT = "«Слово», слово. 'слово' «м'ята» т.к. (слово;) —слово…"
+
+
+@pytest.mark.parametrize("added, removed, expected", [
+    pytest.param(".", "", {"Слово": 1, "слово.": 1, "слово": 3, "м'ята": 1, "т.к.": 1},
+                 id="period"),
+    pytest.param("", "", {"Слово": 1, "слово": 4, "м'ята": 1, "т": 1, "к": 1},
+                 id="apostrophe"),
+    pytest.param("", "'", {"Слово": 1, "слово": 4, "м": 1, "ята": 1, "т": 1, "к": 1},
+                 id="no-apostrophe"),
+    pytest.param("«", "", {"«Слово": 1, "слово": 4, "«м'ята": 1, "т": 1, "к": 1},
+                 id="guillemet"),
+])
+def test_edge_punctuation_that_is_an_intra_token_char_stays(added, removed, expected):
+    # tokenize strips edge punctuation off a chunk before its letters-only
+    # test, but never a character that can be part of a token
+    intra = DEFAULT_CONFIG.intra_token_chars - set(removed) | set(added)
+    cfg = TokenizerConfig(intra_token_chars=intra)
+    edges = set(tokenizer._edge_chars(cfg))
+    assert not edges & intra and set(removed) <= edges
+    assert surface_counts(EDGE_TEXT, cfg) == expected
+    oracle_counts = Counter((t.surface, t.folded) for t in oracle_tokenize(EDGE_TEXT, cfg))
+    assert list(tokenize(EDGE_TEXT, cfg).counts.items()) == list(oracle_counts.items())
+
+
 def test_tokens_holds_the_counts_and_their_sum():
     tokens = tokenize("Так, так — in die Так.")
     assert isinstance(tokens, Tokens)
