@@ -17,6 +17,7 @@ from .segmented import (
     DEFAULT_ZIPF_BREAKPOINTS,
     CoverageSegment,
     PowerLawSegment,
+    ShortSegment,
     fit_coverage,
     ols_line,
     segmented_loglog_fit,
@@ -36,6 +37,7 @@ __all__ = [
     "FitResult",
     "Model",
     "PowerLawSegment",
+    "ShortSegment",
     "fit_coverage",
     "forward_jacobian",
     "gamma_fn",

@@ -494,6 +494,24 @@ class TestPipeline:
         assert not any((out / name).exists() for name in earlier)
         assert (out / "fitcurve_ZipfMandelbrot.dat").is_file()
 
+    def test_short_interval_keeps_the_others_in_the_report(self, fixture_config, tmp_path):
+        # the fixture ranks fewer than 1,000 lemmas, so (1000, 2000] is empty
+        ini = config_with_models(fixture_config, tmp_path, ["LogCoverage"])
+        ini.write_text(re.sub(r"(?m)^coverage_breakpoints = .*$",
+                              "coverage_breakpoints = 1:30,1000:2000",
+                              ini.read_text(encoding="utf-8")), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(ini), "--out", str(out)]) == 0
+        report = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        fitted, short = report["LogCoverage"]["segments"]
+        assert (fitted["lo"], fitted["hi"], fitted["n_points"]) == (1, 30, 29)
+        assert "k" in fitted and "error" not in fitted
+        error = "rank interval (1000, 2000] holds 0 points; need >= 3"
+        assert short == {"lo": 1000, "hi": 2000, "n_points": 0, "error": error}
+        rows = (out / "fits.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows[-2:] == ["LogCoverage\t1000:2000\tn_points\t0",
+                             f"LogCoverage\t1000:2000\terror\t{error}"]
+
     def test_rerun_with_fewer_models_leaves_no_earlier_curve(self, fixture_config, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(fixture_config), "--out", str(out)]) == 0

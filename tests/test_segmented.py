@@ -5,6 +5,9 @@ import pytest
 
 from textlaws import ValidationError
 from textlaws.fitting import (
+    CoverageSegment,
+    PowerLawSegment,
+    ShortSegment,
     fit_coverage,
     ols_line,
     segmented_loglog_fit,
@@ -98,6 +101,22 @@ class TestSegmentedZipf:
         with pytest.raises(ValidationError, match="need >= 3"):
             segmented_loglog_fit(counts, breakpoints=((3, 5),))
 
+    def test_spectrum_shorter_than_the_last_interval_keeps_the_earlier_ones(self):
+        # the default last interval (1000, end] of a 900-rank spectrum is empty
+        counts = column(lambda r: 1000.0 / r ** 1.1, 1, 900)
+        segments = segmented_loglog_fit(counts)
+        assert [type(s) for s in segments] == [PowerLawSegment, PowerLawSegment, ShortSegment]
+        assert [s.z for s in segments[:2]] == pytest.approx([1.1, 1.1], rel=1e-9)
+        assert segments[2] == ShortSegment(
+            1000, 900, 0, "rank interval (1000, 900] holds 0 points; need >= 3"
+        )
+
+    def test_every_interval_short_raises_the_first_ones_error(self):
+        counts = column(lambda r: 10.0 / r, 1, 5)
+        with pytest.raises(ValidationError) as err:
+            segmented_loglog_fit(counts, breakpoints=((3, 5), (4, None)))
+        assert str(err.value) == "rank interval (3, 5] holds 2 points; need >= 3"
+
     def test_scale_equivariance_of_exponent(self):
         # a constant factor only shifts ln A; the slope moves by ulps at most
         counts = column(lambda r: 1234.0 * r ** -1.07, 5, 119)
@@ -127,3 +146,10 @@ class TestCoverageFit:
         coverage = column(lambda r: 0.1 * math.log(r), 1, 3)
         with pytest.raises(ValidationError):
             fit_coverage(coverage, breakpoints=((1, 2),))
+
+    def test_short_middle_interval_keeps_its_neighbours(self):
+        coverage = column(lambda r: 0.1 * math.log(r) + 0.2, 1, 1650)
+        segments = fit_coverage(coverage, breakpoints=((10, 200), (200, 202), (2000, None)))
+        assert [type(s) for s in segments] == [CoverageSegment, ShortSegment, ShortSegment]
+        assert segments[0].k == pytest.approx(0.1, rel=1e-12)
+        assert [(s.lo, s.hi, s.n_points) for s in segments[1:]] == [(200, 202, 2), (2000, 1650, 0)]
