@@ -192,6 +192,7 @@ def lemmatize(
 # of every line of a wide lemma map would raise a run's peak memory
 _BLOCK_CHARS = 1 << 16
 
+
 def decode_utf8(path: str | Path, data: bytes) -> str:
     r"""A file's bytes as text, with text-mode ``open()``'s line ends.
 
