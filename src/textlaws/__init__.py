@@ -7,29 +7,14 @@ and shifted power-law rank laws, normalized length densities, logarithmic
 coverage growth) by damped least squares or per-interval regression.
 """
 
-from .distributions import (
-    G2PRules,
-    RankFrequencyList,
-    count_letters,
-    count_phonemes,
-    count_syllables,
-    coverage_curve,
-    filter_min_support,
-    form_lengths,
-    length_distribution,
-    load_default_g2p,
-    mean_syllable_series,
-    rank_frequency,
-    read_g2p_rules,
-    top_k,
-)
+from importlib import import_module
+
 from .errors import (
     DomainError,
     ResourceFormatError,
     TextlawsError,
     ValidationError,
 )
-from .indices import CorpusProfile, corpus_profile
 from .lexicon import (
     FormLexicon,
     LemmaLexicon,
@@ -51,3 +36,33 @@ from .tokenizer import (
 )
 
 __version__ = "0.1.0"
+
+# numpy-backed names, by home module, resolved on access (PEP 562): importing
+# the package, and so the command line's --version, --help and usage and
+# config errors, loads no numpy
+_LAZY = {
+    **dict.fromkeys((
+        "G2PRules",
+        "RankFrequencyList",
+        "count_letters",
+        "count_phonemes",
+        "count_syllables",
+        "coverage_curve",
+        "filter_min_support",
+        "form_lengths",
+        "length_distribution",
+        "load_default_g2p",
+        "mean_syllable_series",
+        "rank_frequency",
+        "read_g2p_rules",
+        "top_k",
+    ), "distributions"),
+    "CorpusProfile": "indices",
+    "corpus_profile": "indices",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -11,7 +11,6 @@ from pathlib import Path
 from . import __version__
 from .config import KEYS, STAGES, load_run_config
 from .errors import TextlawsError
-from .pipeline import run_analysis
 
 
 def _analysis_flag(key: str):
@@ -62,7 +61,11 @@ def main(argv=None) -> int:
     flags = {name: value for name, value in vars(args).items()
              if name != "config" and value is not None}
     try:
-        run_analysis(replace(load_run_config(args.config), **flags))
+        config = replace(load_run_config(args.config), **flags)
+        # the analysis code, and numpy with it, loads only for a valid config
+        from .pipeline import run_analysis
+
+        run_analysis(config)
     except TextlawsError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -56,17 +56,24 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .distributions import DEFAULT_UK_VOWELS, LENGTH_BASES
+# no numpy here, nor in what this imports: the command line answers --version,
+# --help and usage and config errors with this module, and loads the analysis
+# modules only for a valid config
 from .errors import MissingTextError, ResourceFormatError, ValidationError
-from .fitting.models import MODELS, _as_param_array
-from .fitting.segmented import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS, INTERVAL_FITS
-from .indices import COUNT_BASES, WORD_LENGTH_BASES
 from .lexicon import decode_utf8
 from .tokenizer import TokenizerConfig
 
 STAGES = ("profile", "lengths", "ranks", "fits")
+
+DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
+# what a length spectrum weighs: each word-form once, or by its token count
+LENGTH_BASES = ("types", "tokens")
+# lexicon feeding the hapax and concentration counts
+COUNT_BASES = ("lemmas", "forms")
+# what the mean word length averages over
+WORD_LENGTH_BASES = ("tokens", "types")
+DEFAULT_ZIPF_BREAKPOINTS = ((10, 200), (200, 1000), (1000, None))
+DEFAULT_COVERAGE_BREAKPOINTS = ((10, 200), (200, 2000), (2000, None))
 
 DEFAULT_FIT_MODELS = ("PhonemeGamma", "ShiftedMenzerath", "MeanSyllablePower",
                       "ZipfPower", "ZipfMandelbrot", "LogCoverage")
@@ -123,6 +130,9 @@ def _vowels(raw: str) -> frozenset[str]:
 
 
 def _models(raw: str) -> tuple[str, ...]:
+    from .fitting.models import MODELS
+    from .fitting.segmented import INTERVAL_FITS
+
     for m in (models := _names(raw)):
         if m not in MODELS and m not in INTERVAL_FITS:
             raise ValueError(f"unknown model {m!r}")
@@ -153,6 +163,11 @@ def _breakpoints(raw: str) -> tuple[tuple[int, int | None], ...]:
 
 
 def _inits(model_id: str, raw: str) -> dict[str, float]:
+    import numpy as np
+
+    from .fitting.models import MODELS, _as_param_array
+    from .fitting.segmented import INTERVAL_FITS
+
     if model_id in INTERVAL_FITS:
         # per-interval regressions in closed form: a start value would do nothing
         raise ValueError(f"{model_id} is fitted per interval and takes no start values")

@@ -14,20 +14,17 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
 
-DEFAULT_UK_VOWELS = frozenset("аеиіоуяюєї")
 # forms per joined pass of form_lengths; one pass over a whole wide lexicon
 # raises the peak memory of a run
 _SLICE_FORMS = 2048
-# what a length spectrum weighs: each word-form once, or by its token count
-LENGTH_BASES = ("types", "tokens")
 
 
 def count_letters(form: str) -> int:
@@ -225,10 +222,11 @@ def rank_frequency(lex: FormLexicon | LemmaLexicon) -> RankFrequencyList:
     if not lex.entries:
         raise ValidationError("cannot rank an empty lexicon")
     # by item, then a stable sort by count keeps that order within each count
-    ordered = sorted(lex.entries.items(), key=itemgetter(0))
-    ordered.sort(key=itemgetter(1), reverse=True)
-    counts = np.fromiter(map(itemgetter(1), ordered), dtype=np.int64, count=len(ordered))
-    return RankFrequencyList(tuple(map(itemgetter(0), ordered)), counts)
+    count_of = lex.entries.__getitem__
+    items = sorted(lex.entries)
+    items.sort(key=count_of, reverse=True)
+    counts = np.fromiter(map(count_of, items), dtype=np.int64, count=len(items))
+    return RankFrequencyList(tuple(items), counts)
 
 
 def coverage_curve(rf: RankFrequencyList) -> np.ndarray:

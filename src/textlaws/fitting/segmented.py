@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import DEFAULT_COVERAGE_BREAKPOINTS, DEFAULT_ZIPF_BREAKPOINTS
 from ..errors import ValidationError
 
 ZIPF_POWER = "ZipfPower"          # segmented_loglog_fit
 LOG_COVERAGE = "LogCoverage"      # fit_coverage
 INTERVAL_FITS = (ZIPF_POWER, LOG_COVERAGE)
-
-DEFAULT_ZIPF_BREAKPOINTS = ((10, 200), (200, 1000), (1000, None))
-DEFAULT_COVERAGE_BREAKPOINTS = ((10, 200), (200, 2000), (2000, None))
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import COUNT_BASES, WORD_LENGTH_BASES
 from .distributions import count_letters
 from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
 from .tokenizer import Tokens
-
-# lexicon feeding the hapax and concentration counts
-COUNT_BASES = ("lemmas", "forms")
-# what the mean word length averages over
-WORD_LENGTH_BASES = ("tokens", "types")
 
 
 @dataclass

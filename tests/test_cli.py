@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import textlaws
 from textlaws import (
     ResourceFormatError,
     TokenizerConfig,
@@ -201,7 +204,7 @@ class TestConfig:
 
     def test_misspelt_key_exits_3_before_the_run(self, fixtures_dir, tmp_path, capsys,
                                                  monkeypatch):
-        monkeypatch.setattr(cli, "run_analysis", lambda cfg: pytest.fail("the run started"))
+        monkeypatch.setattr(pipeline, "run_analysis", lambda cfg: pytest.fail("the run started"))
         ini = tmp_path / "run.ini"
         ini.write_text(f"[paths]\ntext = {fixtures_dir / 'corpus.txt'}\n"
                        "[analysis]\ntreshold = 0\n", encoding="utf-8")
@@ -447,7 +450,7 @@ class TestPipeline:
 
     def test_bad_threshold_flag_is_a_usage_error(self, fixture_config, tmp_path, capsys,
                                                  monkeypatch):
-        monkeypatch.setattr(cli, "run_analysis", lambda cfg: pytest.fail("the run started"))
+        monkeypatch.setattr(pipeline, "run_analysis", lambda cfg: pytest.fail("the run started"))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(fixture_config), "--out", str(out), "--threshold", "0"])
@@ -716,6 +719,68 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _numpy_loaded_after(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that prints, last, whether numpy was loaded."""
+    code = "import atexit, sys\natexit.register(lambda: print('numpy', 'numpy' in sys.modules))\n" + code
+    env = dict(os.environ, PYTHONPATH=str(Path(textlaws.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_import_loads_no_numpy():
+    proc = _numpy_loaded_after("import textlaws\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy False"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(["--version"], 0, id="version"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["--config", "x.ini", "--threshold", "0"], 2, id="bad-flag"),
+    pytest.param(["--config", "no-such.ini"], 2, id="missing-config"),
+])
+def test_front_half_answers_without_numpy(tmp_path, argv, exit_code):
+    # as python -m textlaws ARGV, from a directory that holds no config
+    proc = _numpy_loaded_after(
+        "import os, runpy\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "runpy.run_module('textlaws', run_name='__main__', alter_sys=True)\n"
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy False"
+
+
+# every name the package exported when it imported all of them eagerly
+EXPORTS = {
+    "distributions": ("G2PRules", "RankFrequencyList", "count_letters", "count_phonemes",
+                      "count_syllables", "coverage_curve", "filter_min_support", "form_lengths",
+                      "length_distribution", "load_default_g2p", "mean_syllable_series",
+                      "rank_frequency", "read_g2p_rules", "top_k"),
+    "errors": ("DomainError", "ResourceFormatError", "TextlawsError", "ValidationError"),
+    "indices": ("CorpusProfile", "corpus_profile"),
+    "lexicon": ("FormLexicon", "LemmaLexicon", "LemmaMap", "MergeRule", "apply_merge_rules",
+                "build_form_spectrum", "lemmatize", "read_lemma_map", "read_merge_rules",
+                "read_overrides"),
+    "tokenizer": ("DEFAULT_CONFIG", "TokenizerConfig", "Tokens", "split_sentences", "tokenize"),
+}
+
+
+@pytest.mark.parametrize("home, name", [
+    pytest.param(home, name, id=name) for home, names in EXPORTS.items() for name in names
+])
+def test_exported_name_is_its_home_modules(home, name):
+    expected = getattr(importlib.import_module(f"textlaws.{home}"), name)
+    assert getattr(textlaws, name) is expected
+    namespace = {}
+    exec(f"from textlaws import {name}", namespace)
+    assert namespace[name] is expected
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        textlaws.no_such_name
 
 
 # the tokenizer oracle's adversarial alphabet (numerals outside Nd, a
