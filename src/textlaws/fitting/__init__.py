@@ -1,6 +1,6 @@
-"""Model catalog, gamma function, damped least squares and segmented fits."""
+"""Model catalog, damped least squares and segmented fits."""
 
-from .levmar import FitResult, forward_jacobian, lm_fit
+from .levmar import FitResult, lm_fit
 from .models import (
     MEAN_SYLLABLE_EXP,
     MEAN_SYLLABLE_POWER,
@@ -22,7 +22,6 @@ from .segmented import (
     ols_line,
     segmented_loglog_fit,
 )
-from .special import gamma_fn
 
 __all__ = [
     "DEFAULT_COVERAGE_BREAKPOINTS",
@@ -39,8 +38,6 @@ __all__ = [
     "PowerLawSegment",
     "ShortSegment",
     "fit_coverage",
-    "forward_jacobian",
-    "gamma_fn",
     "get_model",
     "lm_fit",
     "model_eval",

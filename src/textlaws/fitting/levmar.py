@@ -7,11 +7,10 @@ factor follows Nielsen's gain ratio (Madsen, Nielsen & Tingleff, *Methods
 for Non-Linear Least Squares Problems*, IMM DTU 2004): an accepted step
 scales it by how well the linear model predicted the decrease, and each
 rejection in a row grows it twice as fast as the one before.  Derivatives
-are the model's closed-form ``jacobian`` where it has one, taken from the
-model value the residual already holds, and forward finite differences
-otherwise.  A fit has converged when a step no longer moves the parameters
-or when the Gauss-Newton model predicts a further decrease below a fixed
-fraction of the SSE, so the test scales with the data.
+are the model's closed-form ``jacobian``, taken from the model value the
+residual already holds.  A fit has converged when a step no longer moves
+the parameters or when the Gauss-Newton model predicts a further decrease
+below a fixed fraction of the SSE, so the test scales with the data.
 
 A model with an ``amplitude``, a parameter its value is proportional to,
 is fitted by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
@@ -47,9 +46,6 @@ _MAX_ITERATIONS = 200
 # converged once the Gauss-Newton step would lower the SSE by less than this share
 _DECREASE_TOL = 1e-12
 _STEP_TOL = 1e-10
-# sqrt(machine epsilon) balances truncation and rounding: a forward difference
-# is then good to about 1e-8, fine enough for the decrease test to fire
-_JACOBIAN_REL_STEP = float(np.finfo(float).eps) ** 0.5
 _INITIAL_LAMBDA = 1e-3
 _MIN_LAMBDA = 1e-12
 # a fit that needs more damping than this has stalled
@@ -66,22 +62,6 @@ class FitResult:
     converged: bool
     final_lambda: float
     sse_trace: tuple[float, ...] = ()
-
-
-def forward_jacobian(residual_fn, p: np.ndarray, rel_step: float, r0=None) -> np.ndarray:
-    """Forward-difference Jacobian of a vector function w.r.t. parameters.
-
-    One column per parameter.  ``r0`` is the function's value at ``p`` when
-    the caller already holds it.
-    """
-    r0 = residual_fn(p) if r0 is None else r0
-    jac = np.empty((r0.size, p.size))
-    for j in range(p.size):
-        h = rel_step * max(abs(p[j]), 1.0)
-        pj = p.copy()
-        pj[j] += h
-        jac[:, j] = (residual_fn(pj) - r0) / h
-    return jac
 
 
 def _prepare_data(data):
@@ -122,14 +102,6 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     if not model.params_in_domain(p, x):
         raise DomainError(f"{model.id}: initial parameters outside the model domain")
 
-    if model.jacobian is None:
-        def jacobian(p, f):
-            columns = forward_jacobian(lambda q: model.evaluate(q, x), p, _JACOBIAN_REL_STEP, f)
-            return np.ascontiguousarray(columns.T)
-    else:
-        def jacobian(p, f):
-            return model.jacobian(p, x, f)
-
     # the loop steps q: every parameter, or all but the amplitude k
     k = None if model.amplitude is None else model.param_names.index(model.amplitude)
 
@@ -163,7 +135,7 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     for _ in range(_MAX_ITERATIONS):
         iterations += 1
         # df/dp, one row per parameter; J^T r is minus half the gradient of the SSE
-        full = jacobian(p, f)
+        full = model.jacobian(p, x, f)
         jac = full if k is None else _projected(full, k)
         jtr = np.add.reduce(jac * r, axis=1)
         jtj = _gram(jac)
@@ -200,7 +172,7 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         if not stepped or converged:
             break
 
-    jac = jacobian(p, f) if full is None else full
+    jac = model.jacobian(p, x, f) if full is None else full
     stderr = _standard_errors(model.param_names, jac, sse)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(

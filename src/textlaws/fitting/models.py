@@ -1,23 +1,24 @@
 """The closed-form models that ``lm_fit`` fits and ``model_eval`` samples.
 
-Each model declares its free parameters, a vectorized evaluator, domain
-checks, a default initial guess, and (for the two probability-density
-models) the normalization constant derived from the shape parameters, so
-the fitted curve is always a proper density.  The three models whose
-derivatives need no special function also give them in closed form.  The
+Each model declares its free parameters, a vectorized evaluator, its
+derivatives in closed form, domain checks, a default initial guess, and
+(for the two probability-density models) the normalization constant derived
+from the shape parameters, so the fitted curve is always a proper density.
+The constants are computed in log space with ``math.lgamma``; the
+densities' derivatives need its derivative, the digamma function.  The
 per-interval rank and coverage fits are not models here: they live in
 ``segmented``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from .special import gamma_fn
 
 PHONEME_GAMMA = "PhonemeGamma"
 SHIFTED_MENZERATH = "ShiftedMenzerath"
@@ -34,9 +35,9 @@ class Model:
     x_in_domain: Callable[[np.ndarray], bool]
     params_in_domain: Callable[[np.ndarray, np.ndarray], bool]
     default_init: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    derived: Callable[[np.ndarray], dict[str, float]] | None = None
     # (p, x, f) -> df/dp as one row per parameter, given f = evaluate(p, x)
-    jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    derived: Callable[[np.ndarray], dict[str, float]] | None = None
     # a parameter the model value is proportional to: lm_fit solves it in
     # closed form at each step and iterates on the others alone
     amplitude: str | None = None
@@ -46,22 +47,47 @@ class Model:
         return len(self.param_names)
 
 
+def digamma(x: float) -> float:
+    """psi(x) = d ln Gamma(x) / dx for x > 0.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x lifts x to 10 or more, where the
+    asymptotic series is summed to its 1/(132 x^10) term.
+    """
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    s = 1.0 / (x * x)
+    tail = s * (1 / 12 - s * (1 / 120 - s * (1 / 252 - s * (1 / 240 - s / 132))))
+    return shift + math.log(x) - 0.5 / x - tail
+
+
+def _exp_over_gamma(log_numerator: float, shape: float) -> float:
+    """exp(log_numerator) / Gamma(shape); inf where either leaves the float range."""
+    try:
+        return math.exp(log_numerator - math.lgamma(shape))
+    except OverflowError:
+        return math.inf
+
+
+def _check_density(shape: float, rate: float) -> None:
+    if not -1.0 < shape < math.inf:
+        raise DomainError(f"shape exponent must be finite and > -1, got {shape!r}")
+    if not (rate > 0.0):
+        raise DomainError(f"decay rate must be > 0, got {rate!r}")
+
+
 def phoneme_gamma_norm(b: float, alpha: float) -> float:
     """Constant A with integral over x >= 0 of A x^b exp(-alpha x^2) equal to 1."""
-    if not (b > -1.0):
-        raise DomainError(f"shape exponent must be > -1, got {b!r}")
-    if not (alpha > 0.0):
-        raise DomainError(f"decay rate must be > 0, got {alpha!r}")
-    return 2.0 * alpha ** ((b + 1.0) / 2.0) / gamma_fn((b + 1.0) / 2.0)
+    _check_density(b, alpha)
+    h = (b + 1.0) / 2.0
+    return 2.0 * _exp_over_gamma(h * math.log(alpha), h)
 
 
 def shifted_menzerath_norm(d: float, rate: float) -> float:
     """Constant B with integral over t >= 0 of B t^d exp(-rate t) equal to 1."""
-    if not (d > -1.0):
-        raise DomainError(f"shape exponent must be > -1, got {d!r}")
-    if not (rate > 0.0):
-        raise DomainError(f"decay rate must be > 0, got {rate!r}")
-    return rate ** (d + 1.0) / gamma_fn(d + 1.0)
+    _check_density(d, rate)
+    return _exp_over_gamma((d + 1.0) * math.log(rate), d + 1.0)
 
 
 def _eval_phoneme_gamma(p, x):
@@ -95,6 +121,25 @@ def _eval_zipf_mandelbrot(p, x):
     amp, b, offset = p
     with np.errstate(all="ignore"):
         return amp * np.power(x + offset, -b)
+
+
+def _jac_phoneme_gamma(p, x, f):
+    b, alpha = p
+    h = (b + 1.0) / 2.0
+    with np.errstate(all="ignore"):
+        d_b = f * (np.log(x) + 0.5 * (math.log(alpha) - digamma(h)))
+    # where the density is 0 (x = 0 with b > 0), so is its b-derivative
+    d_b[f == 0.0] = 0.0
+    return np.stack((d_b, f * (h / alpha - x * x)))
+
+
+def _jac_shifted_menzerath(p, x, f):
+    d, rate = p
+    t = x + 1.0
+    return np.stack((
+        f * (np.log(t) + math.log(rate) - digamma(d + 1.0)),
+        f * ((d + 1.0) / rate - t),
+    ))
 
 
 def _jac_mean_syllable_power(p, x, f):
@@ -156,6 +201,7 @@ MODELS: dict[str, Model] = {
         params_in_domain=lambda p, x: p[0] > -1.0 and p[1] > 0.0
         and (p[0] >= 0.0 or bool(np.all(x > 0))),
         default_init=_init_phoneme_gamma,
+        jacobian=_jac_phoneme_gamma,
         derived=lambda p: {"A": phoneme_gamma_norm(p[0], p[1])},
     ),
     SHIFTED_MENZERATH: Model(
@@ -165,6 +211,7 @@ MODELS: dict[str, Model] = {
         x_in_domain=lambda x: bool(np.all(x >= 0)),
         params_in_domain=lambda p, x: p[0] > -1.0 and p[1] > 0.0,
         default_init=_init_shifted_menzerath,
+        jacobian=_jac_shifted_menzerath,
         derived=lambda p: {"B": shifted_menzerath_norm(p[0], p[1])},
     ),
     MEAN_SYLLABLE_POWER: Model(

