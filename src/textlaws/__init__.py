@@ -15,6 +15,7 @@ from .errors import (
     TextlawsError,
     ValidationError,
 )
+from .indices import CorpusProfile, corpus_profile
 from .lexicon import (
     FormLexicon,
     LemmaLexicon,
@@ -31,38 +32,34 @@ from .tokenizer import (
     DEFAULT_CONFIG,
     TokenizerConfig,
     Tokens,
+    count_letters,
     split_sentences,
     tokenize,
 )
 
 __version__ = "0.1.0"
 
-# numpy-backed names, by home module, resolved on access (PEP 562): importing
-# the package, and so the command line's --version, --help and usage and
-# config errors, loads no numpy
-_LAZY = {
-    **dict.fromkeys((
-        "G2PRules",
-        "RankFrequencyList",
-        "count_letters",
-        "count_phonemes",
-        "count_syllables",
-        "coverage_curve",
-        "filter_min_support",
-        "form_lengths",
-        "length_distribution",
-        "load_default_g2p",
-        "mean_syllable_series",
-        "rank_frequency",
-        "read_g2p_rules",
-        "top_k",
-    ), "distributions"),
-    "CorpusProfile": "indices",
-    "corpus_profile": "indices",
-}
+# the numpy-backed names, those of ``distributions``, resolved on access (PEP
+# 562): importing the package, and so the command line's --version, --help
+# and usage and config errors, loads no numpy
+_LAZY = frozenset((
+    "G2PRules",
+    "RankFrequencyList",
+    "count_phonemes",
+    "count_syllables",
+    "coverage_curve",
+    "filter_min_support",
+    "form_lengths",
+    "length_distribution",
+    "load_default_g2p",
+    "mean_syllable_series",
+    "rank_frequency",
+    "read_g2p_rules",
+    "top_k",
+))
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return getattr(import_module(".distributions", __name__), name)

@@ -21,15 +21,11 @@ import numpy as np
 from .config import DEFAULT_UK_VOWELS, LENGTH_BASES
 from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
+from .tokenizer import count_letters
 
 # forms per joined pass of form_lengths; one pass over a whole wide lexicon
 # raises the peak memory of a run
 _SLICE_FORMS = 2048
-
-
-def count_letters(form: str) -> int:
-    """Number of alphabetic characters; digits and marks do not count."""
-    return len(form) if form.isalpha() else sum(map(str.isalpha, form))
 
 
 def count_syllables(form: str, vowels: frozenset[str] = DEFAULT_UK_VOWELS) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import COUNT_BASES, WORD_LENGTH_BASES
-from .distributions import count_letters
 from .errors import ValidationError
 from .lexicon import FormLexicon, LemmaLexicon
-from .tokenizer import Tokens
+from .tokenizer import Tokens, count_letters
 
 
 @dataclass
@@ -68,8 +67,7 @@ def corpus_profile(
     f = len(forms.entries)
 
     if word_length_basis == "tokens":
-        letters = sum(count_letters(s) * c for (s, _), c in tokens.counts.items())
-        mean_word_len = letters / len(tokens)
+        mean_word_len = tokens.letters / len(tokens)
     else:
         mean_word_len = sum(count_letters(form) for form in forms.entries) / f
 

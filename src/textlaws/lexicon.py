@@ -10,7 +10,7 @@ or by explicit per-form count overrides.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -61,11 +61,11 @@ class LemmaLexicon:
 
 
 def build_form_spectrum(tokens: Tokens) -> FormLexicon:
-    """Count tokens by folded form, in order of first occurrence."""
-    counts: dict[str, int] = {}
-    for (_, folded), n in tokens.counts.items():
-        counts[folded] = counts.get(folded, 0) + n
-    return FormLexicon(counts, len(tokens))
+    """Tokens counted by folded form, in order of first occurrence.
+
+    The lexicon's entries are ``tokens.forms`` itself, not a copy.
+    """
+    return FormLexicon(tokens.forms, len(tokens))
 
 
 def _merge_rule_fault(rules: list[MergeRule]) -> tuple[int, str] | None:
@@ -260,13 +260,16 @@ def read_merge_rules(path: str | Path) -> list[MergeRule]:
 _last_lemma_map: tuple[bytes, LemmaMap] | None = None
 
 
-def read_lemma_map(path: str | Path) -> LemmaMap:
+def read_lemma_map(path: str | Path, forms: Iterable[str] = ()) -> LemmaMap:
     """Read a lemma map: ``form<TAB>lemma[<TAB>share]``, one row per pair.
 
     A form with several rows is ambiguous; its shares may be fractions or
     absolute counts (they are normalized when the split is applied).  When
     the file's bytes equal those of the previous call, the map parsed then
     is returned again; a malformed file is parsed (and reported) every time.
+    A parse holds each string that equals one of ``forms`` (a lexicon's
+    entries) as that object, so a text's forms are not held twice; the map
+    compares equal to one read without them.
     """
     # imported here, not at the top: hashlib loads OpenSSL (about 6 ms and
     # 3.5 MB), which start-up and runs without a lemma map need not pay
@@ -281,13 +284,14 @@ def read_lemma_map(path: str | Path) -> LemmaMap:
     text = decode_utf8(path, data)
     # the bytes are freed before the parser's peak
     del data
-    lemma_map = _parse_lemma_map(path, text)
+    lemma_map = _parse_lemma_map(path, text, forms)
     _last_lemma_map = digest, lemma_map
     return lemma_map
 
 
-def _parse_lemma_map(path: str | Path, text: str) -> LemmaMap:
-    lemmas: dict[str, str] = {}          # one string per distinct lemma
+def _parse_lemma_map(path: str | Path, text: str, forms: Iterable[str]) -> LemmaMap:
+    # one string per distinct form and lemma, the lexicon's own where it has one
+    pool: dict[str, str] = {form: form for form in forms}
     rows: dict[str, str] = {}            # the first row of each form
     shares: dict[str, float] = {}        # its share, where the row gives one
     more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
@@ -296,7 +300,7 @@ def _parse_lemma_map(path: str | Path, text: str) -> LemmaMap:
         form, lemma = fields[0].strip(), fields[1].strip()
         if not form or not lemma:
             raise ResourceFormatError(path, line_no, "empty form or lemma")
-        lemma = lemmas.setdefault(lemma, lemma)
+        form, lemma = pool.setdefault(form, form), pool.setdefault(lemma, lemma)
         share = 1.0
         if len(fields) == 3:
             try:

@@ -78,7 +78,7 @@ def run_analysis(cfg: RunConfig) -> None:
             log.info("applied %d merge rules", len(rules))
         lemmas = None
         if cfg.lemma_map_path is not None:
-            lemma_map = read_lemma_map(cfg.lemma_map_path)
+            lemma_map = read_lemma_map(cfg.lemma_map_path, forms.entries)
             overrides = []
             if cfg.overrides_path is not None:
                 overrides = read_overrides(cfg.overrides_path)

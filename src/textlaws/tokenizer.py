@@ -78,12 +78,14 @@ DEFAULT_CONFIG = TokenizerConfig()
 class Tokens:
     """The token counts of one text.
 
-    ``counts`` maps each ``(surface, folded)`` pair to its number of
-    tokens, in order of first occurrence.  ``n`` is the number of tokens,
-    which ``len`` gives too.
+    ``forms`` maps each folded form to its number of tokens, in order of
+    first occurrence.  ``letters`` is ``count_letters`` of each token's
+    surface, summed over the tokens.  ``n`` is the number of tokens, which
+    ``len`` gives too.
     """
 
-    counts: dict[tuple[str, str], int]
+    forms: dict[str, int]
+    letters: int
     n: int
 
     def __len__(self) -> int:
@@ -150,10 +152,15 @@ def _edge_chars(cfg: TokenizerConfig) -> str:
     return "".join(sorted(marks - cfg.intra_token_chars))
 
 
-def _token_fields(surface: str, cfg: TokenizerConfig) -> tuple[str, str]:
+def count_letters(form: str) -> int:
+    """Number of alphabetic characters; digits and marks do not count."""
+    return len(form) if form.isalpha() else sum(map(str.isalpha, form))
+
+
+def _folded(surface: str, cfg: TokenizerConfig) -> str:
     folded = surface.casefold() if cfg.case_folding else surface
-    # a form that folding leaves unchanged keeps one string for both fields
-    return surface, surface if folded == surface else folded
+    # a form that folding leaves unchanged keeps the surface's string
+    return surface if folded == surface else folded
 
 
 def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
@@ -169,8 +176,8 @@ def _run_tokens(run: str, token: re.Pattern, cfg: TokenizerConfig) -> tuple:
             c if _is_word_char(c) or c in cfg.intra_token_chars else " " for c in run
         )
         if blanked != run:
-            return tuple((m.start(), _token_fields(m[0], cfg)) for m in token.finditer(blanked))
-    return ((0, _token_fields(run, cfg)),)
+            return tuple((m.start(), (m[0], _folded(m[0], cfg))) for m in token.finditer(blanked))
+    return ((0, (run, _folded(run, cfg))),)
 
 
 class _Runs(dict):
@@ -213,19 +220,22 @@ def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_CONFIG) -> Tokens:
     chunks: Counter[str] = Counter()
     for block in _blocks(text):
         chunks.update(block.split())
-    counts: dict[tuple[str, str], int] = {}
+    forms: dict[str, int] = {}
+    letters = 0
     # chunks and the tokens in each come in order of first occurrence
     for chunk, n in chunks.items():
         word = chunk.strip(edges)
         if word.isalpha():
             # letters only, once edge punctuation is stripped: one run, and one token
-            key = _token_fields(word, cfg)
-            counts[key] = counts.get(key, 0) + n
+            key = _folded(word, cfg)
+            forms[key] = forms.get(key, 0) + n
+            letters += len(word) * n
             continue
         for run in runs.token.findall(chunk):
-            for _, key in runs[run]:
-                counts[key] = counts.get(key, 0) + n
-    return Tokens(counts, sum(counts.values()))
+            for _, (surface, key) in runs[run]:
+                forms[key] = forms.get(key, 0) + n
+                letters += count_letters(surface) * n
+    return Tokens(forms, letters, sum(forms.values()))
 
 
 def _is_upper(ch: str) -> bool:

@@ -754,8 +754,8 @@ def test_front_half_answers_without_numpy(tmp_path, argv, exit_code):
 
 # every name the package exported when it imported all of them eagerly
 EXPORTS = {
-    "distributions": ("G2PRules", "RankFrequencyList", "count_letters", "count_phonemes",
-                      "count_syllables", "coverage_curve", "filter_min_support", "form_lengths",
+    "distributions": ("G2PRules", "RankFrequencyList", "count_phonemes", "count_syllables",
+                      "coverage_curve", "filter_min_support", "form_lengths",
                       "length_distribution", "load_default_g2p", "mean_syllable_series",
                       "rank_frequency", "read_g2p_rules", "top_k"),
     "errors": ("DomainError", "ResourceFormatError", "TextlawsError", "ValidationError"),
@@ -763,7 +763,8 @@ EXPORTS = {
     "lexicon": ("FormLexicon", "LemmaLexicon", "LemmaMap", "MergeRule", "apply_merge_rules",
                 "build_form_spectrum", "lemmatize", "read_lemma_map", "read_merge_rules",
                 "read_overrides"),
-    "tokenizer": ("DEFAULT_CONFIG", "TokenizerConfig", "Tokens", "split_sentences", "tokenize"),
+    "tokenizer": ("DEFAULT_CONFIG", "TokenizerConfig", "Tokens", "count_letters",
+                  "split_sentences", "tokenize"),
 }
 
 

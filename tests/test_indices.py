@@ -68,6 +68,8 @@ def test_mean_word_length_counts_letters_only():
     # "1848" has no letters, "так" has three: 6 letters over 3 tokens
     profile = profile_of("так 1848 так")
     assert profile.mean_word_len_letters == 2.0
+    # a token's letters are its surface's: "STRAßE" has 6, its form "strasse" 7
+    assert profile_of("STRAßE 1848").mean_word_len_letters == 3.0
 
 
 def test_mean_sentence_length():
@@ -182,6 +184,12 @@ def test_word_length_basis_types():
     )
     assert by_tokens.mean_word_len_letters == pytest.approx(5 / 3)
     assert by_types.mean_word_len_letters == pytest.approx(3 / 2)
+    # the types basis counts the folded forms' letters
+    tokens = tokenize("STRAßE")
+    forms = build_form_spectrum(tokens)
+    by_types = corpus_profile(tokens, 1, forms, None, threshold=10,
+                              count_basis="forms", word_length_basis="types")
+    assert by_types.mean_word_len_letters == 7.0
 
 
 def test_profile_serialization_keys():

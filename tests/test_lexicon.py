@@ -360,9 +360,9 @@ def parses(monkeypatch):
     calls = []
     parse = lexicon._parse_lemma_map
 
-    def counted(path, data):
+    def counted(path, *args):
         calls.append(path)
-        return parse(path, data)
+        return parse(path, *args)
 
     monkeypatch.setattr(lexicon, "_last_lemma_map", None)
     monkeypatch.setattr(lexicon, "_parse_lemma_map", counted)
@@ -379,7 +379,24 @@ class TestLemmaMapReuse:
     def test_same_bytes_at_two_paths_parse_once(self, tmp_path, parses):
         first = read_lemma_map(self.write(tmp_path / "a.tsv", self.MAP))
         assert read_lemma_map(self.write(tmp_path / "b.tsv", self.MAP)) is first
+        # another lexicon's forms do not make the same bytes parse again
+        forms = build_form_spectrum(tokenize("що стежки")).entries
+        assert read_lemma_map(tmp_path / "b.tsv", forms) is first
         assert parses == [tmp_path / "a.tsv"]
+
+    def test_map_holds_the_lexicons_strings(self, tmp_path, parses, monkeypatch):
+        path = self.write(tmp_path / "lemmas.tsv", self.MAP + "стежку\tстежка\nщо_спол\tщо\n")
+        plain = read_lemma_map(path)
+        monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+        forms = build_form_spectrum(tokenize("Стежки що стежку стежка нема")).entries
+        shared = read_lemma_map(path, forms)
+        assert len(parses) == 2
+        assert shared == plain
+        assert (shared.rows, shared.ambiguous) == (plain.rows, plain.ambiguous)
+        held = {id(s) for s in (*shared.rows, *shared.rows.values(), *shared.ambiguous)}
+        held |= {id(lemma) for split in shared.ambiguous.values() for lemma, _ in split}
+        # each lexicon form the map names, as a form or as a lemma, is the lexicon's object
+        assert [form for form in forms if id(form) in held] == ["стежки", "що", "стежку", "стежка"]
 
     def test_rewritten_file_is_parsed_again(self, tmp_path, parses):
         path = self.write(tmp_path / "lemmas.tsv", self.MAP)

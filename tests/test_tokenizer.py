@@ -15,6 +15,7 @@ from textlaws import (
     TokenizerConfig,
     Tokens,
     ValidationError,
+    count_letters,
     split_sentences,
     tokenize,
     tokenizer,
@@ -30,8 +31,23 @@ TEXT_ALPHABET = "абвгіїєщьюя ABCdef 0159-'’§.,!?…«»—\n\t"
 
 
 def surface_counts(text, cfg=DEFAULT_CONFIG):
-    """The token count of each surface of ``text``, in order of first occurrence."""
-    return {surface: n for (surface, _), n in tokenize(text, cfg).counts.items()}
+    """The token count of each surface of ``text``, in order of first occurrence.
+
+    With case folding off, the forms are the surfaces.
+    """
+    return tokenize(text, dataclasses.replace(cfg, case_folding=False)).forms
+
+
+def oracle_counts(text, cfg):
+    """The oracle's tokens as ``tokenize`` counts them: forms in order, letters, n."""
+    tokens = oracle_tokenize(text, cfg)
+    letters = sum(ch.isalpha() for t in tokens for ch in t.surface)
+    return Tokens(dict(Counter(t.folded for t in tokens)), letters, len(tokens))
+
+
+def assert_counts_equal(tokens, expected):
+    assert list(tokens.forms.items()) == list(expected.forms.items())
+    assert (tokens.letters, tokens.n) == (expected.letters, expected.n)
 
 
 def sentence_lengths(text, cfg=DEFAULT_CONFIG):
@@ -52,7 +68,7 @@ def test_alphanumeric_sequences_are_single_tokens(raw):
 
 def test_empty_text_yields_no_tokens():
     tokens = tokenize("")
-    assert tokens.counts == {} and len(tokens) == 0
+    assert tokens.forms == {} and tokens.letters == 0 and len(tokens) == 0
 
 
 def test_hand_tokenized_mixed_sentence():
@@ -77,21 +93,22 @@ def test_attached_punctuation_is_stripped():
 
 
 def test_case_folding_key():
-    assert tokenize("Стежки стежки").counts == {("Стежки", "стежки"): 1, ("стежки", "стежки"): 1}
-    raw = tokenize("Стежки", TokenizerConfig(case_folding=False))
-    assert raw.counts == {("Стежки", "Стежки"): 1}
+    assert tokenize("Стежки стежки").forms == {"стежки": 2}
+    raw = tokenize("Стежки стежки", TokenizerConfig(case_folding=False))
+    assert raw.forms == {"Стежки": 1, "стежки": 1}
 
 
 @given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
 def test_tokenize_detokenized_is_idempotent(text):
-    first = tokenize(text).counts
-    again = tokenize(" ".join(s for (s, _), n in first.items() for _ in range(n))).counts
-    assert list(again.items()) == list(first.items())
+    raw = TokenizerConfig(case_folding=False)
+    first = tokenize(text, raw)
+    again = tokenize(" ".join(s for s, n in first.forms.items() for _ in range(n)), raw)
+    assert_counts_equal(again, first)
 
 
 @given(st.text(alphabet=TEXT_ALPHABET, max_size=80))
 def test_every_token_has_letter_or_digit(text):
-    for surface, _ in tokenize(text).counts:
+    for surface in surface_counts(text):
         assert any(ch.isalpha() or ch.isdigit() for ch in surface)
 
 
@@ -166,10 +183,9 @@ tokenizer_configs = st.builds(
 @example("a§ §1 a§§b a§§§b в--в м’ята x²y 1½ Ⅻ-а", DEFAULT_CONFIG)
 @example("x²§ §² ²²a ½§", TokenizerConfig(intra_token_chars=frozenset("²§")))
 def test_tokenize_matches_scanner_oracle(text, cfg):
-    tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
-    expected_counts = Counter((t.surface, t.folded) for t in expected)
-    assert list(tokens.counts.items()) == list(expected_counts.items())
-    assert len(tokens) == len(expected)
+    tokens = tokenize(text, cfg)
+    assert_counts_equal(tokens, oracle_counts(text, cfg))
+    assert len(tokens) == tokens.n
 
 
 @settings(max_examples=300)
@@ -217,10 +233,7 @@ def test_counts_across_block_cuts():
     assert blocks[3].endswith(" т.") and blocks[4] == " — Б."
 
     cfg = TokenizerConfig(abbreviations=frozenset({"т"}))
-    tokens, expected = tokenize(text, cfg), oracle_tokenize(text, cfg)
-    expected_counts = Counter((t.surface, t.folded) for t in expected)
-    assert list(tokens.counts.items()) == list(expected_counts.items())
-    assert len(tokens) == len(expected)
+    assert_counts_equal(tokenize(text, cfg), oracle_counts(text, cfg))
     assert len(split_sentences(text, cfg)) == len(oracle_split_sentences(text, cfg))
 
 
@@ -245,23 +258,26 @@ def test_edge_punctuation_that_is_an_intra_token_char_stays(added, removed, expe
     edges = set(tokenizer._edge_chars(cfg))
     assert not edges & intra and set(removed) <= edges
     assert surface_counts(EDGE_TEXT, cfg) == expected
-    oracle_counts = Counter((t.surface, t.folded) for t in oracle_tokenize(EDGE_TEXT, cfg))
-    assert list(tokenize(EDGE_TEXT, cfg).counts.items()) == list(oracle_counts.items())
+    assert_counts_equal(tokenize(EDGE_TEXT, cfg), oracle_counts(EDGE_TEXT, cfg))
 
 
 def test_tokens_holds_the_counts_and_their_sum():
     tokens = tokenize("Так, так — in die Так.")
     assert isinstance(tokens, Tokens)
-    assert list(tokens.counts.items()) == [
-        (("Так", "так"), 2), (("так", "так"), 1), (("in", "in"), 1), (("die", "die"), 1),
-    ]
+    assert list(tokens.forms.items()) == [("так", 3), ("in", 1), ("die", 1)]
+    assert tokens.letters == 3 * 3 + 2 + 3
     assert len(tokens) == tokens.n == 5
-    # a form that folding leaves unchanged keeps one string for both fields
-    [(surface, folded)] = tokenize("так так").counts
-    assert surface is folded
+    # the letters are the surfaces': folding can change a count (ß -> ss, ﬁ -> fi)
+    folds = tokenize("STRAßE ﬁx 1848 x²")
+    assert list(folds.forms.items()) == [("strasse", 1), ("fix", 1), ("1848", 1), ("x", 1)]
+    assert folds.letters == 6 + 2 + 0 + 1
+    assert folds.letters == sum(map(count_letters, ["STRAßE", "ﬁx", "1848", "x"]))
+    # a form that folding leaves unchanged keeps the surface's string
+    for surface, unchanged in [("так", True), ("§136", True), ("Так", False)]:
+        assert (tokenizer._folded(surface, DEFAULT_CONFIG) is surface) == unchanged
     empty = tokenize("")
     assert len(empty) == 0 and not empty
-    assert empty == Tokens({}, 0)
+    assert empty == Tokens({}, 0, 0)
 
 
 def test_tokens_is_frozen_slotted():
