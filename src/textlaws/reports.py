@@ -21,21 +21,36 @@ from .indices import CorpusProfile
 _PLOT_ROWS = 4096
 
 
+def _integral(column: np.ndarray) -> bool:
+    """Whether ``%d`` writes each value of ``column`` as ``%.6g`` does.
+
+    It does for an integral value in [0, 1e6), but not for -0.0 ("-0"),
+    and formats a Python int about twice as fast as ``%.6g`` a float.
+    """
+    return bool(np.all(~np.signbit(column) & (column < 1e6) & (np.floor(column) == column)))
+
+
 def emit_plot_data(series, path: str | Path) -> None:
     """Write an ``x y`` file, one point per line, no header.
 
     ``series`` is a sequence of (x, y) pairs or an (n, 2) array.  One ``%``
     template formats every value as ``f"{v:.6g}"`` would: ints format
-    through ``float`` either way.  The rows are formatted and written
+    through ``float`` either way, and a column that ``_integral`` admits is
+    written from ints with ``%d``.  The rows are formatted and written
     ``_PLOT_ROWS`` at a time.
     """
     points = np.asarray(series, dtype=float)
     if not points.size:
         raise ValidationError(f"refusing to write an empty plot file: {path}")
+    columns = [c.astype(np.int64) if _integral(c) else c for c in points.T]
+    row = " ".join("%d" if c.dtype.kind == "i" else "%.6g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8") as out:
         for start in range(0, len(points), _PLOT_ROWS):
-            part = points[start:start + _PLOT_ROWS]
-            out.write(("%.6g %.6g\n" * len(part)) % tuple(part.ravel().tolist()))
+            stop = min(start + _PLOT_ROWS, len(points))
+            values = [None] * (len(columns) * (stop - start))
+            for k, column in enumerate(columns):
+                values[k::len(columns)] = column[start:stop].tolist()
+            out.write((row * (stop - start)) % tuple(values))
 
 
 def _scalar_str(value, float_format) -> str:

@@ -92,6 +92,39 @@ class TestEmitPlotData:
         expected = "".join(f"{x:.6g} {y:.6g}\n" for x, y in zip(ranks.tolist(), values.tolist()))
         assert path.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("column", [
+        pytest.param([0.0, 1.0, 2.0], id="zero"),
+        pytest.param([999999.0, 3.0], id="999999"),
+        pytest.param([1e6, 3.0], id="1e6"),
+        pytest.param([-0.0, 3.0], id="negative-zero"),
+        pytest.param([-3.0, 3.0], id="negative"),
+        pytest.param([1.0, 2.5, 3.0], id="one-non-integral"),
+        pytest.param([1.0, float("nan")], id="nan"),
+        pytest.param([1.0, float("inf")], id="inf"),
+    ])
+    def test_integral_columns_match_the_six_digit_template(self, tmp_path, column):
+        # an integral column in [0, 1e6) is written with %d, every other with %.6g
+        path = tmp_path / "series.dat"
+        series = np.column_stack((column, column[::-1]))
+        emit_plot_data(series, path)
+        expected = ("%.6g %.6g\n" * len(series)) % tuple(series.ravel().tolist())
+        assert path.read_text(encoding="utf-8") == expected
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 10**6 + 2).map(float),
+        st.floats(-1e7, 1e7),
+        st.sampled_from([-0.0, 0.0, 999999.0, 1e6, 0.5]),
+    ), min_size=1, max_size=30), st.booleans())
+    def test_random_columns_match_the_six_digit_template(self, column, integral_first):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.dat"
+            ranks = np.arange(1, len(column) + 1, dtype=float)
+            pair = (ranks, column) if integral_first else (column, ranks)
+            series = np.column_stack(pair)
+            emit_plot_data(series, path)
+            expected = ("%.6g %.6g\n" * len(series)) % tuple(series.ravel().tolist())
+            assert path.read_text(encoding="utf-8") == expected
+
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_plot_data([], tmp_path / "nothing.dat")
