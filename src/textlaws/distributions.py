@@ -196,16 +196,20 @@ def mean_syllable_series(
     Returns (syllables, mean, support) points; the mean is over the
     ``support`` distinct word-forms (columns of ``form_lengths``).
     Non-syllabic forms are excluded: with zero syllables their syllable
-    length is unbounded.
+    length is unbounded.  Each mean is one division of integers, the
+    letter sum over s · support, so it is the exact mean rounded once and
+    does not depend on the order of the forms.
     """
-    sums: dict[int, float] = defaultdict(float)
+    letter_sums: dict[int, int] = defaultdict(int)
     support: dict[int, int] = defaultdict(int)
     for n_letters, s in zip(letters, syllables, strict=True):
         if s == 0:
             continue
-        sums[s] += n_letters / s
+        letter_sums[s] += n_letters
         support[s] += 1
-    return tuple((s, sums[s] / support[s], support[s]) for s in sorted(sums))
+    return tuple(
+        (s, letter_sums[s] / (s * support[s]), support[s]) for s in sorted(letter_sums)
+    )
 
 
 def filter_min_support(series, min_support: int) -> tuple[tuple[int, float, int], ...]:

@@ -6,14 +6,22 @@ rules and the overrides name.  Configs and resources are drawn valid only,
 so every run must exit 0.  Tokens and sentences are recounted by
 ``tokenizer_oracle``, forms and lemmas by the lexicon recount of the
 acceptance suite.
+
+Two relations check the bundle as a function of the counts, fits included:
+a text of whole-sentence lines gives the same bytes in any line order, and
+written twice it gives exactly twice the counts.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -70,11 +78,12 @@ _ambiguous = st.lists(
     st.tuples(st.sampled_from(LEMMAS), st.sampled_from(SHARES)),
     min_size=2, max_size=3, unique_by=lambda row: row[0],
 ).filter(lambda rows: any(share != "0" for _, share in rows))
+merge_rules = st.lists(
+    st.tuples(st.sampled_from(FORMS), st.sets(st.sampled_from(FORMS), min_size=1)),
+    max_size=3,
+).map(_merge_lines)
 resources = st.fixed_dictionaries({}, optional={
-    "merges.tsv": st.lists(
-        st.tuples(st.sampled_from(FORMS), st.sets(st.sampled_from(FORMS), min_size=1)),
-        max_size=3,
-    ).map(_merge_lines),
+    "merges.tsv": merge_rules,
     "lemmas.tsv": st.dictionaries(
         st.sampled_from(FORMS), st.sampled_from(LEMMAS) | _ambiguous, min_size=1
     ).map(_lemma_lines),
@@ -179,3 +188,196 @@ def test_bundle_matches_an_independent_recount(words, tail, tok_cfg, analysis, r
             f"{rank}\t{item}\t{100.0 * count / total:.4f}"
             for rank, (item, count) in enumerate(order[:k], start=1)
         ]
+
+
+# each line starts with a capital and ends in a token and a period that no
+# abbreviation takes, under a config where the period is a terminator and
+# no intra-token char: so every line is whole sentences, whatever line
+# comes before or after it
+FIRST, LAST = "Він", "кінець."
+
+
+def _line_config(tok_cfg):
+    return replace(tok_cfg, intra_token_chars=tok_cfg.intra_token_chars - {"."},
+                   sentence_terminators=tok_cfg.sentence_terminators | {"."})
+
+
+# enough distinct forms per syllable count for the mean-syllable fits, with
+# letters per syllable that are not exact in binary (5/3, 7/6, ...)
+syllabic_words = st.lists(
+    st.sampled_from(["а", "о", "ба", "ве", "ді", "ко", "лу", "ма", "не", "ро", "сті", "тра"]),
+    min_size=1, max_size=6,
+).map("".join)
+sentence_lines = st.lists(
+    st.tuples(st.lists(st.sampled_from(WORDS) | syllabic_words, max_size=16),
+              st.text(alphabet=ORACLE_ALPHABET, max_size=30)).map(
+        lambda line: " ".join([FIRST, *line[0], line[1], LAST])
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _run_bundle(root, body, files):
+    """Write the config and its files into ``root`` and run it; the bundle's directory."""
+    root.mkdir()
+    for name, content in {"run.ini": body, **files}.items():
+        (root / name).write_text(content, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(root / "run.ini"), "--out", str(root / "out")])
+    assert code == 0, stderr.getvalue()
+    return root / "out"
+
+
+def _bundle_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=sentence_lines, tok_cfg=tokenizer_configs, analysis=analysis_sections,
+       resources=resources, data=st.data())
+def test_line_order_leaves_the_bundle_unchanged(lines, tok_cfg, analysis, resources, data):
+    tok_cfg = _line_config(tok_cfg)
+    shuffled = data.draw(st.permutations(lines))
+    text = "\n".join(lines) + "\n"
+    if "overrides.tsv" in resources:
+        forms = dict(Counter(t.folded for t in oracle_tokenize(text, tok_cfg)))
+        oracle_lexicon(forms, resources.get("merges.tsv", ""))
+        resources["overrides.tsv"] = _override_lines(resources["overrides.tsv"], forms)
+    if "lemmas.tsv" in resources and analysis["rank_basis"] == "lemmas":
+        # an empty lemma lexicon cannot be ranked
+        forms = Counter(t.folded for t in oracle_tokenize(text, tok_cfg))
+        merged = dict(forms)
+        assume(oracle_lexicon(merged, resources.get("merges.tsv", ""),
+                              resources["lemmas.tsv"], resources.get("overrides.tsv", "")))
+    body = "[paths]\ntext = corpus.txt\n" + "".join(
+        f"{RESOURCE_KEYS[name]} = {name}\n" for name in resources
+    )
+    body += _tokenizer_section(tok_cfg) + _section("analysis", analysis)
+    with tempfile.TemporaryDirectory() as tmp:
+        bundles = [
+            _bundle_bytes(_run_bundle(Path(tmp) / name, body, {"corpus.txt": content, **resources}))
+            for name, content in (("original", text), ("shuffled", "\n".join(shuffled) + "\n"))
+        ]
+    assert bundles[0] == bundles[1]
+
+
+def test_fixture_line_order_leaves_the_bundle_unchanged(fixtures_dir, tmp_path):
+    lines = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8").splitlines()
+    for name in ("original", "reversed"):
+        shutil.copytree(fixtures_dir, tmp_path / name)
+    (tmp_path / "reversed" / "corpus.txt").write_text(
+        "\n".join(reversed(lines)) + "\n", encoding="utf-8"
+    )
+    bundles = []
+    for name in ("original", "reversed"):
+        root = tmp_path / name
+        assert main(["--config", str(root / "run.ini"), "--out", str(root / "out")]) == 0
+        bundles.append(_bundle_bytes(root / "out"))
+    assert len(bundles[0]) == 15
+    assert bundles[0] == bundles[1]
+
+
+def _tokenizer_section(tok_cfg):
+    return _section("tokenizer", {
+        "intra_token_chars": "".join(sorted(tok_cfg.intra_token_chars)),
+        "sentence_terminators": "".join(sorted(tok_cfg.sentence_terminators)),
+        "case_folding": str(tok_cfg.case_folding).lower(),
+        "abbreviations": ",".join(sorted(tok_cfg.abbreviations)),
+    })
+
+
+# fits of values that do not scale with the counts: shares and mean lengths
+SHAPE_FITS = ("PhonemeGamma", "ShiftedMenzerath", "MeanSyllablePower", "MeanSyllableExp")
+# files that hold only shares, lengths and ranks
+SHAPE_FILES = ("coverage.dat", "lengths_letters.dat", "lengths_phonemes.dat",
+               "lengths_syllables.dat", "mean_syllable.dat", "topk.tsv")
+
+
+def assert_doubled(once, twice):
+    """``twice``, the bundle of a text written twice, against ``once``'s.
+
+    The counts are linear in the text only without a lemma map: its
+    overrides pin absolute counts and its homonym splits round, so neither
+    is used here.  Doubling is exact in binary floating point, and the fit
+    loop's tests are relative, so the fits of shares are bit-identical and
+    ZipfMandelbrot's amplitude and SSE scale exactly (its standard errors
+    need not).
+    """
+    first, second = (json.loads((out / "profile.json").read_text("utf-8")) for out in (once, twice))
+    assert (second["N"], second["F"]) == (2 * first["N"], first["F"])
+    assert second["threshold"] == 2 * first["threshold"]
+    for key in ("mean_word_len_letters", "mean_sentence_len_words", "V_at_threshold",
+                "conc_text", "conc_vocab"):
+        assert second[key] == first[key], key
+    assert second["N_at_threshold"] == 2 * first["N_at_threshold"]
+    assert (second["hapax_V1"], second["excl_vocab"], second["excl_text"]) == (0, 0, 0)
+
+    ranks = [_read_plot(out / "rank_freq.dat") for out in (once, twice)]
+    assert ranks[1] == [(r, 2 * c) for r, c in ranks[0]]
+    for name in SHAPE_FILES:
+        assert (once / name).exists() == (twice / name).exists(), name
+        if (once / name).exists():
+            assert (once / name).read_bytes() == (twice / name).read_bytes(), name
+
+    fits = [json.loads((out / "fits.json").read_text("utf-8")) for out in (once, twice)]
+    for model_id in SHAPE_FITS:
+        assert _same(fits[1].get(model_id), fits[0].get(model_id)), model_id
+        curve = f"fitcurve_{model_id}.dat"
+        assert (once / curve).exists() == (twice / curve).exists(), model_id
+        if (once / curve).exists():
+            assert (once / curve).read_bytes() == (twice / curve).read_bytes(), model_id
+    zm, zm2 = fits[0]["ZipfMandelbrot"], fits[1]["ZipfMandelbrot"]
+    if "params" not in zm:
+        assert _same(zm2, zm)
+        return
+    assert _same(zm2["params"], {**zm["params"], "A": 2 * zm["params"]["A"]})
+    assert _same(zm2["sse"], 4 * zm["sse"])
+    assert (zm2["iterations"], zm2["converged"]) == (zm["iterations"], zm["converged"])
+
+
+def _same(a, b):
+    """Equal as JSON values, where NaN equals NaN."""
+    return json.dumps(a) == json.dumps(b)
+
+
+FITS = "[fits]\nmodels = " + ",".join((*SHAPE_FITS, "ZipfMandelbrot")) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=sentence_lines, tok_cfg=tokenizer_configs, analysis=analysis_sections,
+       merges=st.none() | merge_rules)
+def test_text_written_twice_doubles_the_counts(lines, tok_cfg, analysis, merges):
+    text = "\n".join(lines) + "\n"
+    analysis = {**analysis, "rank_basis": "forms", "count_basis": "forms"}
+    files = {} if merges is None else {"merges.tsv": merges}
+    body = "[paths]\ntext = corpus.txt\n" + "".join(
+        f"{RESOURCE_KEYS[name]} = {name}\n" for name in files
+    )
+    body += _tokenizer_section(_line_config(tok_cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        once, twice = (
+            _run_bundle(Path(tmp) / name, body + _section("analysis", {
+                **analysis, "threshold": k * analysis["threshold"]}) + FITS,
+                {"corpus.txt": k * text, **files})
+            for k, name in ((1, "once"), (2, "twice"))
+        )
+        assert_doubled(once, twice)
+
+
+def test_fixture_written_twice_doubles_the_counts(fixtures_dir, tmp_path):
+    text = (fixtures_dir / "corpus.txt").read_text(encoding="utf-8")
+    outs = []
+    for k in (1, 2):
+        root = tmp_path / f"x{k}"
+        root.mkdir()
+        shutil.copy(fixtures_dir / "merges.tsv", root)
+        (root / "corpus.txt").write_text(k * text, encoding="utf-8")
+        (root / "run.ini").write_text(
+            "[paths]\ntext = corpus.txt\nmerge_rules = merges.tsv\n"
+            f"[analysis]\nthreshold = {10 * k}\nrank_basis = forms\ncount_basis = forms\n"
+            + FITS, encoding="utf-8")
+        assert main(["--config", str(root / "run.ini"), "--out", str(root / "out")]) == 0
+        outs.append(root / "out")
+    assert "params" in json.loads((outs[0] / "fits.json").read_text("utf-8"))["ZipfMandelbrot"]
+    assert_doubled(*outs)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -309,11 +310,18 @@ class TestMeanSyllableSeries:
         for form in entries:
             s = sum(ch in "ае" for ch in form)
             if s:
-                groups.setdefault(s, []).append(len(form) / s)
+                groups.setdefault(s, []).append(Fraction(len(form), s))
         series = series_of(entries, vowels=frozenset("ае"))
+        # each mean is the exact one, rounded once
         assert series == tuple(
-            (s, sum(vals) / len(vals), len(vals)) for s, vals in sorted(groups.items())
+            (s, float(sum(vals) / len(vals)), len(vals)) for s, vals in sorted(groups.items())
         )
+
+    def test_mean_does_not_depend_on_form_order(self):
+        # the float sums 1/3 + 1/3 + 6/3 and 6/3 + 1/3 + 1/3 round apart
+        letters, syllables = [1, 1, 6], [3, 3, 3]
+        assert mean_syllable_series(letters, syllables) == ((3, 8 / 9, 3),)
+        assert mean_syllable_series(letters[::-1], syllables) == ((3, 8 / 9, 3),)
 
     def test_min_support_filter(self):
         series = series_of({"на": 1, "і": 1, "мала": 1, "тара": 1})
