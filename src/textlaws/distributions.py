@@ -174,7 +174,8 @@ def length_distribution(
     """Fraction of word-forms (types) or token mass (tokens) per length.
 
     Returns (length, fraction) points.  The lengths are ``table[unit]``, a
-    column of ``form_lengths``.
+    column of ``form_lengths``.  The weights are integer sums, so the
+    fractions do not depend on the order of the forms.
     """
     if basis not in LENGTH_BASES:
         raise ValidationError(f"unknown basis {basis!r}")

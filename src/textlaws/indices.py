@@ -52,7 +52,9 @@ def corpus_profile(
     counts ("lemmas" or "forms"); vocabulary size and its ratios always come
     from the lemma lexicon and are left unset when it is unavailable.
     ``word_length_basis`` averages letters per token over the running text
-    ("tokens") or over distinct word-forms ("types").
+    ("tokens") or over distinct word-forms ("types").  Every sum here is
+    an integer sum, so the profile does not depend on the order of the
+    forms.
     """
     if forms.total_tokens == 0 or not tokens:
         raise ValidationError("corpus is empty; all indices are undefined")

@@ -111,6 +111,15 @@ def _section(name, values):
     return f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+def _tokenizer_section(tok_cfg):
+    return _section("tokenizer", {
+        "intra_token_chars": "".join(sorted(tok_cfg.intra_token_chars)),
+        "sentence_terminators": "".join(sorted(tok_cfg.sentence_terminators)),
+        "case_folding": str(tok_cfg.case_folding).lower(),
+        "abbreviations": ",".join(sorted(tok_cfg.abbreviations)),
+    })
+
+
 def _read_plot(path):
     return [tuple(map(float, line.split())) for line in path.read_text().splitlines()]
 
@@ -147,13 +156,7 @@ def test_bundle_matches_an_independent_recount(words, tail, tok_cfg, analysis, r
     body = "[paths]\ntext = corpus.txt\n" + "".join(
         f"{RESOURCE_KEYS[name]} = {name}\n" for name in resources
     )
-    body += _section("tokenizer", {
-        "intra_token_chars": "".join(sorted(tok_cfg.intra_token_chars)),
-        "sentence_terminators": "".join(sorted(tok_cfg.sentence_terminators)),
-        "case_folding": str(tok_cfg.case_folding).lower(),
-        "abbreviations": ",".join(sorted(tok_cfg.abbreviations)),
-    })
-    body += _section("analysis", analysis)
+    body += _tokenizer_section(tok_cfg) + _section("analysis", analysis)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, content in {"run.ini": body, "corpus.txt": text, **resources}.items():
@@ -240,16 +243,15 @@ def test_line_order_leaves_the_bundle_unchanged(lines, tok_cfg, analysis, resour
     tok_cfg = _line_config(tok_cfg)
     shuffled = data.draw(st.permutations(lines))
     text = "\n".join(lines) + "\n"
+    # the merged form counts, which the overrides must not exceed
+    forms = dict(Counter(t.folded for t in oracle_tokenize(text, tok_cfg)))
+    oracle_lexicon(forms, resources.get("merges.tsv", ""))
     if "overrides.tsv" in resources:
-        forms = dict(Counter(t.folded for t in oracle_tokenize(text, tok_cfg)))
-        oracle_lexicon(forms, resources.get("merges.tsv", ""))
         resources["overrides.tsv"] = _override_lines(resources["overrides.tsv"], forms)
     if "lemmas.tsv" in resources and analysis["rank_basis"] == "lemmas":
         # an empty lemma lexicon cannot be ranked
-        forms = Counter(t.folded for t in oracle_tokenize(text, tok_cfg))
-        merged = dict(forms)
-        assume(oracle_lexicon(merged, resources.get("merges.tsv", ""),
-                              resources["lemmas.tsv"], resources.get("overrides.tsv", "")))
+        assume(oracle_lexicon(forms, "", resources["lemmas.tsv"],
+                              resources.get("overrides.tsv", "")))
     body = "[paths]\ntext = corpus.txt\n" + "".join(
         f"{RESOURCE_KEYS[name]} = {name}\n" for name in resources
     )
@@ -276,15 +278,6 @@ def test_fixture_line_order_leaves_the_bundle_unchanged(fixtures_dir, tmp_path):
         bundles.append(_bundle_bytes(root / "out"))
     assert len(bundles[0]) == 15
     assert bundles[0] == bundles[1]
-
-
-def _tokenizer_section(tok_cfg):
-    return _section("tokenizer", {
-        "intra_token_chars": "".join(sorted(tok_cfg.intra_token_chars)),
-        "sentence_terminators": "".join(sorted(tok_cfg.sentence_terminators)),
-        "case_folding": str(tok_cfg.case_folding).lower(),
-        "abbreviations": ",".join(sorted(tok_cfg.abbreviations)),
-    })
 
 
 # fits of values that do not scale with the counts: shares and mean lengths
