@@ -160,6 +160,7 @@ def lemmatize(
     entries: dict[str, int] = {}
     unmapped_tokens = 0
     unmapped_forms = 0
+    rows, ambiguous = lemma_map.rows, lemma_map.ambiguous
     for form, count in lex.entries.items():
         if form in pinned:
             assigned = 0
@@ -170,11 +171,10 @@ def lemmatize(
             if assigned < count:
                 unmapped_tokens += count - assigned
                 unmapped_forms += 1
-        elif form in lemma_map.rows:
-            lemma = lemma_map.rows[form]
+        elif (lemma := rows.get(form)) is not None:
             entries[lemma] = entries.get(lemma, 0) + count
-        elif form in lemma_map.ambiguous:
-            for lemma, part in _largest_remainder(count, lemma_map.ambiguous[form]):
+        elif (shares := ambiguous.get(form)) is not None:
+            for lemma, part in _largest_remainder(count, shares):
                 if part:
                     entries[lemma] = entries.get(lemma, 0) + part
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -177,11 +177,11 @@ def _run_fits(cfg, lengths, syllable_series, rf, rank_points, curve, out) -> dic
     for model_id in cfg.models:
         try:
             if model_id in interval_fits:
-                report[model_id] = {"segments": [asdict(s) for s in interval_fits[model_id]()]}
+                report[model_id] = {"segments": [_entry(s) for s in interval_fits[model_id]()]}
             else:
                 data = datasets[model_id]
                 result = lm_fit(model_id, data, init=cfg.inits.get(model_id))
-                report[model_id] = {k: v for k, v in asdict(result).items() if k != "sse_trace"}
+                report[model_id] = _entry(result, drop="sse_trace")
                 if not result.converged:
                     log.info("fit %s did not converge", model_id)
                 _emit_fit_curve(model_id, result, data, out)
@@ -189,6 +189,14 @@ def _run_fits(cfg, lengths, syllable_series, rf, rank_points, curve, out) -> dic
             log.info("fit %s skipped: %s", model_id, exc)
             report[model_id] = {"error": str(exc)}
     return report
+
+
+def _entry(result, drop=None) -> dict:
+    """A dataclass's fields but ``drop`` as a dict sharing their values.
+
+    ``asdict`` would deep-copy each value, the ``sse_trace`` it is dropped for too.
+    """
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name != drop}
 
 
 def _emit_fit_curve(model_id, result, data, out) -> None:
