@@ -165,7 +165,7 @@ def _breakpoints(raw: str) -> tuple[tuple[int, int | None], ...]:
 def _inits(model_id: str, raw: str) -> dict[str, float]:
     import numpy as np
 
-    from .fitting.models import MODELS, _as_param_array
+    from .fitting.models import MODELS, _param_values
     from .fitting.segmented import INTERVAL_FITS
 
     if model_id in INTERVAL_FITS:
@@ -186,7 +186,7 @@ def _inits(model_id: str, raw: str) -> dict[str, float]:
         except ValueError:
             raise ValueError(f"bad init value {assign!r}") from None
     # every parameter, each with a finite value
-    params = _as_param_array(MODELS[model_id], values)
+    params = _param_values(MODELS[model_id], values)
     # x = 1, the first rank, lies in every model's data domain: start values
     # that fail here fail whatever the data (a shape <= -1, a rate <= 0, C <= -1)
     if not MODELS[model_id].params_in_domain(params, np.ones(1)):

@@ -20,25 +20,32 @@ the loop steps those parameters alone: it fills the amplitude in at each
 trial and takes Kaufman's Jacobian, the other parameters' rows projected
 off g.  The standard errors still come from the full Jacobian.
 
-The loop makes no BLAS or LAPACK call, so its bytes depend on neither the
-BLAS kernel nor its thread count.  Each product over the data points (the
-sums of squares, J r and J J^T) is one ``np.add.reduce`` over the
-elementwise products of contiguous rows, numpy's pairwise sum.  The damped
-step, the decrease test and the standard errors solve systems of two or
-three unknowns by Gaussian elimination with partial pivoting over Python
-floats; a zero or non-finite pivot counts as singular.  So identical inputs
-reproduce the parameter trajectory bit for bit.  The settings of the loop
-are fixed constants.
+Everything of the size of the parameters is Python floats and lists: the
+parameters, the step, the damping diagonal, J r, J J^T, and the solves of
+two or three unknowns, by Gaussian elimination with partial pivoting (a
+zero or non-finite pivot counts as singular).  A product of two such
+vectors is summed left to right, the order numpy sums fewer than eight
+terms in.  The data-sized vectors are what the model evaluates on.  A
+``pointwise`` model takes and gives lists of Python floats, and each sum
+over its points is ``math.fsum`` of the products, correctly rounded and so
+independent of the order of the terms.  Other models take float arrays,
+and each sum over the points is one ``np.add.reduce`` over the elementwise
+products of contiguous rows, numpy's pairwise sum.  The loop makes no BLAS
+or LAPACK call, so its bytes depend on neither the BLAS kernel nor its
+thread count, and identical inputs reproduce the parameter trajectory bit
+for bit.  The settings of the loop are fixed constants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from .models import Model, _as_param_array, get_model
+from .models import Model, _param_values, get_model
 
 
 # fixed settings of the damping loop
@@ -50,6 +57,7 @@ _INITIAL_LAMBDA = 1e-3
 _MIN_LAMBDA = 1e-12
 # a fit that needs more damping than this has stalled
 _MAX_LAMBDA = 1e14
+_NOT_PAIRS = "data must be a sequence of (x, y) pairs"
 
 
 @dataclass
@@ -64,12 +72,31 @@ class FitResult:
     sse_trace: tuple[float, ...] = ()
 
 
-def _prepare_data(data):
-    # no pairs at all is shape (0, 2), so the caller reports too few points
-    pairs = np.asarray(data, dtype=float) if len(data) else np.empty((0, 2))
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("data must be a sequence of (x, y) pairs")
-    return pairs[:, 0], pairs[:, 1]
+def _prepare_data(model: Model, data):
+    """x and y of the (x, y) pairs: float lists for a pointwise model, else float arrays.
+
+    A non-finite point is a validation error that names it.
+    """
+    if model.pointwise:
+        try:
+            pairs = [(float(x), float(y)) for x, y in data]
+        except (TypeError, ValueError):
+            raise ValidationError(_NOT_PAIRS) from None
+        x, y = [x for x, _ in pairs], [y for _, y in pairs]
+        finite = [math.isfinite(x) and math.isfinite(y) for x, y in pairs]
+        bad = None if all(finite) else finite.index(False)
+    else:
+        # no pairs at all is shape (0, 2), so the caller reports too few points
+        pairs = np.asarray(data, dtype=float) if len(data) else np.empty((0, 2))
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(_NOT_PAIRS)
+        x, y = pairs[:, 0], pairs[:, 1]
+        finite = np.isfinite(x) & np.isfinite(y)
+        bad = None if finite.all() else int(np.argmin(finite))
+    if bad is not None:
+        point = (float(x[bad]), float(y[bad]))
+        raise ValidationError(f"{model.id}: data point #{bad + 1} {point} is not finite")
+    return x, y
 
 
 def lm_fit(model: Model | str, data, init=None) -> FitResult:
@@ -86,19 +113,15 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     """
     if isinstance(model, str):
         model = get_model(model)
-    x, y = _prepare_data(data)
-    if not (finite := np.isfinite(x) & np.isfinite(y)).all():
-        i = int(np.argmin(finite))
-        point = (float(x[i]), float(y[i]))
-        raise ValidationError(f"{model.id}: data point #{i + 1} {point} is not finite")
-    if x.size < model.n_params:
+    x, y = _prepare_data(model, data)
+    if len(x) < model.n_params:
         raise ValidationError(
-            f"{model.id}: {x.size} data points cannot determine {model.n_params} parameters"
+            f"{model.id}: {len(x)} data points cannot determine {model.n_params} parameters"
         )
     if not model.x_in_domain(x):
         raise DomainError(f"{model.id}: data abscissae outside the model domain")
 
-    p = model.default_init(x, y) if init is None else _as_param_array(model, init)
+    p = model.default_init(x, y) if init is None else _param_values(model, init)
     if not model.params_in_domain(p, x):
         raise DomainError(f"{model.id}: initial parameters outside the model domain")
 
@@ -107,24 +130,24 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
 
     def trial(q):
         """Full parameters and model value at q; None outside the domain or for a zero model."""
-        p = q if k is None else np.insert(q, k, 1.0)
+        p = q if k is None else [*q[:k], 1.0, *q[k:]]
         if not model.params_in_domain(p, x):
             return None
         f = model.evaluate(p, x)
         if k is None:
             return p, f
         gg = _dot(f, f)
-        if not 0.0 < gg < np.inf:
+        if not 0.0 < gg < math.inf:
             return None
         p[k] = _dot(f, y) / gg
-        return p, p[k] * f
+        return p, _scaled(p[k], f)
 
-    q = p if k is None else np.delete(p, k)
+    q = p if k is None else p[:k] + p[k + 1:]
     start = trial(q)
-    if start is None or not np.all(np.isfinite(y - start[1])):
+    if start is None or not _finite(_minus(y, start[1])):
         raise DomainError(f"{model.id}: model is not finite at the initial parameters")
     p, f = start
-    r = y - f
+    r = _minus(y, f)
     sse = _dot(r, r)
     trace = [sse]
     lam, nu = _INITIAL_LAMBDA, 2.0
@@ -137,35 +160,39 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
         # df/dp, one row per parameter; J^T r is minus half the gradient of the SSE
         full = model.jacobian(p, x, f)
         jac = full if k is None else _projected(full, k)
-        jtr = np.add.reduce(jac * r, axis=1)
+        jtr = [_dot(row, r) for row in jac]
         jtj = _gram(jac)
-        diag = np.array([row[i] if row[i] > 0 else 1.0 for i, row in enumerate(jtj)])
+        diag = [row[i] if row[i] > 0 else 1.0 for i, row in enumerate(jtj)]
         if 0.0 <= _gauss_newton_decrease(jtj, jtr) <= _DECREASE_TOL * sse:
             converged = True
             break
         stepped = False
         while lam <= _MAX_LAMBDA:
-            delta = _solve(jtj, jtr, lam * diag)
+            damping = [lam * d for d in diag]
+            delta = _solve(jtj, jtr, damping)
             if delta is None:
                 lam, nu = lam * nu, 2.0 * nu
                 continue
-            q_try = q + delta
-            if np.all(np.isfinite(q_try)) and (stepped_to := trial(q_try)) is not None:
+            q_try = [a + b for a, b in zip(q, delta)]
+            if all(map(math.isfinite, q_try)) and (stepped_to := trial(q_try)) is not None:
                 p_try, f_try = stepped_to
-                r_try = y - f_try
-                if np.all(np.isfinite(r_try)):
+                r_try = _minus(y, f_try)
+                if _finite(r_try):
                     sse_try = _dot(r_try, r_try)
                     if sse_try < sse:
                         # actual over predicted decrease; the prediction is positive
-                        gain = (sse - sse_try) / _dot(delta, lam * diag * delta + jtr)
+                        predicted = _inner(
+                            delta, [s * d + g for s, d, g in zip(damping, delta, jtr)]
+                        )
+                        gain = (sse - sse_try) / predicted
                         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), _MIN_LAMBDA)
                         nu = 2.0
                         q, p, f, r, sse = q_try, p_try, f_try, r_try, sse_try
                         trace.append(sse)
                         full = None
                         stepped = True
-                        step_norm = float(np.sqrt(_dot(delta, delta)))
-                        if step_norm < _STEP_TOL * (float(np.sqrt(_dot(q, q))) + _STEP_TOL):
+                        step_norm = math.sqrt(_inner(delta, delta))
+                        if step_norm < _STEP_TOL * (math.sqrt(_inner(q, q)) + _STEP_TOL):
                             converged = True
                         break
             lam, nu = lam * nu, 2.0 * nu
@@ -173,7 +200,7 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
             break
 
     jac = model.jacobian(p, x, f) if full is None else full
-    stderr = _standard_errors(model.param_names, jac, sse)
+    stderr = _standard_errors(model.param_names, jac, len(x), sse)
     derived = model.derived(p) if model.derived is not None else {}
     return FitResult(
         params=dict(zip(model.param_names, (float(v) for v in p))),
@@ -187,31 +214,67 @@ def lm_fit(model: Model | str, data, init=None) -> FitResult:
     )
 
 
+def _inner(a, b) -> float:
+    """a . b of two parameter-sized lists, summed left to right from 0.0 as numpy does."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += u * v
+    return total
+
+
+# The four operations on data-sized vectors: a pointwise model's float lists
+# or float arrays.
+
 def _dot(a, b) -> float:
-    """a . b as one pairwise sum of the elementwise products."""
-    return float(np.add.reduce(a * b))
+    """a . b over the data points: fsum of the products of lists, one pairwise sum of arrays."""
+    if isinstance(a, np.ndarray):
+        return float(np.add.reduce(a * b))
+    try:
+        return math.fsum(map(mul, a, b))
+    except (OverflowError, ValueError):
+        # inf - inf, or a sum past the float range: what plain addition gives
+        return sum(map(mul, a, b))
+
+
+def _minus(a, b):
+    return a - b if isinstance(a, np.ndarray) else list(map(sub, a, b))
+
+
+def _scaled(c: float, a):
+    return c * a if isinstance(a, np.ndarray) else [c * v for v in a]
+
+
+def _finite(a) -> bool:
+    if isinstance(a, np.ndarray):
+        return bool(np.all(np.isfinite(a)))
+    return all(map(math.isfinite, a))
 
 
 def _gram(jac) -> list[list[float]]:
     """J J^T of the Jacobian rows as lists of Python floats.
 
-    Each entry is one pairwise sum of a row product; products commute, so
-    the matrix is exactly symmetric.
+    Each entry is one ``_dot`` of two rows, whose products commute, so the
+    matrix is exactly symmetric and each pair is summed once.
     """
-    return [np.add.reduce(jac * row, axis=1).tolist() for row in jac]
+    n = len(jac)
+    gram = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = _dot(jac[i], jac[j])
+    return gram
 
 
-def _solve(a, b, shift=None) -> np.ndarray | None:
+def _solve(a, b, shift=None) -> list[float] | None:
     """x with (a + diag(shift)) x = b for a small system; None when it is singular.
 
-    ``a`` is a list of rows, ``b`` and ``shift`` are vectors.  Gaussian
+    ``a`` is a list of rows, ``b`` and ``shift`` are lists.  Gaussian
     elimination with partial pivoting over Python floats; a zero or
     non-finite pivot counts as singular.
     """
-    rows = [row + [v] for row, v in zip(a, np.asarray(b).tolist())]
+    rows = [row + [v] for row, v in zip(a, b)]
     n = len(rows)
     if shift is not None:
-        for i, s in enumerate(np.asarray(shift).tolist()):
+        for i, s in enumerate(shift):
             rows[i][i] += s
     for col in range(n):
         top = col
@@ -222,7 +285,7 @@ def _solve(a, b, shift=None) -> np.ndarray | None:
         rows[top] = rows[col]
         rows[col] = head
         pivot = head[col]
-        if not 0.0 < abs(pivot) < np.inf:
+        if not 0.0 < abs(pivot) < math.inf:
             return None
         for row in rows[col + 1:]:
             factor = row[col] / pivot
@@ -235,21 +298,18 @@ def _solve(a, b, shift=None) -> np.ndarray | None:
         for j in range(i + 1, n):
             acc -= row[j] * x[j]
         x[i] = acc / row[i]
-    return np.array(x)
+    return x
 
 
 def _projected(jac, k):
     """Kaufman's Jacobian: the rows of all parameters but k, projected off row k.
 
-    Row k is the model at unit amplitude, up to a factor.
+    Row k is the model at unit amplitude, up to a factor.  One row at a
+    time, so no temporary is larger than a row.
     """
     g = jac[k]
     gg = _dot(g, g)
-    rows = np.delete(jac, k, axis=0)
-    # one row at a time, so no temporary is larger than a row
-    for row in rows:
-        row -= _dot(row, g) / gg * g
-    return rows
+    return [_minus(row, _scaled(_dot(row, g) / gg, g)) for i, row in enumerate(jac) if i != k]
 
 
 def _gauss_newton_decrease(jtj, jtr):
@@ -258,22 +318,21 @@ def _gauss_newton_decrease(jtj, jtr):
     Singular or indefinite normal equations give nan or a negative value.
     """
     step = _solve(jtj, jtr)
-    return float("nan") if step is None else _dot(jtr, step)
+    return math.nan if step is None else _inner(jtr, step)
 
 
-def _standard_errors(names, jac, sse):
+def _standard_errors(names, jac, points, sse):
     """Asymptotic per-parameter errors from the Jacobian rows at the fitted parameters.
 
     Each variance is a diagonal entry of (J J^T)^-1, solved for column by column.
     """
-    dof = jac.shape[1] - len(names)
+    dof = points - len(names)
     if dof <= 0:
-        return {name: float("nan") for name in names}
+        return {name: math.nan for name in names}
     gram = _gram(jac)
-    columns = [_solve(gram, unit) for unit in np.eye(len(names)).tolist()]
+    n = len(names)
+    columns = [_solve(gram, [float(i == j) for j in range(n)]) for i in range(n)]
     if any(column is None for column in columns):
-        return {name: float("nan") for name in names}
-    variances = np.array([column[i] for i, column in enumerate(columns)]) * (sse / dof)
-    with np.errstate(invalid="ignore"):
-        errs = np.sqrt(variances)
-    return dict(zip(names, (float(e) for e in errs)))
+        return {name: math.nan for name in names}
+    variances = [column[i] * (sse / dof) for i, column in enumerate(columns)]
+    return {name: math.sqrt(v) if v >= 0.0 else math.nan for name, v in zip(names, variances)}

@@ -34,13 +34,17 @@ class Model:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x_in_domain: Callable[[np.ndarray], bool]
     params_in_domain: Callable[[np.ndarray, np.ndarray], bool]
-    default_init: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # (x, y) -> start values, a list in parameter order
+    default_init: Callable[[np.ndarray, np.ndarray], list[float]]
     # (p, x, f) -> df/dp as one row per parameter, given f = evaluate(p, x)
     jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    derived: Callable[[np.ndarray], dict[str, float]] | None = None
+    derived: Callable[[list[float]], dict[str, float]] | None = None
     # a parameter the model value is proportional to: lm_fit solves it in
     # closed form at each step and iterates on the others alone
     amplitude: str | None = None
+    # the callables take and give lists of Python floats (x, f and each
+    # Jacobian row), else float arrays; p is a list of floats either way
+    pointwise: bool = False
 
     @property
     def n_params(self) -> int:
@@ -167,29 +171,29 @@ def _jac_zipf_mandelbrot(p, x, f):
 def _init_phoneme_gamma(x, y):
     wsum = y.sum()
     mean_sq = float((y * x * x).sum() / wsum) if wsum > 0 else float((x * x).mean())
-    return np.array([1.0, 1.0 / mean_sq])
+    return [1.0, 1.0 / mean_sq]
 
 
 def _init_shifted_menzerath(x, y):
     wsum = y.sum()
     mean_t = float((y * (x + 1.0)).sum() / wsum) if wsum > 0 else float((x + 1.0).mean())
-    return np.array([max(mean_t - 1.0, 0.1), 1.0])
+    return [max(mean_t - 1.0, 0.1), 1.0]
 
 
 def _init_mean_syllable_power(x, y):
     lo, hi = float(y.min()), float(y.max())
     spread = hi - lo
-    return np.array([lo - 0.25 * spread, spread if spread > 0 else 1.0, -1.0])
+    return [lo - 0.25 * spread, spread if spread > 0 else 1.0, -1.0]
 
 
 def _init_mean_syllable_exp(x, y):
     first = float(y[np.argmin(x)])
-    return np.array([first if first != 0 else 1.0, -1.0, 0.0])
+    return [first if first != 0 else 1.0, -1.0, 0.0]
 
 
 def _init_zipf_mandelbrot(x, y):
     f0 = float(y[np.argmin(x)])
-    return np.array([f0 if f0 > 0 else 1.0, 1.0, 1.0])
+    return [f0 if f0 > 0 else 1.0, 1.0, 1.0]
 
 
 MODELS: dict[str, Model] = {
@@ -253,18 +257,17 @@ def get_model(model_id: str) -> Model:
         raise ValidationError(f"unknown model {model_id!r}; known models: {known}") from None
 
 
-def _as_param_array(model: Model, params: dict) -> np.ndarray:
+def _param_values(model: Model, params: dict) -> list[float]:
     """The values of ``params``, a dict naming each parameter once, in model order."""
     missing = [name for name in model.param_names if name not in params]
     if missing:
         raise ValidationError(f"{model.id}: missing parameters {missing}")
     if unknown := [name for name in params if name not in model.param_names]:
         raise ValidationError(f"{model.id}: unknown parameters {unknown}")
-    values = np.array([float(params[name]) for name in model.param_names])
-    if not (finite := np.isfinite(values)).all():
-        i = int(np.argmin(finite))
-        name, value = model.param_names[i], float(values[i])
-        raise ValidationError(f"{model.id}: parameter {name}={value!r} is not finite")
+    values = [float(params[name]) for name in model.param_names]
+    for name, value in zip(model.param_names, values):
+        if not math.isfinite(value):
+            raise ValidationError(f"{model.id}: parameter {name}={value!r} is not finite")
     return values
 
 
@@ -275,14 +278,14 @@ def model_eval(model: Model | str, params, x):
     """
     if isinstance(model, str):
         model = get_model(model)
-    p = _as_param_array(model, params)
+    p = _param_values(model, params)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not model.x_in_domain(xs):
         bad = next(v for v in xs if not model.x_in_domain(v))
         raise DomainError(f"{model.id}: x={float(bad)!r} outside the model domain")
     if not model.params_in_domain(p, xs):
-        raise DomainError(f"{model.id}: parameters {p.tolist()} outside the model domain")
+        raise DomainError(f"{model.id}: parameters {p} outside the model domain")
     y = model.evaluate(p, xs)
     finite = np.isfinite(y)
     if not finite.all():

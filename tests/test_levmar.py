@@ -29,7 +29,7 @@ POWER = Model(
     evaluate=lambda p, x: p[0] * np.power(x, -p[1]),
     x_in_domain=lambda x: bool(np.all(x > 0)),
     params_in_domain=lambda p, x: True,
-    default_init=lambda x, y: np.array([float(y[np.argmin(x)] * x.min()), 1.0]),
+    default_init=lambda x, y: [float(y[np.argmin(x)] * x.min()), 1.0],
     jacobian=lambda p, x, f: np.stack((np.power(x, -p[1]), -f * np.log(x))),
 )
 
@@ -42,7 +42,7 @@ KINK = Model(
     evaluate=lambda p, x: abs(p[0]) * x,
     x_in_domain=lambda x: bool(np.all(x > 0)),
     params_in_domain=lambda p, x: True,
-    default_init=lambda x, y: np.array([0.0]),
+    default_init=lambda x, y: [0.0],
     jacobian=lambda p, x, f: np.stack((x if p[0] >= 0 else -x,)),
 )
 
@@ -401,7 +401,7 @@ def test_solver_matches_numpy_on_well_conditioned_systems(n):
 
 def test_solver_pivots_and_reports_singular_systems():
     # a zero leading entry needs a row swap
-    assert levmar._solve([[0.0, 2.0], [4.0, 0.0]], [2.0, 8.0]).tolist() == [2.0, 1.0]
+    assert levmar._solve([[0.0, 2.0], [4.0, 0.0]], [2.0, 8.0]) == [2.0, 1.0]
     assert levmar._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
     assert levmar._solve([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [1.0] * 3) is None
     assert levmar._solve([[float("nan"), 1.0], [1.0, 1.0]], [1.0, 1.0]) is None

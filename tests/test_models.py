@@ -137,8 +137,8 @@ class TestCatalog:
         y = 1.0 / x
         for model in MODELS.values():
             init = model.default_init(x, y)
-            assert init.shape == (model.n_params,)
-            assert np.all(np.isfinite(init))
+            assert len(init) == model.n_params
+            assert all(math.isfinite(v) for v in init)
 
     def test_get_model_round_trip(self):
         assert get_model("ZipfMandelbrot").id == "ZipfMandelbrot"
