@@ -45,7 +45,7 @@ from operator import mul, sub
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from .models import Model, _param_values, get_model
+from .models import Model, _fsum, _param_values, get_model
 
 
 # fixed settings of the damping loop
@@ -229,11 +229,7 @@ def _dot(a, b) -> float:
     """a . b over the data points: fsum of the products of lists, one pairwise sum of arrays."""
     if isinstance(a, np.ndarray):
         return float(np.add.reduce(a * b))
-    try:
-        return math.fsum(map(mul, a, b))
-    except (OverflowError, ValueError):
-        # inf - inf, or a sum past the float range: what plain addition gives
-        return sum(map(mul, a, b))
+    return _fsum(list(map(mul, a, b)))
 
 
 def _minus(a, b):

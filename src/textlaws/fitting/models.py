@@ -1,12 +1,19 @@
 """The closed-form models that ``lm_fit`` fits and ``model_eval`` samples.
 
-Each model declares its free parameters, a vectorized evaluator, its
-derivatives in closed form, domain checks, a default initial guess, and
-(for the two probability-density models) the normalization constant derived
-from the shape parameters, so the fitted curve is always a proper density.
-The constants are computed in log space with ``math.lgamma``; the
-densities' derivatives need its derivative, the digamma function.  The
-per-interval rank and coverage fits are not models here: they live in
+Each model declares its free parameters, an evaluator, its derivatives in
+closed form, domain checks, a default initial guess, and (for the two
+probability-density models) the normalization constant derived from the
+shape parameters, so the fitted curve is always a proper density.  The
+constants are computed in log space with ``math.lgamma``; the densities'
+derivatives need its derivative, the digamma function.
+
+The four models fitted to a few points per text (the word-length
+densities and the two mean-syllable laws, 5 to 16 points) are
+``pointwise``: they evaluate each point with ``math`` over lists of Python
+floats, where numpy's call overhead would outweigh the arithmetic, and
+their values come from the C library rather than from numpy's SIMD loops.
+ZipfMandelbrot, fitted to every rank, is vectorized over float arrays.
+The per-interval rank and coverage fits are not models here: they live in
 ``segmented``.
 """
 
@@ -31,13 +38,14 @@ ZIPF_MANDELBROT = "ZipfMandelbrot"
 class Model:
     id: str
     param_names: tuple[str, ...]
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    x_in_domain: Callable[[np.ndarray], bool]
-    params_in_domain: Callable[[np.ndarray, np.ndarray], bool]
+    # (p, x) -> the model at each abscissa
+    evaluate: Callable
+    x_in_domain: Callable[..., bool]
+    params_in_domain: Callable[..., bool]
     # (x, y) -> start values, a list in parameter order
-    default_init: Callable[[np.ndarray, np.ndarray], list[float]]
+    default_init: Callable
     # (p, x, f) -> df/dp as one row per parameter, given f = evaluate(p, x)
-    jacobian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable
     derived: Callable[[list[float]], dict[str, float]] | None = None
     # a parameter the model value is proportional to: lm_fit solves it in
     # closed form at each step and iterates on the others alone
@@ -94,31 +102,50 @@ def shifted_menzerath_norm(d: float, rate: float) -> float:
     return _exp_over_gamma((d + 1.0) * math.log(rate), d + 1.0)
 
 
+def _fsum(values: list[float]) -> float:
+    """The correctly rounded sum; where fsum refuses (inf - inf, overflow), the plain sum."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y for x > 0, or x = 0 and y >= 0; inf where it overflows, as ``np.power`` gives."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _exp(y: float) -> float:
+    """e ** y; inf where it overflows, as ``np.exp`` gives."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
 def _eval_phoneme_gamma(p, x):
     b, alpha = p
     a = phoneme_gamma_norm(b, alpha)
-    with np.errstate(all="ignore"):
-        return a * np.power(x, b) * np.exp(-alpha * x * x)
+    return [a * _pow(v, b) * math.exp(-alpha * v * v) for v in x]
 
 
 def _eval_shifted_menzerath(p, x):
     d, rate = p
     bnorm = shifted_menzerath_norm(d, rate)
-    t = x + 1.0
-    with np.errstate(all="ignore"):
-        return bnorm * np.power(t, d) * np.exp(-rate * t)
+    return [bnorm * _pow(v + 1.0, d) * math.exp(-rate * (v + 1.0)) for v in x]
 
 
 def _eval_mean_syllable_power(p, x):
     m_inf, scale, c = p
-    with np.errstate(all="ignore"):
-        return m_inf + scale * np.power(x, c)
+    return [m_inf + scale * _pow(v, c) for v in x]
 
 
 def _eval_mean_syllable_exp(p, x):
     amp, b, c = p
-    with np.errstate(all="ignore"):
-        return amp * np.power(x, b) * np.exp(c * x)
+    return [amp * _pow(v, b) * _exp(c * v) for v in x]
 
 
 def _eval_zipf_mandelbrot(p, x):
@@ -130,34 +157,38 @@ def _eval_zipf_mandelbrot(p, x):
 def _jac_phoneme_gamma(p, x, f):
     b, alpha = p
     h = (b + 1.0) / 2.0
-    with np.errstate(all="ignore"):
-        d_b = f * (np.log(x) + 0.5 * (math.log(alpha) - digamma(h)))
-    # where the density is 0 (x = 0 with b > 0), so is its b-derivative
-    d_b[f == 0.0] = 0.0
-    return np.stack((d_b, f * (h / alpha - x * x)))
+    shift = 0.5 * (math.log(alpha) - digamma(h))
+    # where the density is 0 (x = 0 with b > 0), so is its b-derivative;
+    # at x = 0 with b = 0 it is -inf, as ln 0 is
+    d_b = [
+        fv * ((math.log(v) if v > 0.0 else -math.inf) + shift) if fv != 0.0 else 0.0
+        for v, fv in zip(x, f)
+    ]
+    return [d_b, [fv * (h / alpha - v * v) for v, fv in zip(x, f)]]
 
 
 def _jac_shifted_menzerath(p, x, f):
     d, rate = p
-    t = x + 1.0
-    return np.stack((
-        f * (np.log(t) + math.log(rate) - digamma(d + 1.0)),
-        f * ((d + 1.0) / rate - t),
-    ))
+    log_rate, psi = math.log(rate), digamma(d + 1.0)
+    return [
+        [fv * (math.log(v + 1.0) + log_rate - psi) for v, fv in zip(x, f)],
+        [fv * ((d + 1.0) / rate - (v + 1.0)) for v, fv in zip(x, f)],
+    ]
 
 
 def _jac_mean_syllable_power(p, x, f):
     m_inf, scale, c = p
-    with np.errstate(all="ignore"):
-        xc = np.power(x, c)
-        return np.stack((np.ones_like(x), xc, scale * xc * np.log(x)))
+    xc = [_pow(v, c) for v in x]
+    return [[1.0] * len(x), xc, [scale * w * math.log(v) for v, w in zip(x, xc)]]
 
 
 def _jac_mean_syllable_exp(p, x, f):
     amp, b, c = p
-    with np.errstate(all="ignore"):
-        d_amp = f / amp if amp != 0 else np.power(x, b) * np.exp(c * x)
-        return np.stack((d_amp, f * np.log(x), f * x))
+    if amp != 0:
+        d_amp = [fv / amp for fv in f]
+    else:
+        d_amp = [_pow(v, b) * _exp(c * v) for v in x]
+    return [d_amp, [fv * math.log(v) for v, fv in zip(x, f)], [fv * v for v, fv in zip(x, f)]]
 
 
 def _jac_zipf_mandelbrot(p, x, f):
@@ -169,25 +200,32 @@ def _jac_zipf_mandelbrot(p, x, f):
 
 
 def _init_phoneme_gamma(x, y):
-    wsum = y.sum()
-    mean_sq = float((y * x * x).sum() / wsum) if wsum > 0 else float((x * x).mean())
+    wsum = _fsum(list(y))
+    if wsum > 0:
+        mean_sq = _fsum([w * v * v for v, w in zip(x, y)]) / wsum
+    else:
+        mean_sq = _fsum([v * v for v in x]) / len(x)
     return [1.0, 1.0 / mean_sq]
 
 
 def _init_shifted_menzerath(x, y):
-    wsum = y.sum()
-    mean_t = float((y * (x + 1.0)).sum() / wsum) if wsum > 0 else float((x + 1.0).mean())
+    wsum = _fsum(list(y))
+    if wsum > 0:
+        mean_t = _fsum([w * (v + 1.0) for v, w in zip(x, y)]) / wsum
+    else:
+        mean_t = _fsum([v + 1.0 for v in x]) / len(x)
     return [max(mean_t - 1.0, 0.1), 1.0]
 
 
 def _init_mean_syllable_power(x, y):
-    lo, hi = float(y.min()), float(y.max())
+    lo, hi = min(y), max(y)
     spread = hi - lo
     return [lo - 0.25 * spread, spread if spread > 0 else 1.0, -1.0]
 
 
 def _init_mean_syllable_exp(x, y):
-    first = float(y[np.argmin(x)])
+    # y at the smallest x, its first occurrence
+    first = y[min(range(len(x)), key=x.__getitem__)]
     return [first if first != 0 else 1.0, -1.0, 0.0]
 
 
@@ -201,40 +239,44 @@ MODELS: dict[str, Model] = {
         id=PHONEME_GAMMA,
         param_names=("b", "alpha"),
         evaluate=_eval_phoneme_gamma,
-        x_in_domain=lambda x: bool(np.all(x >= 0)),
+        x_in_domain=lambda x: all(v >= 0 for v in x),
         params_in_domain=lambda p, x: p[0] > -1.0 and p[1] > 0.0
-        and (p[0] >= 0.0 or bool(np.all(x > 0))),
+        and (p[0] >= 0.0 or all(v > 0 for v in x)),
         default_init=_init_phoneme_gamma,
         jacobian=_jac_phoneme_gamma,
         derived=lambda p: {"A": phoneme_gamma_norm(p[0], p[1])},
+        pointwise=True,
     ),
     SHIFTED_MENZERATH: Model(
         id=SHIFTED_MENZERATH,
         param_names=("d", "gamma"),
         evaluate=_eval_shifted_menzerath,
-        x_in_domain=lambda x: bool(np.all(x >= 0)),
+        x_in_domain=lambda x: all(v >= 0 for v in x),
         params_in_domain=lambda p, x: p[0] > -1.0 and p[1] > 0.0,
         default_init=_init_shifted_menzerath,
         jacobian=_jac_shifted_menzerath,
         derived=lambda p: {"B": shifted_menzerath_norm(p[0], p[1])},
+        pointwise=True,
     ),
     MEAN_SYLLABLE_POWER: Model(
         id=MEAN_SYLLABLE_POWER,
         param_names=("M_inf", "B", "c"),
         evaluate=_eval_mean_syllable_power,
-        x_in_domain=lambda x: bool(np.all(x > 0)),
+        x_in_domain=lambda x: all(v > 0 for v in x),
         params_in_domain=lambda p, x: True,
         default_init=_init_mean_syllable_power,
         jacobian=_jac_mean_syllable_power,
+        pointwise=True,
     ),
     MEAN_SYLLABLE_EXP: Model(
         id=MEAN_SYLLABLE_EXP,
         param_names=("A", "b", "c"),
         evaluate=_eval_mean_syllable_exp,
-        x_in_domain=lambda x: bool(np.all(x > 0)),
+        x_in_domain=lambda x: all(v > 0 for v in x),
         params_in_domain=lambda p, x: True,
         default_init=_init_mean_syllable_exp,
         jacobian=_jac_mean_syllable_exp,
+        pointwise=True,
     ),
     ZIPF_MANDELBROT: Model(
         id=ZIPF_MANDELBROT,
@@ -274,19 +316,23 @@ def _param_values(model: Model, params: dict) -> list[float]:
 def model_eval(model: Model | str, params, x):
     """Evaluate a model at x (scalar or array), enforcing its domain.
 
-    A domain or non-finite error names the first offending abscissa.
+    A scalar gives a float and an array an array.  A domain or non-finite
+    error names the first offending abscissa.
     """
     if isinstance(model, str):
         model = get_model(model)
     p = _param_values(model, params)
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if model.pointwise:
+        xs = xs.tolist()
     if not model.x_in_domain(xs):
-        bad = next(v for v in xs if not model.x_in_domain(v))
+        bad = next(v for i, v in enumerate(xs) if not model.x_in_domain(xs[i:i + 1]))
         raise DomainError(f"{model.id}: x={float(bad)!r} outside the model domain")
     if not model.params_in_domain(p, xs):
         raise DomainError(f"{model.id}: parameters {p} outside the model domain")
-    y = model.evaluate(p, xs)
+    # a pointwise model's floats, taken as they are
+    y = np.asarray(model.evaluate(p, xs))
     finite = np.isfinite(y)
     if not finite.all():
         bad = xs[np.argmin(finite)]

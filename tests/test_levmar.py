@@ -70,6 +70,23 @@ def draw_params(data, model_id):
     }
 
 
+def values(model, p, x):
+    """The model at the array x as an array, for a pointwise or a vectorized model."""
+    p = [float(v) for v in p]
+    if model.pointwise:
+        return np.array(model.evaluate(p, x.tolist()))
+    return model.evaluate(p, x)
+
+
+def closed_jacobian(model, p, x):
+    """The model's closed-form df/dp at the array x, one array row per parameter."""
+    p = [float(v) for v in p]
+    if model.pointwise:
+        xs = x.tolist()
+        return np.array(model.jacobian(p, xs, model.evaluate(p, xs)))
+    return model.jacobian(p, x, model.evaluate(p, x))
+
+
 def central_jacobian(model, p, x):
     """df/dp by central differences, one row per parameter: the oracle of the closed forms."""
     rows = []
@@ -78,7 +95,7 @@ def central_jacobian(model, p, x):
         hi, lo = p.copy(), p.copy()
         hi[j] += h
         lo[j] -= h
-        rows.append((model.evaluate(hi, x) - model.evaluate(lo, x)) / (2 * h))
+        rows.append((values(model, hi, x) - values(model, lo, x)) / (2 * h))
     return np.stack(rows)
 
 
@@ -137,7 +154,7 @@ def test_noisy_phoneme_density_medians_and_grid_oracle():
     best_node = None
     for b in b_grid:
         for a in a_grid:
-            resid = seed0_y - model.evaluate(np.array([b, a]), x)
+            resid = seed0_y - values(model, [b, a], x)
             sse = float(resid @ resid)
             if sse < best:
                 best, best_node = sse, (b, a)
@@ -213,8 +230,7 @@ def test_zero_amplitude_start_fits(model_id, init):
     assert result.params == pytest.approx(truth, rel=1e-6)
     model = get_model(model_id)
     p = np.array([init[name] for name in model.param_names])
-    f = model.evaluate(p, x)
-    closed = model.jacobian(p, x, f)
+    closed = closed_jacobian(model, p, x)
     assert np.all(closed[0] > 0)
     assert closed[0] == pytest.approx(central_jacobian(model, p, x)[0], rel=1e-9)
 
@@ -229,8 +245,7 @@ def test_closed_form_jacobians_match_forward_differences(data):
         # the density is 0 at the origin for b > 0, and so is its b-derivative
         x = np.concatenate(([0.0], x))
     p = np.array(list(draw_params(data, model_id).values()))
-    f = model.evaluate(p, x)
-    closed = model.jacobian(p, x, f)
+    closed = closed_jacobian(model, p, x)
     assert closed.shape == (model.n_params, x.size)
     assert np.all(np.isfinite(closed))
     central = central_jacobian(model, p, x)
@@ -253,9 +268,10 @@ def test_fits_match_scipy_least_squares(data):
 
     def residual(p):
         # scipy's lm has no domain: a huge residual rejects the step, as lm_fit does
-        return y - model.evaluate(p, x) if model.params_in_domain(p, x) else np.full(x.size, 1e100)
+        return y - values(model, p, x) if model.params_in_domain(p, x) else np.full(x.size, 1e100)
 
-    theirs = least_squares(residual, model.default_init(x, y), method="lm")
+    xs, ys = (x.tolist(), y.tolist()) if model.pointwise else (x, y)
+    theirs = least_squares(residual, model.default_init(xs, ys), method="lm")
     sse = float(theirs.fun @ theirs.fun)
     assert ours.sse <= sse * (1 + 1e-9)
     cov = np.linalg.inv(theirs.jac.T @ theirs.jac) * (sse / (x.size - model.n_params))

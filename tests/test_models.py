@@ -136,9 +136,22 @@ class TestCatalog:
         x = np.arange(1.0, 11.0)
         y = 1.0 / x
         for model in MODELS.values():
-            init = model.default_init(x, y)
+            xs, ys = (x.tolist(), y.tolist()) if model.pointwise else (x, y)
+            init = model.default_init(xs, ys)
             assert len(init) == model.n_params
             assert all(math.isfinite(v) for v in init)
+
+    def test_only_zipf_mandelbrot_works_on_arrays(self):
+        assert [m.id for m in MODELS.values() if not m.pointwise] == ["ZipfMandelbrot"]
+        x = [1.0, 2.0, 4.0]
+        for model in MODELS.values():
+            if model.pointwise:
+                p = model.default_init(x, [3.0, 2.0, 1.5])
+                f = model.evaluate(p, x)
+                rows = model.jacobian(p, x, f)
+                assert type(f) is list and all(type(v) is float for v in f)
+                assert len(rows) == model.n_params
+                assert all(type(v) is float for row in rows for v in row)
 
     def test_get_model_round_trip(self):
         assert get_model("ZipfMandelbrot").id == "ZipfMandelbrot"
