@@ -82,8 +82,8 @@ def _prepare_data(model: Model, data):
             pairs = [(float(x), float(y)) for x, y in data]
         except (TypeError, ValueError):
             raise ValidationError(_NOT_PAIRS) from None
-        x, y = [x for x, _ in pairs], [y for _, y in pairs]
-        finite = [math.isfinite(x) and math.isfinite(y) for x, y in pairs]
+        x, y = [px for px, _ in pairs], [py for _, py in pairs]
+        finite = [math.isfinite(px) and math.isfinite(py) for px, py in pairs]
         bad = None if all(finite) else finite.index(False)
     else:
         # no pairs at all is shape (0, 2), so the caller reports too few points

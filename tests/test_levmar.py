@@ -370,6 +370,13 @@ def test_non_finite_data_point_named(bad):
     with pytest.raises(ValidationError) as info:
         lm_fit("ZipfMandelbrot", data)
     assert str(info.value) == f"ZipfMandelbrot: data point #7 (7.0, {bad!r}) is not finite"
+    # a pointwise model checks its points as Python floats
+    data = synthetic("PhonemeGamma", {"b": 0.6, "alpha": 0.03}, range(1, 15))
+    data[3] = (data[3][0], bad)
+    data[5] = (bad, data[5][1])
+    with pytest.raises(ValidationError) as info:
+        lm_fit("PhonemeGamma", data)
+    assert str(info.value) == f"PhonemeGamma: data point #4 (4.0, {bad!r}) is not finite"
 
 
 def test_init_with_unknown_parameter_rejected():
