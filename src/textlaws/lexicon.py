@@ -5,6 +5,10 @@ one word (euphonic alternations such as в/у or і/й) can be merged under a
 canonical form, and forms are mapped to lemmas through an ingested
 tab-separated resource, with homonym splits resolved by frequency shares
 or by explicit per-form count overrides.
+
+The tab-separated resources are decoded and split into lines one block of
+bytes at a time, so no file's whole text is held.  The last lemma map parsed
+is kept with its file's bytes, and a later read of the same bytes returns it.
 """
 
 from __future__ import annotations
@@ -184,13 +188,19 @@ def lemmatize(
 
 
 # ---------------------------------------------------------------------------
-# Input files, the config and the text too, are decoded by decode_utf8.  The
-# resources are TSV; blank lines and lines starting with '#' are skipped.
+# The text and the config are decoded whole by decode_utf8.  The resources are
+# TSV, decoded and split into lines a block at a time by data_rows; blank
+# lines and lines starting with '#' are skipped.
 # ---------------------------------------------------------------------------
 
-# characters per block that ``data_rows`` splits into lines at once: a list
-# of every line of a wide lemma map would raise a run's peak memory
+# bytes per block that ``data_rows`` decodes and splits into lines at once,
+# and that ``read_lemma_map`` compares with the kept map's bytes: the text of
+# a wide lemma map, or a list of its every line, would raise a run's peak memory
 _BLOCK_CHARS = 1 << 16
+
+
+def _unify_line_ends(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def decode_utf8(path: str | Path, data: bytes) -> str:
@@ -208,29 +218,47 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         message = f"invalid UTF-8: {exc.reason} at byte {exc.start}"
         raise ResourceFormatError(path, line_no, message) from None
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return _unify_line_ends(text.removeprefix("\ufeff"))
 
 
-def _lines(text: str) -> Iterator[str]:
-    """``text.split("\n")``, split one block of about ``_BLOCK_CHARS`` at a time."""
+def _lines(path: str | Path, data: bytes) -> Iterator[str]:
+    """``decode_utf8(path, data).split("\n")``, a block of about ``_BLOCK_CHARS`` bytes at a time.
+
+    A block ends just after a ``\n`` byte, which no UTF-8 sequence and no
+    ``\r\n`` pair straddles; a block that fails to decode is reported as
+    ``decode_utf8`` reports the whole file.
+    """
     start = 0
-    while (cut := text.find("\n", start + _BLOCK_CHARS)) >= 0:
-        yield from text[start:cut].split("\n")
-        start = cut + 1
-    yield from text[start:].split("\n")
+    while True:
+        # 0 when no line end is left: the last block runs to the end
+        cut = data.find(b"\n", start + _BLOCK_CHARS) + 1
+        try:
+            text = data[start:cut or len(data)].decode("utf-8")
+        except UnicodeDecodeError:
+            decode_utf8(path, data)
+            raise
+        lines = _unify_line_ends(text if start else text.removeprefix("\ufeff")).split("\n")
+        if not cut:
+            yield from lines
+            return
+        # the block's text ends in "\n", after which its split gives one more ""
+        yield from lines[:-1]
+        start = cut
 
 
-def data_rows(path: str | Path, shape: str, text: str | None = None):
+def data_rows(path: str | Path, shape: str, data: bytes | None = None):
     """Yield ``(line number, fields)`` for each data line of a TSV resource.
 
     ``shape`` names the fields, a bracketed tail optional: ``"a<TAB>b[<TAB>c]"``.
-    A line with too few or too many fails; ``text`` defaults to the file's
-    decoded bytes.
+    A line with too few or too many fails; ``data`` defaults to the file's
+    bytes.  They are decoded and split one block at a time, so a malformed
+    row is reported ahead of a bad byte in a later block; a bad byte has the
+    line and offset in the file that ``decode_utf8`` gives it.
     """
-    if text is None:
-        text = decode_utf8(path, Path(path).read_bytes())
+    if data is None:
+        data = Path(path).read_bytes()
     least, most = shape.partition("[")[0].count("<TAB>") + 1, shape.count("<TAB>") + 1
-    for line_no, line in enumerate(_lines(text), start=1):
+    for line_no, line in enumerate(_lines(path, data), start=1):
         stripped = line.lstrip()
         if stripped and stripped[0] != "#":
             fields = line.split("\t")
@@ -254,49 +282,53 @@ def read_merge_rules(path: str | Path) -> list[MergeRule]:
     return rules
 
 
-# the SHA-256 of the last lemma map's bytes and the map parsed from them: runs
-# in one process that share a map parse it once; a miss drops the old entry
-# before parsing, so the memo never holds more than one map
+# the bytes of the last lemma map and the map parsed from them: runs in one
+# process that share a map parse it once; a miss drops the old entry before
+# reading, so the memo never holds more than one map
 _last_lemma_map: tuple[bytes, LemmaMap] | None = None
+
+
+def _file_equals(path: str | Path, data: bytes) -> bool:
+    """Whether the file holds ``data``, read one block at a time into no copy of it."""
+    offset = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_CHARS):
+            if not data.startswith(block, offset):
+                return False
+            offset += len(block)
+    return offset == len(data)
 
 
 def read_lemma_map(path: str | Path, forms: Iterable[str] = ()) -> LemmaMap:
     """Read a lemma map: ``form<TAB>lemma[<TAB>share]``, one row per pair.
 
     A form with several rows is ambiguous; its shares may be fractions or
-    absolute counts (they are normalized when the split is applied).  When
-    the file's bytes equal those of the previous call, the map parsed then
-    is returned again; a malformed file is parsed (and reported) every time.
+    absolute counts (they are normalized when the split is applied).  The
+    last map parsed is kept with the file's bytes: when the file holds the
+    same bytes at the next call, compared a block at a time, that map is
+    returned again; a malformed file is parsed (and reported) every time.
     A parse holds each string that equals one of ``forms`` (a lexicon's
     entries) as that object, so a text's forms are not held twice; the map
     compares equal to one read without them.
     """
-    # imported here, not at the top: hashlib loads OpenSSL (about 6 ms and
-    # 3.5 MB), which start-up and runs without a lemma map need not pay
-    import hashlib
-
     global _last_lemma_map
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).digest()
-    if _last_lemma_map is not None and _last_lemma_map[0] == digest:
+    if _last_lemma_map is not None and _file_equals(path, _last_lemma_map[0]):
         return _last_lemma_map[1]
     _last_lemma_map = None
-    text = decode_utf8(path, data)
-    # the bytes are freed before the parser's peak
-    del data
-    lemma_map = _parse_lemma_map(path, text, forms)
-    _last_lemma_map = digest, lemma_map
+    data = Path(path).read_bytes()
+    lemma_map = _parse_lemma_map(path, data, forms)
+    _last_lemma_map = data, lemma_map
     return lemma_map
 
 
-def _parse_lemma_map(path: str | Path, text: str, forms: Iterable[str]) -> LemmaMap:
+def _parse_lemma_map(path: str | Path, data: bytes, forms: Iterable[str]) -> LemmaMap:
     # one string per distinct form and lemma, the lexicon's own where it has one
     pool: dict[str, str] = {form: form for form in forms}
     rows: dict[str, str] = {}            # the first row of each form
     shares: dict[str, float] = {}        # its share, where the row gives one
     more: dict[str, list[tuple[str, float]]] = {}   # the later rows of a form
     last_line: dict[str, int] = {}       # the line of a form's last later row
-    for line_no, fields in data_rows(path, "form<TAB>lemma[<TAB>share]", text):
+    for line_no, fields in data_rows(path, "form<TAB>lemma[<TAB>share]", data):
         form, lemma = fields[0].strip(), fields[1].strip()
         if not form or not lemma:
             raise ResourceFormatError(path, line_no, "empty form or lemma")

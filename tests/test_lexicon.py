@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,20 +270,34 @@ class TestResourceFiles:
 
     @pytest.mark.parametrize("shift", [-1, 0, 1, 2])
     def test_malformed_row_near_a_block_cut_keeps_its_line_number(self, tmp_path, shift):
-        # data_rows splits the text into lines one block at a time: the first
-        # cut is the first line end at or past the block size
-        rows = [f"ф{k:06d}\tлема\n" for k in range(10**4)]
+        # data_rows decodes and splits the bytes one block at a time: the
+        # first cut is just after the first "\n" at or past the block size
+        rows = [f"ф{k:06d}\tлема\n".encode() for k in range(10**4)]
         width = len(rows[0])
         rows_to_cut = -(-(lexicon._BLOCK_CHARS + 1) // width)
         bad = rows_to_cut + 1 + shift
-        rows[bad - 1] = "x" * (width - 1) + "\n"
-        text = "".join(rows[:bad + 3])
-        assert text.find("\n", lexicon._BLOCK_CHARS) == width * rows_to_cut - 1
+        rows[bad - 1] = b"x" * (width - 1) + b"\n"
+        data = b"".join(rows[:bad + 3])
+        assert data.find(b"\n", lexicon._BLOCK_CHARS) == width * rows_to_cut - 1
         path = tmp_path / "lemmas.tsv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         with pytest.raises(ResourceFormatError) as err:
             read_lemma_map(path)
         assert str(err.value) == f"{path}:{bad}: expected form<TAB>lemma[<TAB>share]"
+
+    def test_crlf_map_cut_after_a_line_end_pair(self, tmp_path, monkeypatch):
+        # every cut of a CRLF file falls just after a "\r\n": a block that
+        # kept the "\r" and lost the "\n" would add a blank line there
+        rows = [f"ф{k:02d}\tлема{k % 7}" for k in range(30)]
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes("\n".join(rows).encode())
+        crlf.write_bytes("\r\n".join(rows).encode())
+        monkeypatch.setattr(lexicon, "_BLOCK_CHARS", 3)
+        assert read_lemma_map(crlf) == read_lemma_map(lf)
+        crlf.write_bytes("\r\n".join([*rows, "broken", *rows]).encode())
+        with pytest.raises(ResourceFormatError) as err:
+            read_lemma_map(crlf)
+        assert str(err.value) == f"{crlf}:31: expected form<TAB>lemma[<TAB>share]"
 
     @pytest.mark.parametrize("text", [
         "", "\n", "a\tb", "a\tb\n", "\n\na\tb\n\n", "# x\n" * 5 + "a\tb",
@@ -287,7 +305,44 @@ class TestResourceFiles:
     def test_block_lines_match_one_split(self, monkeypatch, text):
         for block in (1, 2, 3, 1 << 16):
             monkeypatch.setattr(lexicon, "_BLOCK_CHARS", block)
-            assert list(lexicon._lines(text)) == text.split("\n")
+            assert list(lexicon._lines("x.tsv", text.encode())) == text.split("\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(
+            st.just(""),
+            st.text(alphabet=" \t", max_size=2),
+            st.text(alphabet="#aї ", max_size=4).map(lambda t: "#" + t),
+            st.lists(st.text(alphabet="aїé€ 𝄞\ufeff", max_size=3), min_size=1, max_size=3)
+              .map("\t".join),
+        ), max_size=12),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
+        bom=st.booleans(),
+        bad=st.one_of(st.none(), st.tuples(st.sampled_from([b"\xff", b"\x80", b"\xd1"]),
+                                           st.floats(0, 1))),
+    )
+    def test_block_reader_matches_a_whole_file_decode(self, lines, ends, bom, bad):
+        data = ("\ufeff" * bom + "".join(map(str.__add__, lines, ends))).encode()
+        if bad:
+            at = round(bad[1] * len(data))
+            data = data[:at] + bad[0] + data[at:]
+        path, shape = "r.tsv", "a[<TAB>b<TAB>c]"
+        # the oracle: the whole file decoded by decode_utf8, then split at "\n"
+        try:
+            text = lexicon.decode_utf8(path, data)
+        except ResourceFormatError as exc:
+            expected = str(exc)
+        else:
+            expected = [(n, line.split("\t")) for n, line in enumerate(text.split("\n"), 1)
+                        if line.lstrip()[:1] not in ("", "#")]
+        for block in (1, 2, 3, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lexicon, "_BLOCK_CHARS", block)
+                try:
+                    got = list(lexicon.data_rows(path, shape, data))
+                except ResourceFormatError as exc:
+                    got = str(exc)
+            assert got == expected, block
 
     def test_lemma_map_bad_share(self, tmp_path):
         path = tmp_path / "lemmas.tsv"
@@ -345,6 +400,20 @@ class TestResourceFiles:
         with pytest.raises(ResourceFormatError) as err:
             read_overrides(path)
         assert err.value.line_no == line_count
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b"bad\n\xff\n", "1: expected form<TAB>lemma<TAB>count", id="row-first"),
+        pytest.param(b"\xff\nbad\n", "1: invalid UTF-8: invalid start byte at byte 0",
+                     id="byte-first"),
+    ])
+    def test_a_fault_in_an_earlier_block_is_reported_first(self, tmp_path, monkeypatch,
+                                                           data, message):
+        monkeypatch.setattr(lexicon, "_BLOCK_CHARS", 1)
+        path = tmp_path / "overrides.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ResourceFormatError) as err:
+            read_overrides(path)
+        assert str(err.value) == f"{path}:{message}"
 
     def test_overrides_bad_count(self, tmp_path):
         path = tmp_path / "overrides.tsv"
@@ -405,6 +474,27 @@ class TestLemmaMapReuse:
         assert read_lemma_map(path) == LemmaMap(rows={"стежки": "стежина"})
         assert len(parses) == 2
 
+    # the map spans 16-byte rows and 64-byte blocks; each edit keeps it well formed
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda data: data[:3] + b"x" + data[4:], id="byte-in-first-block"),
+        pytest.param(lambda data: data[:-2] + b"x" + data[-1:], id="byte-in-last-block"),
+        pytest.param(lambda data: data + b"\n", id="byte-appended"),
+        pytest.param(lambda data: data[:-1], id="byte-cut"),
+        pytest.param(lambda data: b"", id="emptied"),
+    ])
+    def test_changed_bytes_are_parsed_again(self, tmp_path, parses, monkeypatch, edit):
+        monkeypatch.setattr(lexicon, "_BLOCK_CHARS", 64)
+        text = "".join(f"ф{k:02d}\tлема{k:02d}\n" for k in range(40))
+        path = self.write(tmp_path / "lemmas.tsv", text)
+        first = read_lemma_map(path)
+        assert read_lemma_map(path) is first
+        path.write_bytes(edit(text.encode()))
+        again = read_lemma_map(path)
+        assert again is not first
+        assert parses == [path, path]
+        monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+        assert read_lemma_map(path) == again
+
     def test_malformed_map_reports_the_same_line_every_call(self, tmp_path, parses):
         path = self.write(tmp_path / "lemmas.tsv", "стежки\tстежка\nbroken\n")
         messages = []
@@ -444,3 +534,21 @@ class TestLemmaMapReuse:
         assert len(parses) == 2
         for reused in sorted((tmp_path / "out1").iterdir()):
             assert reused.read_bytes() == (tmp_path / "fresh" / reused.name).read_bytes()
+
+    def test_runs_load_no_hashlib(self, fixtures_dir, tmp_path):
+        # hashlib loads OpenSSL (about 3.5 MB); the memo compares bytes instead
+        code = (
+            "import sys\n"
+            "from textlaws.cli import main\n"
+            "for out in sys.argv[2:]:\n"
+            "    assert main(['--config', sys.argv[1], '--out', out]) == 0\n"
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lexicon.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(fixtures_dir / "run.ini"),
+             str(tmp_path / "miss"), str(tmp_path / "hit")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
