@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the peak resident memory of one ``analyze`` run, and nothing else's.
+"""Print the peak resident memory of one process analysing a workload, and nothing else's.
 
 Usage, from the repository root::
 
@@ -7,9 +7,11 @@ Usage, from the repository root::
     python tools/peak_rss.py --workload wide_vocab --seed 7 --src ../parent/src
 
 The workload's inputs are generated by ``perfbench/corpus.make_workload``
-in a child process of their own, and ``python -m textlaws`` analyses its
-first text in another child, with the ``--src`` directory first on
-``PYTHONPATH``.  Each run prints that child's ``ru_maxrss`` from
+in a child process of their own.  Another child, with the ``--src``
+directory first on ``PYTHONPATH``, analyses all of the workload's texts one
+after another through ``textlaws.cli.main``, as perfbench's worker does: one
+text on ``novel_1m`` and ``wide_vocab``, 100 chapters sharing one lemma map
+on ``chapters``.  Each run prints that child's ``ru_maxrss`` from
 ``os.wait4``, in MB of 1,024 KiB as perfbench reports it.
 
 A child's ``ru_maxrss`` includes the high-water mark of the process that
@@ -37,7 +39,17 @@ GENERATE = (
     "import sys; from pathlib import Path\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "from corpus import make_workload\n"
-    "print(make_workload(sys.argv[2], int(sys.argv[3]), Path(sys.argv[4]))[0].config)\n"
+    "for text in make_workload(sys.argv[2], int(sys.argv[3]), Path(sys.argv[4])):\n"
+    "    print(text.config)\n"
+)
+
+ANALYZE = (
+    "import sys; from pathlib import Path\n"
+    "from textlaws.cli import main\n"
+    "for config in sys.argv[2:]:\n"
+    "    code = main(['--config', config, '--out', str(Path(sys.argv[1]) / Path(config).stem)])\n"
+    "    if code:\n"
+    "        sys.exit(f'{config}: exit {code}')\n"
 )
 
 
@@ -83,13 +95,15 @@ def main(argv=None) -> int:
         try:
             generate = [sys.executable, "-c", GENERATE, str(ROOT / "perfbench"),
                         args.workload, str(args.seed), tmp]
-            peak, config = run("input generation", generate, log)
-            print(f"generate {args.workload} seed {args.seed}: {peak:.1f} MB")
+            peak, configs = run("input generation", generate, log)
+            configs = configs.splitlines()
+            print(f"generate {args.workload} seed {args.seed} ({len(configs)} texts): "
+                  f"{peak:.1f} MB")
             peaks = []
             for k in range(args.runs):
                 out = Path(tmp) / f"out{k}"
-                peak, _ = run("analyze", [sys.executable, "-m", "textlaws", "--config",
-                                          config.strip(), "--out", str(out)], log, env)
+                peak, _ = run("analyze", [sys.executable, "-c", ANALYZE, str(out), *configs],
+                              log, env)
                 peaks.append(peak)
                 print(f"analyze run {k + 1}: {peak:.1f} MB")
         except ChildFailed as exc:
