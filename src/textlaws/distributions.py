@@ -82,7 +82,7 @@ def count_phonemes(form: str, rules: G2PRules) -> int:
 def read_g2p_rules(path: str | Path) -> G2PRules:
     """Read rewrite rules from a TSV file of ``grapheme<TAB>delta`` lines."""
     rules = []
-    for line_no, (grapheme, raw) in data_rows(path, "grapheme<TAB>delta"):
+    for line_no, _, (grapheme, raw) in data_rows(path, "grapheme<TAB>delta"):
         try:
             delta = int(raw)
         except ValueError:

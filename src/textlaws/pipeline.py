@@ -5,8 +5,9 @@ directory, always; profile, lengths, ranks and fits only when selected,
 with the lengths and ranks computed but not written when only the fits
 need them) and write a deterministic bundle into the output directory.
 A failing stage raises a ``StageFailure`` that names it and carries its
-cause's exit code; a fit that merely fails to converge is recorded in
-the fits report and does not affect the exit status.
+cause's exit code, and a stage that runs out of memory fails the same way;
+a fit that merely fails to converge is recorded in the fits report and
+does not affect the exit status.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def _stage(name: str):
         yield
     except (TextlawsError, OSError) as exc:
         raise StageFailure(name, exc) from exc
+    except MemoryError:
+        # the allocation that failed holds nothing, and the message needs little
+        raise StageFailure(name, TextlawsError("out of memory")) from None
 
 
 def _ingest(cfg: RunConfig) -> tuple[Tokens, int]:

@@ -700,6 +700,37 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "analyze: stage output: " in err and f"File exists: '{out}'" in err
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
+    def test_out_of_memory_is_a_stage_failure(self, fixtures_dir, tmp_path):
+        import resource
+
+        for name in ("run.ini", "corpus.txt", "lemmas.tsv", "merges.tsv", "overrides.tsv"):
+            shutil.copy(fixtures_dir / name, tmp_path)
+        argv = ["--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(textlaws.__file__).parents[1]))
+        # numpy and OpenBLAS reserve address space at import: the limit is set
+        # 16 MB above the peak of a whole fixture run in a child of its own
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom textlaws.cli import main\nassert main(sys.argv[1:]) == 0\n"
+             "print(next(line.split()[1] for line in open('/proc/self/status')"
+             " if line.startswith('VmPeak:')))\n", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert probe.returncode == 0, probe.stderr
+        limit = (int(probe.stdout.split()[-1]) + 16 * 1024) * 1024
+        shutil.rmtree(tmp_path / "out")
+        # a text of 44 MB, which the child cannot read whole
+        with (tmp_path / "corpus.txt").open("w", encoding="utf-8") as fh:
+            for _ in range(40):
+                fh.write("слово " * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "textlaws", *argv], capture_output=True, text=True, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stderr) == (1, "analyze: stage ingest: out of memory\n")
+        assert not (tmp_path / "out").exists()
+
     def test_topk_has_four_decimal_percentages(self, fixture_config, tmp_path):
         out = tmp_path / "out"
         main(["--config", str(fixture_config), "--out", str(out)])

@@ -1,10 +1,13 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import accumulate, count
 from pathlib import Path
 
 import pytest
@@ -303,9 +306,11 @@ class TestResourceFiles:
         "", "\n", "a\tb", "a\tb\n", "\n\na\tb\n\n", "# x\n" * 5 + "a\tb",
     ])
     def test_block_lines_match_one_split(self, monkeypatch, text):
+        lines = text.split("\n")
+        starts = [0, *accumulate(len(line.encode()) + 1 for line in lines)][:-1]
         for block in (1, 2, 3, 1 << 16):
             monkeypatch.setattr(lexicon, "_BLOCK_CHARS", block)
-            assert list(lexicon._lines("x.tsv", text.encode())) == text.split("\n")
+            assert list(lexicon._lines("x.tsv", text.encode())) == list(zip(starts, lines))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -327,13 +332,17 @@ class TestResourceFiles:
             at = round(bad[1] * len(data))
             data = data[:at] + bad[0] + data[at:]
         path, shape = "r.tsv", "a[<TAB>b<TAB>c]"
-        # the oracle: the whole file decoded by decode_utf8, then split at "\n"
+        # the oracle: the whole file decoded by decode_utf8, then split at "\n";
+        # a line starts after the mark and after each "\r\n", lone "\r" or "\n"
+        starts = [3 * data.startswith("\ufeff".encode())]
+        starts += [end.end() for end in re.finditer(rb"\r\n|\r|\n", data)]
         try:
             text = lexicon.decode_utf8(path, data)
         except ResourceFormatError as exc:
             expected = str(exc)
         else:
-            expected = [(n, line.split("\t")) for n, line in enumerate(text.split("\n"), 1)
+            expected = [(n, start, line.split("\t"))
+                        for n, start, line in zip(count(1), starts, text.split("\n"))
                         if line.lstrip()[:1] not in ("", "#")]
         for block in (1, 2, 3, 7, 64):
             with pytest.MonkeyPatch.context() as patch:
@@ -462,10 +471,12 @@ class TestLemmaMapReuse:
         assert len(parses) == 2
         assert shared == plain
         assert (shared.rows, shared.ambiguous) == (plain.rows, plain.ambiguous)
-        held = {id(s) for s in (*shared.rows, *shared.rows.values(), *shared.ambiguous)}
-        held |= {id(lemma) for split in shared.ambiguous.values() for lemma, _ in split}
-        # each lexicon form the map names, as a form or as a lemma, is the lexicon's object
-        assert [form for form in forms if id(form) in held] == ["стежки", "що", "стежку", "стежка"]
+        # the index holds no string per form: its strings are its lemmas and none apart
+        assert (shared.rows._lemmas, shared.rows._loose) == (("стежка", "що_спол", "що_займ", "що"), {})
+        held = {id(lemma) for lemma in shared.rows._lemmas}
+        # each lexicon form the map names as a lemma is the lexicon's object
+        assert [form for form in forms if id(form) in held] == ["що", "стежка"]
+        assert shared.rows["стежку"] is shared.rows["стежки"] is next(f for f in forms if f == "стежка")
 
     def test_rewritten_file_is_parsed_again(self, tmp_path, parses):
         path = self.write(tmp_path / "lemmas.tsv", self.MAP)
@@ -552,3 +563,167 @@ class TestLemmaMapReuse:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+def _parse_lemma_map_oracle(path, data):
+    """The lemma-map parser as a dict per form: ``(rows, ambiguous)`` or the error text."""
+    rows, shares, more, last_line = {}, {}, {}, {}
+    for line_no, _, fields in lexicon.data_rows(path, "form<TAB>lemma[<TAB>share]", data):
+        form, lemma = fields[0].strip(), fields[1].strip()
+        if not form or not lemma:
+            raise ResourceFormatError(path, line_no, "empty form or lemma")
+        share = 1.0
+        if len(fields) == 3:
+            try:
+                share = float(fields[2])
+            except ValueError:
+                share = math.nan
+            if not math.isfinite(share):
+                raise ResourceFormatError(path, line_no, f"bad share {fields[2]!r}")
+            if share < 0:
+                raise ResourceFormatError(path, line_no, "share must be non-negative")
+        if form not in rows:
+            rows[form] = lemma
+            if len(fields) == 3:
+                shares[form] = share
+        elif lemma == rows[form] or any(lemma == seen for seen, _ in more.get(form, ())):
+            raise ResourceFormatError(path, line_no, f"duplicate row for ({form}, {lemma})")
+        else:
+            more.setdefault(form, []).append((lemma, share))
+            last_line[form] = line_no
+    ambiguous = {
+        form: ((rows.pop(form), shares.get(form, 1.0)), *later) for form, later in more.items()
+    }
+    for form, split in ambiguous.items():
+        if not 0 < sum(share for _, share in split) < math.inf:
+            message = f"shares of {form!r} must have a positive finite sum"
+            raise ResourceFormatError(path, last_line[form], message)
+    return rows, ambiguous
+
+
+def _lemmatize_oracle(entries, rows, ambiguous, overrides):
+    """One loop over the forms, as a list of (lemma, count) in first-count order."""
+    pinned = {}
+    for form, lemma, n in overrides:
+        pinned.setdefault(form, []).append((lemma, n))
+    lemmas, unmapped = {}, 0
+    for form, n in entries.items():
+        if form in pinned:
+            parts = [(lemma, c) for lemma, c in pinned[form] if c]
+            unmapped += n - sum(c for _, c in parts)
+        elif form in rows:
+            parts = [(rows[form], n)]
+        elif form in ambiguous:
+            parts = [(lemma, c) for lemma, c in lexicon._largest_remainder(n, ambiguous[form]) if c]
+        else:
+            parts = []
+            unmapped += n
+        for lemma, c in parts:
+            lemmas[lemma] = lemmas.get(lemma, 0) + c
+    return list(lemmas.items()), unmapped
+
+
+# a form from few letters, so that rows repeat forms, sometimes with whitespace around it
+map_forms = st.text(alphabet="абв", min_size=1, max_size=3)
+map_rows = st.one_of(
+    st.tuples(st.sampled_from(["", "", " ", "\x0c", " 　"]), map_forms,
+              st.sampled_from(["", "", " "]), st.sampled_from(["x", "y", "абв", " z "]),
+              st.sampled_from(["", "", "\t1", "\t0.5", "\t2", "\t0", "\t3e2"]))
+      .map("{0[0]}{0[1]}{0[2]}\t{0[3]}{0[4]}".format),
+    st.sampled_from(["", "  ", "# коментар", " #\tx\ty\tz"]),
+)
+map_faults = st.sampled_from([
+    b"broken", b"\tx", b"a\t ", b"a\tx\tmaybe", b"a\tx\tnan", b"a\tx\t-1", b"a\tx\t1\t2", b"\xff",
+])
+
+
+class TestLemmaIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(map_rows, max_size=14),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=15, max_size=15),
+        bom=st.booleans(),
+        fault=st.one_of(st.none(), st.tuples(map_faults, st.integers(0, 14))),
+        text=st.dictionaries(map_forms, st.integers(1, 9), max_size=8),
+        pins=st.dictionaries(map_forms, st.tuples(st.sampled_from(["x", "q"]), st.integers(0, 2)),
+                             max_size=2),
+    )
+    def test_index_matches_a_dict_per_form(self, lines, ends, bom, fault, text, pins):
+        rows = [line.encode() for line in lines]
+        if fault:
+            rows.insert(min(fault[1], len(rows)), fault[0])
+        data = "﻿".encode() * bom + b"".join(map(bytes.__add__, rows, map(str.encode, ends)))
+        for block in (1, 7, 64):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lexicon, "_BLOCK_CHARS", block)
+                try:
+                    expected = _parse_lemma_map_oracle("m.tsv", data)
+                except ResourceFormatError as exc:
+                    expected = str(exc)
+                try:
+                    lemma_map = lexicon._parse_lemma_map("m.tsv", data, text)
+                except ResourceFormatError as exc:
+                    assert str(exc) == expected, block
+                    continue
+            assert (dict(lemma_map.rows), dict(lemma_map.ambiguous)) == expected, block
+            assert len(lemma_map.rows) == len(expected[0])
+        if isinstance(expected, str):
+            return
+        overrides = [(form, lemma, min(n, text.get(form, 0))) for form, (lemma, n) in pins.items()]
+        result = lemmatize(lex_of(text), lemma_map, overrides)
+        lemmas, unmapped = _lemmatize_oracle(text, *expected, overrides)
+        assert (list(result.entries.items()), result.unmapped_tokens) == (lemmas, unmapped)
+        assert lemmatize(lex_of(text), LemmaMap(*expected), overrides) == result
+
+    def test_lookups_stay_exact_when_every_hash_collides(self, tmp_path, monkeypatch):
+        text = ("стежки\tстежка\nстежку\tстежка\n стежкою \tстежка\nщо\tщо_спол\t3\n"
+                "що\tщо_займ\t1\nнема\tнема\nбуде\tбути\n")
+        path = self.write(tmp_path, text)
+        monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+        # a map is read under the hash it was built with: these are plain dicts
+        honest = read_lemma_map(path)
+        rows, ambiguous = dict(honest.rows), dict(honest.ambiguous)
+        assert rows == {"стежки": "стежка", "стежку": "стежка", "стежкою": "стежка",
+                        "нема": "нема", "буде": "бути"}
+        entries = {"що": 8, "стежкою": 2, "буде": 1, "стежки": 3, "вода": 5,
+                   "стежки\tстежка": 4, "нема": 1}
+        expected = lemmatize(lex_of(entries), honest, [("нема", "нема_інше", 1)])
+        for collide in (lambda form: 0, lambda form: len(form) % 2):
+            monkeypatch.setattr(lexicon, "_form_hash", collide)
+            monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+            lemma_map = read_lemma_map(path)
+            assert (dict(lemma_map.rows), dict(lemma_map.ambiguous)) == (rows, ambiguous)
+            assert LemmaMap(rows=rows).rows == rows
+            for absent in ("вода", "стежк", "стежки\tстежка", "що", " стежкою "):
+                assert absent not in lemma_map.rows
+            result = lemmatize(lex_of(entries), lemma_map, [("нема", "нема_інше", 1)])
+            assert list(result.entries.items()) == list(expected.entries.items())
+            assert result == expected
+            self.write(tmp_path, text + "нема\tнема_інше\nбуде\tбути\n")
+            with pytest.raises(ResourceFormatError) as err:
+                read_lemma_map(path)
+            assert str(err.value) == f"{path}:9: duplicate row for (буде, бути)"
+            self.write(tmp_path, text)
+
+    def test_a_map_holds_few_bytes_per_row_beyond_its_file(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, "".join(f"форма{k:05d}\tлема{k % 100:02d}\n"
+                                            for k in range(20_000)))
+        monkeypatch.setattr(lexicon, "_last_lemma_map", None)
+        read_lemma_map(self.write(tmp_path / "warm.tsv", "а\tб\n"))   # loads numpy untraced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lemma_map = read_lemma_map(path)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lemma_map.rows) == 20_000
+        # a dict of strings held about 115 bytes per row
+        assert (live - path.stat().st_size) / 20_000 < 24
+
+    @staticmethod
+    def write(path, text):
+        if path.is_dir():
+            path = path / "lemmas.tsv"
+        path.write_text(text, encoding="utf-8")
+        return path
