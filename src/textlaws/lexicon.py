@@ -309,7 +309,8 @@ def lemmatize(
         elif lemma_id >= 0:
             later.append((at, lemmas[lemma_id], count))
         elif (shares := ambiguous.get(form)) is not None:
-            later.extend((at, lemma, part) for lemma, part in _largest_remainder(count, shares) if part)
+            later.extend((at, lemma, part)
+                         for lemma, part in _largest_remainder(count, shares) if part)
         else:
             unmapped_tokens += count
             unmapped_forms += 1
@@ -337,8 +338,6 @@ def lemmatize(
 # and that ``read_lemma_map`` compares with the kept map's bytes: the text of
 # a wide lemma map, or a list of its every line, would raise a run's peak memory
 _BLOCK_CHARS = 1 << 16
-
-_BOM = "\ufeff".encode()
 
 
 def _unify_line_ends(text: str) -> str:
@@ -376,7 +375,7 @@ def _lines(path: str | Path, data: bytes) -> Iterator[tuple[int, str]]:
     byte, which no UTF-8 sequence and no ``\r\n`` pair straddles; a block
     that fails to decode is reported as ``decode_utf8`` reports the whole file.
     """
-    start = 3 if data.startswith(_BOM) else 0
+    start = 3 if data.startswith("\ufeff".encode()) else 0
     while True:
         # 0 when no line end is left: the last block runs to the end
         cut = data.find(b"\n", start + _BLOCK_CHARS) + 1
