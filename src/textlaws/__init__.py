@@ -45,8 +45,6 @@ __version__ = "0.1.0"
 _LAZY = frozenset((
     "G2PRules",
     "RankFrequencyList",
-    "count_phonemes",
-    "count_syllables",
     "coverage_curve",
     "filter_min_support",
     "form_lengths",

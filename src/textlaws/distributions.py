@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_UK_VOWELS, LENGTH_BASES
+from .config import LENGTH_BASES
 from .errors import ResourceFormatError, ValidationError
 from .lexicon import FormLexicon, LemmaLexicon, data_rows
 from .tokenizer import count_letters
@@ -26,11 +26,6 @@ from .tokenizer import count_letters
 # forms per joined pass of form_lengths; one pass over a whole wide lexicon
 # raises the peak memory of a run
 _SLICE_FORMS = 2048
-
-
-def count_syllables(form: str, vowels: frozenset[str] = DEFAULT_UK_VOWELS) -> int:
-    """Number of vowel nuclei; zero for non-syllabic forms."""
-    return sum(map(vowels.__contains__, form.casefold()))
 
 
 @dataclass(frozen=True)
@@ -65,18 +60,6 @@ class G2PRules:
 
 
 DEFAULT_G2P_RESOURCE = "uk_g2p.tsv"
-
-
-def count_phonemes(form: str, rules: G2PRules) -> int:
-    """Phonemes of the casefolded form, each character consumed once.
-
-    Matches of the rule pattern add their deltas; each character between
-    them adds one.
-    """
-    folded = form.casefold()
-    graphemes = rules.pattern.findall(folded)
-    unmatched = len(folded) - sum(map(len, graphemes))
-    return sum(map(rules.deltas.__getitem__, graphemes)) + unmatched
 
 
 def read_g2p_rules(path: str | Path) -> G2PRules:
@@ -132,10 +115,11 @@ def form_lengths(lex: FormLexicon, g2p: G2PRules, vowels: frozenset[str]) -> dic
     The phonemes and syllables are counted over slices of the forms, each
     casefolded as one string of newline-ended forms and read as code points
     (``str.casefold`` maps each code point on its own, so the slice folds
-    as its forms do).  A vowel or rule match belongs to the form whose
-    newline comes next; no match runs past a newline, as no grapheme holds
-    one.  The counts equal ``count_phonemes`` and ``count_syllables`` of each
-    form.  A form holding a newline is rejected.
+    as its forms do).  A form's syllables are the vowels in it; its phonemes
+    are the deltas of the rule matches in it plus one per character no match
+    covers.  A vowel or rule match belongs to the form whose newline comes
+    next; no match runs past a newline, as no grapheme holds one.  A form
+    holding a newline is rejected.
     """
     if not lex.entries:
         raise ValidationError("cannot build a length distribution from an empty lexicon")

@@ -104,8 +104,8 @@ class LemmaRows(Mapping[str, str]):
                 at += 1
         return self._loose.get(form, -1)
 
-    def _lemma_ids(self, forms: list[str], hashes):
-        """``_lemma_id`` of each form, as one int64 array; ``hashes`` are the forms' ``_form_hash``.
+    def _lemma_ids(self, forms: list[str]):
+        """``_lemma_id`` of each form, as one int64 array.
 
         A form whose hash one row has is checked at that row's line; a form
         whose hash several rows share, or that a row held apart may name,
@@ -113,6 +113,7 @@ class LemmaRows(Mapping[str, str]):
         """
         import numpy as np
 
+        hashes = np.fromiter(map(_form_hash, forms), np.int64, len(forms))
         # searched in hash order, which keeps each search near the last
         order = np.argsort(hashes)
         low, high = np.empty((2, len(forms)), np.int64)
@@ -261,7 +262,9 @@ def lemmatize(
     forms are split by shares with largest-remainder rounding.  An override
     pins exact counts for a form and replaces any map routing; whatever it
     leaves unpinned joins the unmapped report bucket, as do forms absent
-    from the map entirely.
+    from the map entirely.  Each lemma's count is an exact integer sum, and
+    the lemma counts and the unmapped tokens add up to ``lex.total_tokens``.
+    Lemmas come in the order of the first form that gives them a count.
     """
     pinned: dict[str, list[tuple[str, int]]] = {}
     for form, lemma, count in overrides:
@@ -276,55 +279,32 @@ def lemmatize(
                 f"overrides for {form!r} sum to {total}, above its count {available}"
             )
 
-    import numpy as np
-
-    forms = list(lex.entries)
-    hashes = np.fromiter(map(_form_hash, forms), np.int64, len(forms))
-    ids = lemma_map.rows._lemma_ids(forms, hashes)
-    # a pinned form, or one that shares its hash, takes the per-form path
-    pins = np.isin(hashes, np.fromiter(map(_form_hash, pinned), np.int64, len(pinned)))
-    # the forms the index routes, and the summed count of each of their lemmas
-    routed = np.flatnonzero((ids >= 0) & ~pins)
-    counts = np.fromiter(lex.entries.values(), float, len(forms))[routed]
-    sums = np.bincount(ids[routed], weights=counts)   # exact below 2**53
-    used = np.flatnonzero(np.bincount(ids[routed]))
-
-    later: list[tuple[int, str, int]] = []   # (form position, lemma, count) of the other forms
+    lemmas, ambiguous = lemma_map.rows._lemmas, lemma_map.ambiguous
+    entries: dict[str, int] = {}
     unmapped_tokens = 0
     unmapped_forms = 0
-    lemmas, ambiguous = lemma_map.rows._lemmas, lemma_map.ambiguous
-    other = np.flatnonzero((ids < 0) | pins)
-    for at, lemma_id in zip(other.tolist(), ids[other].tolist()):
-        form = forms[at]
-        count = lex.entries[form]
+    ids = lemma_map.rows._lemma_ids(list(lex.entries))
+    for (form, count), lemma_id in zip(lex.entries.items(), memoryview(ids)):
         if form in pinned:
-            assigned = 0
-            for lemma, c in pinned[form]:
-                if c:
-                    later.append((at, lemma, c))
-                    assigned += c
+            parts = pinned[form]
+            assigned = sum(c for _, c in parts)
             if assigned < count:
                 unmapped_tokens += count - assigned
                 unmapped_forms += 1
         elif lemma_id >= 0:
-            later.append((at, lemmas[lemma_id], count))
+            # most forms end here: summed in place, with no parts to loop over
+            lemma = lemmas[lemma_id]
+            entries[lemma] = entries.get(lemma, 0) + count
+            continue
         elif (shares := ambiguous.get(form)) is not None:
-            later.extend((at, lemma, part)
-                         for lemma, part in _largest_remainder(count, shares) if part)
+            parts = _largest_remainder(count, shares)
         else:
             unmapped_tokens += count
             unmapped_forms += 1
-
-    # lemmas in order of the first form that gives them a count, as one loop over the forms
-    # gives: the other forms' lemmas, numbered on from the index's, go in at their forms
-    names = lemmas + tuple(lemma for _, lemma, _ in later)
-    sequence = np.insert(ids[routed], np.searchsorted(routed, [at for at, _, _ in later]),
-                         np.arange(len(lemmas), len(names)))
-    entries = dict.fromkeys(map(names.__getitem__, memoryview(sequence)), 0)
-    entries.update(zip(map(lemmas.__getitem__, memoryview(used)),
-                       sums[used].astype(np.int64).tolist()))
-    for _, lemma, count in later:
-        entries[lemma] += count
+            continue
+        for lemma, c in parts:
+            if c:
+                entries[lemma] = entries.get(lemma, 0) + c
     return LemmaLexicon(entries, len(entries), unmapped_tokens, unmapped_forms)
 
 

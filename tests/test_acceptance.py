@@ -23,7 +23,6 @@ from textlaws import (
     apply_merge_rules,
     build_form_spectrum,
     corpus_profile,
-    count_syllables,
     coverage_curve,
     form_lengths,
     lemmatize,
@@ -37,7 +36,7 @@ from textlaws import (
     tokenize,
 )
 from textlaws.cli import main as cli_main
-from textlaws.distributions import DEFAULT_UK_VOWELS
+from textlaws.config import DEFAULT_UK_VOWELS
 from textlaws.fitting import (
     fit_coverage,
     lm_fit,
@@ -45,6 +44,7 @@ from textlaws.fitting import (
     segmented_loglog_fit,
 )
 from textlaws.fitting.models import phoneme_gamma_norm, shifted_menzerath_norm
+from length_counters import count_syllables
 
 
 def criterion(number, name):

@@ -28,10 +28,10 @@ from textlaws import (
     split_sentences,
 )
 from textlaws.cli import main
-from textlaws.config import load_run_config
-from textlaws.distributions import DEFAULT_UK_VOWELS
+from textlaws.config import DEFAULT_UK_VOWELS, load_run_config
 from textlaws.fitting import MODELS, model_eval
 from textlaws.reports import emit_plot_data
+from length_counters import count_phonemes, count_syllables
 
 BUNDLE = [
     "profile.tsv", "profile.json",
@@ -390,8 +390,8 @@ class TestPipeline:
         assert len(lex.entries) == json.loads((out / "profile.json").read_text())["F"]
         assert table == {
             "letters": [distributions.count_letters(form) for form in lex.entries],
-            "phonemes": [distributions.count_phonemes(form, g2p) for form in lex.entries],
-            "syllables": [distributions.count_syllables(form, vowels) for form in lex.entries],
+            "phonemes": [count_phonemes(form, g2p) for form in lex.entries],
+            "syllables": [count_syllables(form, vowels) for form in lex.entries],
         }
 
     def test_minimal_config_degraded_mode(self, fixtures_dir, tmp_path):
@@ -818,10 +818,9 @@ def test_front_half_answers_without_numpy(tmp_path, argv, exit_code):
 
 # every name the package exported when it imported all of them eagerly
 EXPORTS = {
-    "distributions": ("G2PRules", "RankFrequencyList", "count_phonemes", "count_syllables",
-                      "coverage_curve", "filter_min_support", "form_lengths",
-                      "length_distribution", "load_default_g2p", "mean_syllable_series",
-                      "rank_frequency", "read_g2p_rules", "top_k"),
+    "distributions": ("G2PRules", "RankFrequencyList", "coverage_curve", "filter_min_support",
+                      "form_lengths", "length_distribution", "load_default_g2p",
+                      "mean_syllable_series", "rank_frequency", "read_g2p_rules", "top_k"),
     "errors": ("DomainError", "ResourceFormatError", "TextlawsError", "ValidationError"),
     "indices": ("CorpusProfile", "corpus_profile"),
     "lexicon": ("FormLexicon", "LemmaLexicon", "LemmaMap", "MergeRule", "apply_merge_rules",

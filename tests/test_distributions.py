@@ -10,8 +10,6 @@ from textlaws import (
     ResourceFormatError,
     ValidationError,
     count_letters,
-    count_phonemes,
-    count_syllables,
     coverage_curve,
     filter_min_support,
     form_lengths,
@@ -22,8 +20,10 @@ from textlaws import (
     read_g2p_rules,
     top_k,
 )
-from textlaws.distributions import _SLICE_FORMS, DEFAULT_UK_VOWELS
+from textlaws.config import DEFAULT_UK_VOWELS
+from textlaws.distributions import _SLICE_FORMS
 from g2p_oracle import oracle_count_phonemes
+from length_counters import count_phonemes, count_syllables
 
 lexicon_strategy = st.dictionaries(
     st.text(alphabet="абвгдежзиклмнопрстец", min_size=1, max_size=8),

@@ -203,6 +203,16 @@ class TestLemmatize:
         result = lemmatize(lex, LemmaMap(rows=rows))
         assert result.vocabulary_size <= len(set(rows.values()))
 
+    @pytest.mark.parametrize("entries, expected", [
+        pytest.param({"a": 2**53, "b": 1, "c": 3}, {"x": 2**53 + 1, "c": 3}, id="above-2**53"),
+        pytest.param({"c": 2**63, "a": 1}, {"c": 2**63, "x": 1}, id="at-2**63"),
+    ])
+    def test_counts_are_exact_integer_sums(self, entries, expected):
+        lex = lex_of(entries)
+        result = lemmatize(lex, LemmaMap(rows={"a": "x", "b": "x", "c": "c"}))
+        assert list(result.entries.items()) == list(expected.items())
+        assert sum(result.entries.values()) + result.unmapped_tokens == lex.total_tokens
+
     def test_deterministic_across_input_order(self):
         entries = {"а": 4, "б": 2, "в": 9}
         lemma_map = LemmaMap(rows={"а": "а", "б": "б", "в": "в"})
